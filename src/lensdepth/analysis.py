@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import DepthError, DepthField, Sample, batch_depth, self_depth_field
+from .depth import (
+    DepthError,
+    DepthField,
+    Sample,
+    _pair_count,
+    _query_counts,
+    batch_depth,
+    self_depth_field,
+)
 from .dispersion import PsiCurve, psi_curve
 
 
@@ -29,22 +37,22 @@ class DepthDepthRecord:
 
 def loo_depth_against(points, sample: Sample, threads: int = 1) -> np.ndarray:
     """Depths of explicit points against `sample`, leave-one-out where a
-    point coincides (distance 0) with a sample point."""
-    field = batch_depth(points, sample, threads=threads)
-    dq = sample.space.cross_matrix(points, sample.points)
-    zero_at = dq == 0.0
-    values = np.array(field.values)
+    point is exactly equal to a sample point (equal coordinates, or an
+    equal tree); a distinct point at distance 0 keeps its plain depth."""
+    points, dq, counts = _query_counts(points, sample, threads)
+    values = counts / _pair_count(sample.n)
     dmat = sample.distance_matrix
-    n = sample.n
-    loo_pairs = (n - 1) * (n - 2) // 2
-    for q in np.flatnonzero(zero_at.any(axis=1)):
-        e = int(np.argmax(zero_at[q]))
+    loo_pairs = _pair_count(sample.n - 1)
+    for q in np.flatnonzero((dq == 0.0).any(axis=1)):
+        same = [e for e in np.flatnonzero(dq[q] == 0.0)
+                if np.all(points[q] == sample.points[e])]
+        if not same:
+            continue
+        e = same[0]
         # Pairs involving e: in-lens iff max(dq[q,i], dq[q,e]) <= d(e,i);
-        # dq[q,e] == 0, so the test reduces to dq[q,i] <= d(e,i).
-        row = np.delete(dmat[e], e)
-        dqi = np.delete(dq[q], e)
-        covering_with_e = int((dqi <= row).sum())
-        values[q] = (field.counts[q] - covering_with_e) / loo_pairs
+        # equal points have dq[q,e] == 0, so the test is dq[q,i] <= d(e,i).
+        covering_with_e = int((np.delete(dq[q], e) <= np.delete(dmat[e], e)).sum())
+        values[q] = (counts[q] - covering_with_e) / loo_pairs
     return values
 
 
@@ -54,8 +62,8 @@ def depth_depth(sample0: Sample, sample1: Sample, points=None,
 
     With `points=None` the pooled group points are evaluated, each
     leave-one-out within its own group and plainly against the other.
-    Explicit points are matched to group members by zero distance to
-    decide leave-one-out treatment.
+    Explicit points that equal a group member exactly are evaluated
+    leave-one-out against that group.
     """
     if sample0.space is not sample1.space and sample0.space.kind != sample1.space.kind:
         raise DepthError("groups live in different spaces")

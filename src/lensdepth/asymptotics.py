@@ -9,8 +9,7 @@ bit-identical at any parallelism level.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm, t as student_t, vonmises_fisher
@@ -22,8 +21,9 @@ from .depth import (
     batch_depth,
     population_ld_1d,
     population_level_interval_1d,
+    thread_map,
 )
-from .levelsets import LatticeGrid, boundary_points, hausdorff, level_set
+from .levelsets import LatticeGrid, boundary_points, hausdorff, inner_boundary, level_set
 from .metrics import BHVSpace, EuclideanSpace, SphereSpace
 
 
@@ -201,17 +201,9 @@ def _rng_for(seed: int, n_index: int, replication: int) -> np.random.Generator:
 def _run_grid(cfg: ExperimentConfig, task):
     """Evaluate task(n_index, replication) for the full schedule,
     threaded over replications with a fixed aggregation order."""
-    results = {}
     jobs = [(k, r) for k in range(len(cfg.n_schedule))
             for r in range(cfg.replications)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(cfg.threads) as ex:
-            outs = list(ex.map(lambda job: task(*job), jobs))
-    else:
-        outs = [task(*job) for job in jobs]
-    for (k, r), out in zip(jobs, outs):
-        results[(k, r)] = out
-    return results
+    return dict(zip(jobs, thread_map(lambda job: task(*job), jobs, cfg.threads)))
 
 
 def _summaries(values: np.ndarray) -> dict:
@@ -281,7 +273,7 @@ def levelset_experiment(cfg: ExperimentConfig, lam: float) -> ConvergenceReport:
             f"population level set at {lam} misses the evaluation grid")
     true_mask = np.zeros(len(grid), dtype=bool)
     true_mask[true_members] = True
-    true_boundary = _inner_boundary(true_mask, grid)
+    true_boundary = inner_boundary(true_mask, grid)
     true_pts = grid.points[true_members]
     true_bpts = grid.points[true_boundary]
 
@@ -307,16 +299,6 @@ def levelset_experiment(cfg: ExperimentConfig, lam: float) -> ConvergenceReport:
     blocks["true_interval"] = [lo, hi]
     return ConvergenceReport("levelset", cfg.n_schedule, cfg.replications,
                              cfg.seed, blocks)
-
-
-def _inner_boundary(mask: np.ndarray, grid: LatticeGrid) -> np.ndarray:
-    out = []
-    for i in np.flatnonzero(mask):
-        for j in grid.neighbor_indices(int(i)):
-            if j is None or not mask[j]:
-                out.append(int(i))
-                break
-    return np.array(out, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +375,9 @@ def p2_matrix(points, sampler: Sampler, pairs: int, seed: int = 0,
 def p2_functional(x1, x2, sampler: Sampler, pairs: int, seed: int = 0):
     """Pair moments of two query points from shared draws:
     (P(x1 covered), P(x2 covered), P(both covered))."""
-    pts = _points_container(sampler.space, [x1, x2])
+    pts = sampler.space.coerce_points([x1, x2])
     p_vec, p_mat = p2_matrix(pts, sampler, pairs, seed=seed)
     return float(p_vec[0]), float(p_vec[1]), float(p_mat[0, 1])
-
-
-def _points_container(space, pts):
-    return space.coerce_points(pts)
 
 
 def projection_cov_1d(points, cdf) -> np.ndarray:
@@ -435,7 +413,7 @@ def clt_experiment(cfg: ExperimentConfig) -> CltReport:
         raise ExperimentError("clt experiment needs query points")
     sampler = make_sampler(cfg.sampler)
     n = cfg.n_schedule[-1]
-    pts = _points_container(sampler.space, list(cfg.points))
+    pts = sampler.space.coerce_points(list(cfg.points))
     truth = _population_depth_on(pts, sampler, cfg.pairs, cfg.seed)
     k = len(pts)
     root_n = math.sqrt(n)

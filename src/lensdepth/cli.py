@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, analysis, dataio, depth as depth_mod, dispersion, levelsets
+from . import __version__, analysis, dataio, dispersion, levelsets
 from .asymptotics import ExperimentError, run_config
 from .dataio import DataError
 from .depth import DepthError, Sample, batch_depth, self_depth_field
@@ -183,7 +183,7 @@ def _write_rows(args, header, rows):
         dataio.write_table(args.out, header, rows, prov)
 
 
-def _load_sample(path, metric, shape, threads=1) -> Sample:
+def _load_sample(path, metric, shape) -> Sample:
     if metric == "bhv":
         trees, _ = dataio.read_newick_file(path)
         return Sample(trees, BHVSpace(trees[0].labels))
@@ -199,7 +199,7 @@ def _load_sample(path, metric, shape, threads=1) -> Sample:
     return Sample(pts, space)
 
 
-def _load_points_like(path, sample: Sample, shape):
+def _load_points_like(path, sample: Sample):
     if isinstance(sample.space, BHVSpace):
         trees, _ = dataio.read_newick_file(path)
         return sample.space.coerce_points(trees)
@@ -230,7 +230,7 @@ def _coords(points, i):
 
 def cmd_depth(args) -> int:
     sample = _load_sample(args.sample, args.metric, args.shape)
-    queries = _load_points_like(args.queries, sample, args.shape)
+    queries = _load_points_like(args.queries, sample)
     if args.leave_one_out:
         values = analysis.loo_depth_against(queries, sample, threads=args.threads)
     else:
@@ -285,7 +285,7 @@ def cmd_psi(args) -> int:
     if args.psi == "volume":
         if args.reference is None:
             raise CliError("volume sweeps need --reference points")
-        ref_pts = _load_points_like(args.reference, sample, args.shape)
+        ref_pts = _load_points_like(args.reference, sample)
         reference = Sample(ref_pts, sample.space)
     lambdas = _lambda_grid(args, field)
     curve = dispersion.psi_curve(field, args.psi, lambdas, grid=grid,
@@ -372,7 +372,7 @@ def cmd_ddplot(args) -> int:
     s1 = _load_sample(args.group1, args.metric, args.shape)
     points = None
     if args.points is not None:
-        points = _load_points_like(args.points, s0, args.shape)
+        points = _load_points_like(args.points, s0)
     records = analysis.depth_depth(s0, s1, points=points, threads=args.threads)
     rows = [(r.index, "" if r.group is None else r.group, r.depth0, r.depth1)
             for r in records]
@@ -495,3 +495,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

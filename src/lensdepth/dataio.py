@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .levelsets import LatticeGrid
-from .treespace import Tree, parse_newick_lines
+from .treespace import parse_newick_lines
 
 
 class DataError(ValueError):

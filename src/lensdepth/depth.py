@@ -4,15 +4,19 @@ batch evaluation, and population oracles.
 The depth of a query point is the fraction of unordered sample pairs
 whose lens (intersection of the two closed balls centred at the pair
 with radius equal to their distance) contains it.  `empirical_lens_depth`
-is the direct double loop over pairs; `batch_depth` is the cached,
-vectorized evaluator and matches the double loop bit for bit.
+is the direct double loop over pairs.  `batch_depth`, `self_depth_field`
+and `analysis.loo_depth_against` share one count: `_counts` splits the
+query rows into one contiguous block per thread and runs the vectorized
+`_count_block` on each, so every entry point matches the double loop bit
+for bit at any thread count.  `thread_map` is the package's one thread
+pool.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,21 +57,6 @@ class Sample:
         if self._cache is None:
             self._cache = pairwise_matrix(self.points, self.space)
         return self._cache
-
-    def with_cache(self) -> "Sample":
-        _ = self.distance_matrix
-        return self
-
-    def subset(self, indices) -> "Sample":
-        idx = np.asarray(indices, dtype=int)
-        if isinstance(self.points, list):
-            pts = [self.points[i] for i in idx]
-        else:
-            pts = self.points[idx]
-        cache = None
-        if self._cache is not None:
-            cache = self._cache[np.ix_(idx, idx)]
-        return Sample(pts, self.space, cache=cache)
 
     def __repr__(self):
         return f"Sample(n={self.n}, space={self.space!r})"
@@ -154,8 +143,40 @@ def _count_block(dq: np.ndarray, dmat: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _query_distances(queries, sample: Sample) -> np.ndarray:
-    return sample.space.cross_matrix(queries, sample.points)
+def thread_map(fn, items, threads: int = 1) -> list:
+    """`[fn(item) for item in items]` on up to `threads` worker threads.
+
+    Results come back in item order, so whatever a caller aggregates from
+    them is independent of `threads`.
+    """
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(min(threads, len(items))) as ex:
+        return list(ex.map(fn, items))
+
+
+def _counts(dq: np.ndarray, dmat: np.ndarray, threads: int) -> np.ndarray:
+    """Covering-pair counts of every query row of `dq`, one contiguous
+    block of rows per thread."""
+    blocks = np.array_split(dq, min(max(threads, 1), len(dq)))
+    return np.concatenate(thread_map(lambda block: _count_block(block, dmat),
+                                     blocks, threads))
+
+
+def _query_counts(queries, sample: Sample, threads: int):
+    """Validated queries, their distances to the sample points, and their
+    covering-pair counts."""
+    if sample.n < 2:
+        raise DepthError(f"need at least 2 sample points, have {sample.n}")
+    queries = sample.space.coerce_points(queries)
+    if len(queries) == 0:
+        raise DepthError("empty query set")
+    # The sample matrix comes first: its construction's temporaries are
+    # then freed before the query matrix exists, which bounds peak memory.
+    dmat = sample.distance_matrix
+    dq = sample.space.cross_matrix(queries, sample.points)
+    return queries, dq, _counts(dq, dmat, threads)
 
 
 def batch_depth(queries, sample: Sample, threads: int = 1) -> DepthField:
@@ -165,27 +186,7 @@ def batch_depth(queries, sample: Sample, threads: int = 1) -> DepthField:
     independent of `threads` (queries are partitioned, each computed in
     isolation).
     """
-    if sample.n < 2:
-        raise DepthError(f"need at least 2 sample points, have {sample.n}")
-    queries = sample.space.coerce_points(queries)
-    m = len(queries)
-    if m == 0:
-        raise DepthError("empty query set")
-    dmat = sample.distance_matrix
-    dq = _query_distances(queries, sample)
-    counts = np.zeros(m, dtype=np.int64)
-    if threads > 1 and m > 1:
-        bounds = np.linspace(0, m, min(threads, m) + 1).astype(int)
-        blocks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-        def work(block):
-            lo, hi = block
-            counts[lo:hi] = _count_block(dq[lo:hi], dmat)
-
-        with ThreadPoolExecutor(len(blocks)) as ex:
-            list(ex.map(work, blocks))
-    else:
-        counts[:] = _count_block(dq, dmat)
+    queries, _, counts = _query_counts(queries, sample, threads)
     pc = _pair_count(sample.n)
     return DepthField(points=queries, values=counts / pc, n=sample.n,
                       space=sample.space, counts=counts, pair_count=pc)
@@ -201,21 +202,8 @@ def self_depth_field(sample: Sample, threads: int = 1) -> DepthField:
     if n < 3:
         raise DepthError(f"leave-one-out depth needs n >= 3, have {n}")
     dmat = sample.distance_matrix
-    counts = np.zeros(n, dtype=np.int64)
-    if threads > 1:
-        bounds = np.linspace(0, n, min(threads, n) + 1).astype(int)
-        blocks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-        def work(block):
-            lo, hi = block
-            counts[lo:hi] = _count_block(dmat[lo:hi], dmat)
-
-        with ThreadPoolExecutor(len(blocks)) as ex:
-            list(ex.map(work, blocks))
-    else:
-        counts[:] = _count_block(dmat, dmat)
     # Every pair containing index e covers x_e, so drop those n-1 pairs.
-    counts -= n - 1
+    counts = _counts(dmat, dmat, threads) - (n - 1)
     pc = _pair_count(n - 1)
     return DepthField(points=sample.points, values=counts / pc, n=n,
                       space=sample.space, counts=counts, pair_count=pc)

@@ -10,7 +10,6 @@ independent numerical methods that cross-check each other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,9 +19,9 @@ from scipy.stats import norm, t as student_t
 from .depth import DepthField, Sample
 from .levelsets import (
     LatticeGrid,
-    LevelSetError,
     nearest_indices,
     psi_diameter_from_matrix,
+    psi_inradius,
 )
 
 PSI_KINDS = ("diam", "inradius", "volume")
@@ -131,7 +130,7 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
         if kind == "diam":
             values[k] = psi_diameter_from_matrix(pair_matrix, members)
         elif kind == "inradius":
-            values[k] = _inradius_value(field, members, grid, space)
+            values[k] = _inradius_value(field, members, grid)
         else:
             frac = float(np.mean(ref_idx_values >= lam))
             values[k] = reference_mass * frac
@@ -139,29 +138,15 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
     return PsiCurve(lambdas, values, kind, region, empty_from)
 
 
-def _inradius_value(field, members, grid, space):
-    mask = np.zeros(len(field.values), dtype=bool)
-    mask[members] = True
-    comp = np.flatnonzero(~mask)
+def _inradius_value(field, members, grid):
+    mask = np.ones(len(field.values), dtype=bool)
+    mask[members] = False
+    comp = np.flatnonzero(mask)
     pts = field.points
     if isinstance(pts, list):
-        member_pts = [pts[i] for i in members]
-        comp_pts = [pts[i] for i in comp]
-    else:
-        member_pts = pts[members]
-        comp_pts = pts[comp]
-    if len(comp) > 0:
-        base = space.cross_matrix(member_pts, comp_pts).min(axis=1)
-    elif isinstance(grid, LatticeGrid) and not grid.wrap:
-        base = None
-    else:
-        raise LevelSetError(
-            "inradius is undefined with an empty complement outside a "
-            "bounded lattice; start the level grid above 0")
-    if isinstance(grid, LatticeGrid) and not grid.wrap:
-        exterior = np.array([grid.exterior_distance(p) for p in member_pts])
-        base = exterior if base is None else np.minimum(base, exterior)
-    return float(base.max())
+        return psi_inradius([pts[i] for i in members], [pts[i] for i in comp],
+                            field.space, grid)
+    return psi_inradius(pts[members], pts[comp], field.space, grid)
 
 
 def _check_pair(cx: PsiCurve, cy: PsiCurve):

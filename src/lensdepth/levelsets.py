@@ -206,19 +206,20 @@ class KnnGrid:
         return f"knn-graph k={self.k} n={len(self.points)}"
 
 
+def inner_boundary(mask: np.ndarray, grid) -> np.ndarray:
+    """Ascending indices of the points in `mask` with at least one
+    neighbor outside it (or outside the lattice)."""
+    out = [int(i) for i in np.flatnonzero(mask)
+           if any(j is None or not mask[j] for j in grid.neighbor_indices(int(i)))]
+    return np.array(out, dtype=np.int64)
+
+
 def boundary_points(ls: LevelSet, grid) -> np.ndarray:
     """Inner boundary: members with at least one non-member (or
     out-of-lattice) neighbor."""
     if len(ls.field.values) != len(grid):
         raise LevelSetError("level set and grid have different point counts")
-    mask = ls.member_mask
-    out = []
-    for i in ls.members:
-        for j in grid.neighbor_indices(int(i)):
-            if j is None or not mask[j]:
-                out.append(int(i))
-                break
-    return np.array(sorted(out), dtype=np.int64)
+    return inner_boundary(ls.member_mask, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +248,26 @@ def psi_diameter_from_matrix(dmat: np.ndarray, members: np.ndarray) -> float:
     return float(dmat[np.ix_(members, members)].max())
 
 
-def psi_inradius(members, complement, space: MetricSpace) -> float:
+def psi_inradius(members, complement, space: MetricSpace, grid=None) -> float:
     """Largest distance from a member to its nearest non-member point.
 
-    On a discrete evaluation set this approximates the inradius with
-    bias at most the point spacing.
+    When `grid` is a bounded `LatticeGrid`, its virtual exterior points
+    count as non-members too, so `complement` may be empty.  On a
+    discrete evaluation set this approximates the inradius with bias at
+    most the point spacing.
     """
     if len(members) == 0:
         return 0.0
-    if len(complement) == 0:
-        raise LevelSetError("inradius needs a nonempty complement")
-    cross = space.cross_matrix(members, complement)
-    return float(cross.min(axis=1).max())
+    nearest = []
+    if len(complement) > 0:
+        nearest.append(space.cross_matrix(members, complement).min(axis=1))
+    if isinstance(grid, LatticeGrid) and not grid.wrap:
+        nearest.append(np.array([grid.exterior_distance(p) for p in members]))
+    if not nearest:
+        raise LevelSetError(
+            "inradius is undefined with an empty complement outside a "
+            "bounded lattice; start the level grid above 0")
+    return float(np.minimum.reduce(nearest).max())
 
 
 def psi_volume(ls: LevelSet, reference: Sample, reference_mass: float) -> PsiVolume:

@@ -9,12 +9,12 @@ helpers (`dists_to`, `cross_matrix`, `pairwise`) are written so that
 they produce bit-identical floats to the scalar `distance` call.  Batch
 operations elsewhere in the package rely on this to match per-point
 recomputation exactly, independent of chunking or thread count.
+Distance matrices are built on one thread.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class MetricSpace:
 
     kind = "abstract"
 
-    def validate_point(self, p):
-        raise NotImplementedError
-
     def coerce_points(self, points):
         """Validate and return the canonical container for a point set."""
         raise NotImplementedError
@@ -74,7 +71,7 @@ class MetricSpace:
             out[i, :] = self.dists_to(qs, ps[i])
         return out
 
-    def pairwise(self, points, threads: int = 1) -> np.ndarray:
+    def pairwise(self, points) -> np.ndarray:
         """Symmetric distance matrix with an exactly zero diagonal.
 
         Each unordered pair is evaluated once and mirrored, so symmetry
@@ -82,23 +79,9 @@ class MetricSpace:
         """
         n = len(points)
         out = np.zeros((n, n))
-
-        def fill(rows):
-            for i in rows:
-                if i + 1 < n:
-                    out[i, i + 1:] = self.dists_to(points[i + 1:], points[i])
-
-        if threads > 1 and n > 2:
-            chunks = [range(k, n, threads) for k in range(threads)]
-            with ThreadPoolExecutor(threads) as ex:
-                list(ex.map(fill, chunks))
-        else:
-            fill(range(n))
-        upper = np.triu(out, 1)
-        return upper + upper.T
-
-    def isometry_group_note(self) -> str:
-        return ""
+        for i in range(n - 1):
+            out[i, i + 1:] = out[i + 1:, i] = self.dists_to(points[i + 1:], points[i])
+        return out
 
 
 class EuclideanSpace(MetricSpace):
@@ -113,12 +96,6 @@ class EuclideanSpace(MetricSpace):
 
     def __repr__(self):
         return f"EuclideanSpace(dim={self.dim})"
-
-    def validate_point(self, p):
-        if getattr(p, "shape", None) != (self.dim,):
-            raise PointValidationError(
-                f"expected a real vector of shape ({self.dim},), got {p!r}")
-        return p
 
     def coerce_point(self, p):
         arr = np.asarray(p, dtype=float)
@@ -158,9 +135,7 @@ class EuclideanSpace(MetricSpace):
             s = s + diff[..., j] * diff[..., j]
         return np.sqrt(s)
 
-    def paired_distances(self, ps, qs) -> np.ndarray:
-        # (ps - qs) - 0.0 is bitwise (ps - qs), so this matches `distance`.
-        return self.dists_to(ps - qs, 0.0)
+    paired_distances = dists_to
 
 
 class SphereSpace(MetricSpace):
@@ -176,17 +151,13 @@ class SphereSpace(MetricSpace):
     def __repr__(self):
         return f"SphereSpace(dim={self.dim})"
 
-    def validate_point(self, p):
-        if getattr(p, "shape", None) != (self.dim,):
-            raise PointValidationError(
-                f"expected a unit vector of shape ({self.dim},), got {p!r}")
-        return p
-
     def coerce_point(self, p):
         arr = np.asarray(p, dtype=float)
         if arr.shape != (self.dim,):
             raise PointValidationError(
                 f"expected a unit vector of length {self.dim}, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise PointValidationError(f"non-finite coordinates in {arr!r}")
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > UNIT_TOL:
             raise PointValidationError(
@@ -198,6 +169,8 @@ class SphereSpace(MetricSpace):
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise PointValidationError(
                 f"expected an (n, {self.dim}) array of unit vectors, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise PointValidationError("non-finite coordinates in point set")
         norms = np.linalg.norm(arr, axis=1)
         bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_TOL)
         if bad.size:
@@ -219,20 +192,10 @@ class SphereSpace(MetricSpace):
             out[eq] = 0.0
         return out
 
+    paired_distances = dists_to
+
     def distance(self, p, q) -> float:
         return float(self.dists_to(p[None, :], q)[0])
-
-    def paired_distances(self, ps, qs) -> np.ndarray:
-        prod = ps * qs
-        s = prod[..., 0]
-        for j in range(1, prod.shape[-1]):
-            s = s + prod[..., j]
-        out = np.arccos(np.clip(s, -1.0, 1.0))
-        eq = (ps == qs).all(axis=-1)
-        if eq.any():
-            out = np.asarray(out)
-            out[eq] = 0.0
-        return out
 
 
 class StiefelSpace(MetricSpace):
@@ -259,17 +222,13 @@ class StiefelSpace(MetricSpace):
     def __repr__(self):
         return f"StiefelSpace(rows={self.rows}, cols={self.cols}, mode={self.mode!r})"
 
-    def validate_point(self, p):
-        if getattr(p, "shape", None) != (self.rows, self.cols):
-            raise PointValidationError(
-                f"expected a ({self.rows}, {self.cols}) frame, got {p!r}")
-        return p
-
     def coerce_point(self, p):
         arr = np.asarray(p, dtype=float)
         if arr.shape != (self.rows, self.cols):
             raise PointValidationError(
                 f"expected a ({self.rows}, {self.cols}) frame, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise PointValidationError(f"non-finite entries in frame {arr!r}")
         gram = arr.T @ arr
         dev = float(np.max(np.abs(gram - np.eye(self.cols))))
         if dev > ORTHONORMAL_TOL:
@@ -342,7 +301,7 @@ class BHVSpace(MetricSpace):
     def __repr__(self):
         return f"BHVSpace(labels={self.labels!r})"
 
-    def validate_point(self, p):
+    def coerce_point(self, p):
         if not isinstance(p, treespace.Tree):
             raise PointValidationError(f"expected a Tree, got {type(p).__name__}")
         if p.labels != self.labels:
@@ -350,10 +309,8 @@ class BHVSpace(MetricSpace):
                 f"tree leaf universe {p.labels!r} does not match space {self.labels!r}")
         return p
 
-    coerce_point = validate_point
-
     def coerce_points(self, points):
-        return [self.validate_point(p) for p in points]
+        return [self.coerce_point(p) for p in points]
 
     def distance(self, p, q) -> float:
         if p.sort_key() > q.sort_key():
@@ -377,17 +334,16 @@ def distance(p, q, space: MetricSpace) -> float:
     return space.distance(p, q)
 
 
-def pairwise_matrix(points, space: MetricSpace, threads: int = 1) -> np.ndarray:
+def pairwise_matrix(points, space: MetricSpace) -> np.ndarray:
     """Full symmetric distance matrix of a point set.
 
-    Entry (i, j) equals `space.distance(points[i], points[j])` exactly;
-    the result is independent of `threads`.
+    Entry (i, j) equals `space.distance(points[i], points[j])` exactly.
     """
     try:
         pts = space.coerce_points(points)
     except PointValidationError as exc:
         raise PointValidationError(f"invalid point set: {exc}") from None
-    return space.pairwise(pts, threads=threads)
+    return space.pairwise(pts)
 
 
 def stiefel_distance(a, b, mode: str = "chordal") -> float:

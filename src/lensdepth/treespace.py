@@ -107,9 +107,6 @@ class Tree:
     def interior_map(self) -> dict[int, float]:
         return dict(self.interior)
 
-    def is_binary(self) -> bool:
-        return len(self.interior) == max(self.n_leaves - 3, 0)
-
     def sort_key(self):
         return (self.labels, self.interior, self.pendant)
 
@@ -452,7 +449,9 @@ def bhv_distance(t1: Tree, t2: Tree) -> GeodesicResult:
     common_sq, a_side, b_side = _decompose(t1, t2)
     if not a_side and not b_side:
         return GeodesicResult(math.sqrt(common_sq), (), common_sq)
-    assert a_side and b_side, "one-sided incompatible set should be impossible"
+    if not (a_side and b_side):
+        raise TreeError("incompatible splits found in only one tree; "
+                        "split compatibility must be symmetric")
     support = _gtp_support(a_side, b_side, t1.universe_mask)
     lsq = 0.0
     for apart, bpart in support:

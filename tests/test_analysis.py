@@ -18,7 +18,7 @@ from lensdepth.depth import (
     self_depth_field,
 )
 from lensdepth.levelsets import level_set
-from lensdepth.metrics import BHVSpace, EuclideanSpace
+from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
 from lensdepth.treespace import random_tree
 
 E1 = EuclideanSpace(1)
@@ -72,6 +72,29 @@ def test_explicit_point_matching_sample_point_gets_loo(rng):
     g = Sample(pts, E2)
     vals = loo_depth_against(pts[3:4], g)
     assert vals[0] == empirical_lens_depth(pts[3], g, exclude=3)
+
+
+def test_loo_matches_exact_copies_not_zero_distance():
+    rng = np.random.default_rng(0)
+    space = SphereSpace(3)
+    pts = rng.standard_normal((40, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    g = Sample(pts, space)
+    # about 1e-9 rad away from pts[0]: a distinct point whose arc rounds to 0.0
+    tangent = np.cross(pts[0], [0.0, 0.0, 1.0])
+    near = pts[0] + 1e-9 * tangent / np.linalg.norm(tangent)
+    near /= np.linalg.norm(near)
+    assert not np.array_equal(near, pts[0])
+    assert space.distance(near, pts[0]) == 0.0
+    vals = loo_depth_against(np.stack([near, pts[0]]), g)
+    assert vals[0] == empirical_lens_depth(near, g)
+    assert vals[1] == empirical_lens_depth(pts[0], g, exclude=0)
+
+
+def test_loo_depth_rejects_empty_point_set(rng):
+    g = Sample(rng.standard_normal((10, 2)), E2)
+    with pytest.raises(DepthError):
+        loo_depth_against(np.empty((0, 2)), g)
 
 
 def test_separated_gaussians_classified_by_depth(rng):

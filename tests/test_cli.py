@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from lensdepth import __version__
 from lensdepth.cli import run
 from lensdepth.dataio import fmt
 from lensdepth.dispersion import gamma_t_vs_normal
@@ -196,15 +199,18 @@ def test_simulate_smoke(workdir):
     assert body["provenance"]["seed"] == 0
 
 
-def test_byte_identical_across_thread_counts(workdir, rng):
-    write_points(workdir / "s.csv", rng.standard_normal(60))
-    write_points(workdir / "q.csv", rng.standard_normal(25))
+@pytest.mark.parametrize("loo", [[], ["--leave-one-out"]], ids=["plain", "loo"])
+def test_byte_identical_across_thread_counts(workdir, rng, loo):
+    sample = rng.standard_normal(60)
+    write_points(workdir / "s.csv", sample)
+    # the leading exact sample copies take the leave-one-out branch
+    write_points(workdir / "q.csv", np.concatenate([sample[:5], rng.standard_normal(20)]))
     blobs = []
     for threads in ("1", "4", "8"):
         out = f"d{threads}.csv"
         assert run(["depth", "--sample", "s.csv", "--queries", "q.csv",
                     "--threads", threads, "--seed", "11",
-                    "--out", out, "--no-timestamp"]) == 0
+                    "--out", out, "--no-timestamp"] + loo) == 0
         blobs.append((workdir / out).read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
 
@@ -234,3 +240,13 @@ def test_levelset_accepts_space_separated_negative_grid(workdir, rng):
     rows = data_lines(workdir / "ls.csv")
     assert rows[0] == "index,x1,x2,depth,member"
     assert len(rows) == 1 + 17 * 17
+
+
+def test_module_entry_point_runs():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "lensdepth.cli", "--version"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"lensdepth {__version__}" == "lensdepth 0.1.0"

@@ -15,6 +15,7 @@ from lensdepth.depth import (
     population_level_interval_1d,
     self_depth_field,
 )
+from lensdepth.analysis import loo_depth_against
 from lensdepth.asymptotics import make_sampler
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
 from lensdepth.treespace import Tree, random_tree
@@ -122,6 +123,45 @@ def test_batch_independent_of_threads(rng):
     for threads in (2, 4, 8):
         assert np.array_equal(base.values,
                               batch_depth(queries, sample, threads=threads).values)
+
+
+def _lattice_sample(rng):
+    """Integer lattice points in R^2 with duplicates: many exact ties."""
+    pts = rng.integers(-2, 3, size=(14, 2)).astype(float)
+    pts[7:10] = pts[0]
+    return Sample(pts, E2)
+
+
+def _first_equal(q, pts):
+    hits = np.flatnonzero((pts == q).all(axis=1))
+    return int(hits[0]) if len(hits) else None
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_count_path_matches_naive_on_ties(threads, rng):
+    sample = _lattice_sample(rng)
+    pts = sample.points
+    # exact sample copies plus lattice queries; 13 is not divisible by 2 or 3
+    queries = np.concatenate([pts[[0, 3, 8]],
+                              rng.integers(-3, 4, size=(10, 2)).astype(float)])
+    assert _first_equal(queries[2], pts) == 0      # pts[8] duplicates pts[0]
+    field = batch_depth(queries, sample, threads=threads)
+    assert field.values.tolist() == [empirical_lens_depth(q, sample) for q in queries]
+    self_field = self_depth_field(sample, threads=threads)
+    assert self_field.values.tolist() == [empirical_lens_depth(pts[e], sample, exclude=e)
+                                          for e in range(sample.n)]
+    loo = loo_depth_against(queries, sample, threads=threads)
+    assert loo.tolist() == [empirical_lens_depth(q, sample, exclude=_first_equal(q, pts))
+                            for q in queries]
+
+
+def test_count_path_single_query_more_threads(rng):
+    sample = _lattice_sample(rng)
+    q = sample.points[5]
+    assert batch_depth(q[None, :], sample, threads=4).values.tolist() == \
+        [empirical_lens_depth(q, sample)]
+    assert loo_depth_against(q[None, :], sample, threads=4).tolist() == \
+        [empirical_lens_depth(q, sample, exclude=_first_equal(q, sample.points))]
 
 
 def test_batch_on_trees_matches_naive(rng):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lensdepth import treespace
 from lensdepth.treespace import (
     GeodesicResult,
     NewickError,
@@ -185,6 +186,14 @@ def test_universe_mismatch_raises(rng):
     t2 = random_tree(("A", "B", "C", "D", "F"), rng)
     with pytest.raises(TreeError, match="universes differ"):
         bhv_distance(t1, t2)
+
+
+def test_one_sided_incompatible_set_raises_tree_error(monkeypatch, rng):
+    t = random_tree(LABELS5, rng)
+    monkeypatch.setattr(treespace, "_decompose",
+                        lambda t1, t2: (0.0, ((mask("AB"), 0.5),), ()))
+    with pytest.raises(TreeError, match="only one tree"):
+        bhv_distance(t, t)
 
 
 def test_geodesic_matches_exhaustive_oracle(rng):
