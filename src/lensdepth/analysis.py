@@ -39,6 +39,8 @@ def loo_depth_against(points, sample: Sample, threads: int = 1) -> np.ndarray:
     """Depths of explicit points against `sample`, leave-one-out where a
     point is exactly equal to a sample point (equal coordinates, or an
     equal tree); a distinct point at distance 0 keeps its plain depth."""
+    if sample.n < 3:
+        raise DepthError(f"leave-one-out depth needs n >= 3, have {sample.n}")
     points, dq, counts = _query_counts(points, sample, threads)
     values = counts / _pair_count(sample.n)
     dmat = sample.distance_matrix

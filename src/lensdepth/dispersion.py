@@ -17,12 +17,7 @@ import numpy as np
 from scipy.stats import norm, t as student_t
 
 from .depth import DepthField, Sample
-from .levelsets import (
-    LatticeGrid,
-    nearest_indices,
-    psi_diameter_from_matrix,
-    psi_inradius,
-)
+from .levelsets import LatticeGrid, nearest_indices, nested_diameters, nested_inradii
 
 PSI_KINDS = ("diam", "inradius", "volume")
 
@@ -98,55 +93,35 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
               pair_matrix: np.ndarray | None = None) -> PsiCurve:
     """Summary of the field's level sets at every grid level.
 
-    diam needs nothing extra (`pair_matrix` lets callers reuse a cached
-    matrix over the evaluation points); inradius measures against the
-    non-member evaluation points, plus the virtual exterior when the
-    evaluation set is a lattice; volume needs a reference sample of
-    known total mass.
+    The level sets are nested, so diam and inradius each take one pass
+    over the N evaluation points in depth order, with O(N) temporaries
+    and no N x N matrix; diam reads `pair_matrix` when a caller has one
+    cached.  inradius measures against the non-member evaluation points,
+    plus the virtual exterior of a bounded lattice; volume needs a
+    reference sample of known total mass.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if np.any(np.diff(lambdas) <= 0):
         raise DispersionError("the level grid must be strictly increasing")
     if kind not in PSI_KINDS:
         raise DispersionError(f"unknown psi kind {kind!r}")
-    space = field.space
-    pts = field.points
-    if kind == "diam" and pair_matrix is None:
-        pair_matrix = space.cross_matrix(pts, pts)
-    if kind == "volume":
+    depths = field.values
+    counts = len(depths) - np.searchsorted(np.sort(depths), lambdas, side="left")
+    if kind == "diam":
+        values = nested_diameters(field.points, field.space, counts,
+                                  np.argsort(-depths), pair_matrix)
+    elif kind == "inradius":
+        values = nested_inradii(field.points, field.space, counts,
+                                np.argsort(depths), grid)
+    else:
         if reference is None:
             raise DispersionError("volume curves need a reference sample")
-        idx = nearest_indices(reference.points, pts, reference.space)
-        ref_idx_values = field.values[idx]
-    values = np.empty(len(lambdas))
-    empty_from = None
-    for k, lam in enumerate(lambdas):
-        members = np.flatnonzero(field.values >= lam)
-        if len(members) == 0:
-            if empty_from is None:
-                empty_from = float(lam)
-            values[k] = 0.0
-            continue
-        if kind == "diam":
-            values[k] = psi_diameter_from_matrix(pair_matrix, members)
-        elif kind == "inradius":
-            values[k] = _inradius_value(field, members, grid)
-        else:
-            frac = float(np.mean(ref_idx_values >= lam))
-            values[k] = reference_mass * frac
+        ref = depths[nearest_indices(reference.points, field.points, reference.space)]
+        values = np.array([reference_mass * float(np.mean(ref >= lam)) if c else 0.0
+                           for lam, c in zip(lambdas, counts)])
+    empty_from = float(lambdas[counts == 0][0]) if (counts == 0).any() else None
     region = grid.describe() if grid is not None else f"eval-set[{len(field.values)}]"
     return PsiCurve(lambdas, values, kind, region, empty_from)
-
-
-def _inradius_value(field, members, grid):
-    mask = np.ones(len(field.values), dtype=bool)
-    mask[members] = False
-    comp = np.flatnonzero(mask)
-    pts = field.points
-    if isinstance(pts, list):
-        return psi_inradius([pts[i] for i in members], [pts[i] for i in comp],
-                            field.space, grid)
-    return psi_inradius(pts[members], pts[comp], field.space, grid)
 
 
 def _check_pair(cx: PsiCurve, cy: PsiCurve):

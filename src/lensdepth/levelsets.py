@@ -20,6 +20,9 @@ from .depth import DepthField, Sample
 from .metrics import MetricSpace
 
 
+_BLOCK_ENTRIES = 1 << 20
+
+
 class LevelSetError(ValueError):
     """Invalid level-set operation."""
 
@@ -42,10 +45,7 @@ class LevelSet:
         return mask
 
     def member_points(self):
-        pts = self.field.points
-        if isinstance(pts, list):
-            return [pts[i] for i in self.members]
-        return pts[self.members]
+        return _take(self.field.points, self.members)
 
 
 def level_set(field: DepthField, lam: float) -> LevelSet:
@@ -61,8 +61,16 @@ def hausdorff(a, b, space: MetricSpace) -> float:
     the larger of the two directed farthest-nearest distances."""
     if len(a) == 0 or len(b) == 0:
         raise LevelSetError("Hausdorff distance is undefined for empty sets")
-    cross = space.cross_matrix(a, b)
-    return float(max(cross.min(axis=1).max(), cross.min(axis=0).max()))
+    # Row blocks of the cross matrix keep temporaries near _BLOCK_ENTRIES;
+    # min and max are exact, so the value does not depend on the blocking.
+    rows = max(1, _BLOCK_ENTRIES // len(b))
+    a_to_b = 0.0
+    b_to_a = np.full(len(b), np.inf)
+    for lo in range(0, len(a), rows):
+        cross = space.cross_matrix(a[lo:lo + rows], b)
+        a_to_b = max(a_to_b, float(cross.min(axis=1).max()))
+        np.minimum(b_to_a, cross.min(axis=0), out=b_to_a)
+    return float(max(a_to_b, b_to_a.max()))
 
 
 def nearest_indices(points, targets, space: MetricSpace,
@@ -235,17 +243,7 @@ def psi_diameter(points, space: MetricSpace) -> float:
     """Largest pairwise distance; 0 for a singleton."""
     if len(points) == 0:
         raise LevelSetError("diameter of an empty set")
-    if len(points) == 1:
-        return 0.0
-    return float(space.cross_matrix(points, points).max())
-
-
-def psi_diameter_from_matrix(dmat: np.ndarray, members: np.ndarray) -> float:
-    if len(members) == 0:
-        raise LevelSetError("diameter of an empty set")
-    if len(members) == 1:
-        return 0.0
-    return float(dmat[np.ix_(members, members)].max())
+    return float(nested_diameters(points, space, [len(points)], np.arange(len(points)))[0])
 
 
 def psi_inradius(members, complement, space: MetricSpace, grid=None) -> float:
@@ -256,18 +254,55 @@ def psi_inradius(members, complement, space: MetricSpace, grid=None) -> float:
     discrete evaluation set this approximates the inradius with bias at
     most the point spacing.
     """
-    if len(members) == 0:
-        return 0.0
-    nearest = []
-    if len(complement) > 0:
-        nearest.append(space.cross_matrix(members, complement).min(axis=1))
-    if isinstance(grid, LatticeGrid) and not grid.wrap:
-        nearest.append(np.array([grid.exterior_distance(p) for p in members]))
-    if not nearest:
-        raise LevelSetError(
-            "inradius is undefined with an empty complement outside a "
-            "bounded lattice; start the level grid above 0")
-    return float(np.minimum.reduce(nearest).max())
+    points = (list(complement) + members if isinstance(members, list)
+              else np.concatenate([complement, members]))
+    order = np.arange(len(points))
+    return float(nested_inradii(points, space, [len(members)], order, grid)[0])
+
+
+def nested_diameters(points, space: MetricSpace, counts, order,
+                     pair_matrix: np.ndarray | None = None) -> np.ndarray:
+    """Diameters of the prefixes `points[order[:c]]`, c in `counts`.
+    Each point added in `order` raises a running maximum by its
+    distances to the points added before it, read from `pair_matrix`
+    when given, so temporaries are O(N)."""
+    ordered = _take(points, order)
+    prefix = np.zeros(max(counts, default=0) + 1)   # prefix[c]: first c points
+    for k in range(1, len(prefix) - 1):
+        row = (space.dists_to(ordered[:k], ordered[k]) if pair_matrix is None
+               else pair_matrix[order[k], order[:k]])
+        prefix[k + 1] = max(prefix[k], row.max())
+    return prefix[counts]
+
+
+def nested_inradii(points, space: MetricSpace, counts, order, grid=None) -> np.ndarray:
+    """Inradii of the members `points[order[N-c:]]` against the rest, for
+    nonincreasing `counts` (0 for c = 0).  Points move to the complement
+    in `order`; each member keeps a running minimum distance to it, from
+    a bounded `LatticeGrid`'s exterior or +inf, so temporaries are O(N)."""
+    pts = _take(points, order)
+    n = len(pts)
+    bounded = isinstance(grid, LatticeGrid) and not grid.wrap
+    nearest = (np.array([grid.exterior_distance(p) for p in pts]) if bounded
+               else np.full(n, np.inf))
+    out, moved = np.zeros(len(counts)), 0
+    for j, c in enumerate(c for c in counts if c):
+        if c == n and not bounded:
+            raise LevelSetError(
+                "inradius is undefined with an empty complement outside a "
+                "bounded lattice; start the level grid above 0")
+        for k in range(moved, n - c):
+            np.minimum(nearest[k + 1:], space.dists_to(pts[k + 1:], pts[k]),
+                       out=nearest[k + 1:])
+        moved = n - c
+        out[j] = nearest[n - c:].max()
+    return out
+
+
+def _take(points, idx):
+    if isinstance(points, list):
+        return [points[i] for i in idx]
+    return points[idx]
 
 
 def psi_volume(ls: LevelSet, reference: Sample, reference_mass: float) -> PsiVolume:

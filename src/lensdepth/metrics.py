@@ -22,7 +22,6 @@ from . import treespace
 
 UNIT_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-9
-EQUALITY_TOL = 1e-12
 
 
 class MetricError(ValueError):
@@ -179,18 +178,16 @@ class SphereSpace(MetricSpace):
         return arr
 
     def dists_to(self, points, q) -> np.ndarray:
-        prod = points * q
-        s = prod[..., 0]
-        for j in range(1, prod.shape[-1]):
-            s = s + prod[..., j]
-        out = np.arccos(np.clip(s, -1.0, 1.0))
-        # Identical representations must be at distance exactly 0; rounding
-        # in the inner product would otherwise leave an O(sqrt(eps)) residue.
-        eq = (points == q).all(axis=-1)
-        if eq.any():
-            out = np.asarray(out)
-            out[eq] = 0.0
-        return out
+        # 2 atan2(|p - q|, |p + q|) keeps full relative accuracy at every
+        # angle, where arccos of the inner product loses arcs below ~1e-8;
+        # it is symmetric in p and q and exactly 0 for identical points.
+        diff, plus = points - q, points + q
+        s = diff[..., 0] * diff[..., 0]
+        t = plus[..., 0] * plus[..., 0]
+        for j in range(1, diff.shape[-1]):
+            s = s + diff[..., j] * diff[..., j]
+            t = t + plus[..., j] * plus[..., j]
+        return 2.0 * np.arctan2(np.sqrt(s), np.sqrt(t))
 
     paired_distances = dists_to
 

@@ -80,15 +80,30 @@ def test_loo_matches_exact_copies_not_zero_distance():
     pts = rng.standard_normal((40, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     g = Sample(pts, space)
-    # about 1e-9 rad away from pts[0]: a distinct point whose arc rounds to 0.0
+    # about 1e-9 rad away from pts[0]: a distinct point with a tiny arc
     tangent = np.cross(pts[0], [0.0, 0.0, 1.0])
     near = pts[0] + 1e-9 * tangent / np.linalg.norm(tangent)
     near /= np.linalg.norm(near)
     assert not np.array_equal(near, pts[0])
-    assert space.distance(near, pts[0]) == 0.0
+    assert 0.0 < space.distance(near, pts[0]) < 2e-9
     vals = loo_depth_against(np.stack([near, pts[0]]), g)
     assert vals[0] == empirical_lens_depth(near, g)
     assert vals[1] == empirical_lens_depth(pts[0], g, exclude=0)
+    # a distinct point at distance exactly 0: its squared offset underflows
+    line = Sample(np.array([[0.0], [1.0], [2.0], [3.0]]), E1)
+    tiny = np.array([[1e-170], [0.0]])
+    assert E1.distance(tiny[0], np.array([0.0])) == 0.0
+    vals = loo_depth_against(tiny, line)
+    assert vals[0] == empirical_lens_depth(tiny[0], line)
+    assert vals[1] == empirical_lens_depth(tiny[1], line, exclude=0)
+    assert vals[0] != vals[1]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_loo_depth_rejects_samples_below_three(n):
+    g = Sample(np.arange(n, dtype=float).reshape(-1, 1), E1)
+    with pytest.raises(DepthError, match="leave-one-out depth needs n >= 3"):
+        loo_depth_against(np.array([[0.0], [0.5]]), g)
 
 
 def test_loo_depth_rejects_empty_point_set(rng):

@@ -59,6 +59,16 @@ def test_missing_file_exit_1(workdir, capsys):
     assert not (workdir / "x.csv").exists()
 
 
+def test_depth_leave_one_out_rejects_two_point_sample(workdir, capsys):
+    write_points(workdir / "s.csv", [0.0, 1.0])
+    write_points(workdir / "q.csv", [0.0, 0.5])
+    code = run(["depth", "--metric", "euclidean", "--sample", "s.csv",
+                "--queries", "q.csv", "--leave-one-out", "--out", "d.csv"])
+    assert code != 0
+    assert "leave-one-out depth needs n >= 3" in capsys.readouterr().err
+    assert not (workdir / "d.csv").exists()
+
+
 def test_gamma_tn_single_row_matches_module(workdir):
     code = run(["gamma-tn", "--v", "3", "--sigma", "1.0",
                 "--out", "tn.csv", "--no-timestamp"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm, t as tdist
 
-from lensdepth.depth import Sample, batch_depth, self_depth_field
+from lensdepth.depth import DepthField, Sample, batch_depth, self_depth_field
 from lensdepth.dispersion import (
     DispersionError,
     OrderVerdict,
@@ -20,8 +20,11 @@ from lensdepth.dispersion import (
     strong_order,
     weak_order,
 )
-from lensdepth.levelsets import LatticeGrid
-from lensdepth.metrics import EuclideanSpace
+from lensdepth.levelsets import LatticeGrid, LevelSetError, level_set, psi_volume
+from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace, pairwise_matrix
+from lensdepth.treespace import random_tree
+
+from conftest import random_unit_vectors
 
 E1 = EuclideanSpace(1)
 E2 = EuclideanSpace(2)
@@ -84,6 +87,122 @@ def test_psi_curve_inradius_full_lattice_uses_exterior():
     c = psi_curve(field, "inradius", np.array([0.0, 0.5]), grid=grid)
     # center of 0..10 is 5 away from either end, plus one virtual step
     assert c.values[0] == 6.0
+
+
+def oracle_curve(field, kind, lambdas, exterior=None):
+    """Per-level diameter or inradius from a full distance matrix;
+    `exterior` holds each point's distance to the non-member points
+    outside the evaluation set."""
+    dmat = pairwise_matrix(field.points, field.space)
+    out = []
+    for lam in lambdas:
+        members = np.flatnonzero(field.values >= lam)
+        rest = np.flatnonzero(field.values < lam)
+        if len(members) == 0:
+            out.append(0.0)
+        elif kind == "diam":
+            out.append(dmat[np.ix_(members, members)].max())
+        else:
+            nearest = np.full(len(members), np.inf)
+            if len(rest):
+                nearest = dmat[np.ix_(members, rest)].min(axis=1)
+            if exterior is not None:
+                nearest = np.minimum(nearest, exterior[members])
+            out.append(nearest.max())
+    return np.array(out)
+
+
+def tie_levels(values):
+    """Every distinct depth, the midpoints between them, and two levels above."""
+    v = np.unique(values)
+    return np.unique(np.concatenate([v, (v[:-1] + v[1:]) / 2, v[-1] + [0.25, 0.5]]))
+
+
+def check_against_oracle(field, lambdas, pair_matrix=None, grid=None, exterior=None):
+    lambdas = np.unique(lambdas)
+    for kind in ("diam", "inradius"):
+        levels = lambdas
+        if kind == "inradius" and exterior is None:
+            levels = lambdas[lambdas > field.values.min()]
+        got = psi_curve(field, kind, levels, grid=grid, pair_matrix=pair_matrix)
+        assert np.array_equal(got.values, oracle_curve(field, kind, levels, exterior))
+        empty = levels[levels > field.values.max()]
+        assert got.empty_from == (float(empty[0]) if len(empty) else None)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_psi_curves_match_oracle_on_tied_lattice_sample(rng, cached):
+    pts = rng.integers(-3, 4, size=(60, 2)).astype(float)
+    pts[40:] = pts[:20]                     # exact duplicates
+    sample = Sample(pts, E2)
+    field = self_depth_field(sample)
+    assert len(np.unique(field.values)) < 40
+    check_against_oracle(field, np.concatenate([[0.0], tie_levels(field.values)]),
+                         pair_matrix=sample.distance_matrix if cached else None)
+
+
+def test_psi_curves_match_oracle_on_bounded_lattice(rng):
+    grid = LatticeGrid(((-3.0, 3.0, 0.5), (-2.0, 2.5, 0.5)))
+    sample = Sample(rng.integers(-2, 3, size=(25, 2)).astype(float), E2)
+    field = batch_depth(grid.points, sample)
+    # exterior: distances to the lattice positions one step outside the box
+    outside = []
+    for d, (lo, hi, step) in enumerate(grid.axes):
+        for edge in (lo - step, grid.points[:, d].max() + step):
+            pts = grid.points.copy()
+            pts[:, d] = edge
+            outside.append(pts)
+    outside = np.concatenate(outside)
+    exterior = np.array([E2.dists_to(outside, p).min() for p in grid.points])
+    check_against_oracle(field, np.concatenate([[0.0], tie_levels(field.values)]),
+                         grid=grid, exterior=exterior)
+    # at level 0 every point is a member and only the exterior bounds it
+    full = psi_curve(field, "inradius", np.array([0.0, 1.0]), grid=grid)
+    assert full.values[0] == exterior.max() > 0.0
+
+
+def test_psi_curves_match_oracle_on_sphere_sample(rng):
+    pts = random_unit_vectors(rng, 40, 3)
+    pts[30:] = pts[:10]
+    sample = Sample(pts, SphereSpace(3))
+    field = self_depth_field(sample)
+    lambdas = np.concatenate([[0.0], tie_levels(field.values)])
+    check_against_oracle(field, lambdas)
+    check_against_oracle(field, lambdas, pair_matrix=sample.distance_matrix)
+
+
+def test_psi_curves_match_oracle_on_tree_sample(rng):
+    labels = tuple("ABCDEF")
+    trees = [random_tree(labels, rng) for _ in range(10)]
+    sample = Sample(trees + trees[:3], BHVSpace(labels))
+    field = self_depth_field(sample)
+    assert isinstance(field.points, list)
+    lambdas = np.concatenate([[0.0], tie_levels(field.values)])
+    check_against_oracle(field, lambdas)
+    check_against_oracle(field, lambdas, pair_matrix=sample.distance_matrix)
+
+
+def test_psi_volume_curve_matches_psi_volume(rng):
+    grid = LatticeGrid(((-3.0, 3.0, 0.25),))
+    field = batch_depth(grid.points, Sample(rng.integers(-2, 3, 30).astype(float), E1))
+    reference = Sample(rng.uniform(-3, 3, 400), E1)
+    lambdas = tie_levels(field.values)
+    got = psi_curve(field, "volume", lambdas, reference=reference, reference_mass=6.0)
+    want = [psi_volume(level_set(field, lam), reference, 6.0).value for lam in lambdas]
+    assert got.values.tolist() == want
+    assert got.empty_from == lambdas[-2]
+
+
+def test_psi_inradius_needs_a_complement_without_exterior(rng):
+    sample = Sample(rng.standard_normal((12, 2)), E2)
+    field = self_depth_field(sample)
+    lambdas = np.array([0.0, field.values.max()])
+    with pytest.raises(LevelSetError, match="empty complement"):
+        psi_curve(field, "inradius", lambdas)
+    wrapped = LatticeGrid(((0.0, 3.0, 1.0),), wrap=True)
+    flat = DepthField(points=wrapped.points, values=np.ones(4), n=5, space=E1)
+    with pytest.raises(LevelSetError, match="empty complement"):
+        psi_curve(flat, "inradius", np.array([0.5, 1.0]), grid=wrapped)
 
 
 # ---------------------------------------------------------------------------

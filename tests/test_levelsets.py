@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from lensdepth import levelsets
 from lensdepth.depth import DepthField, Sample, batch_depth
 from lensdepth.levelsets import (
     KnnGrid,
@@ -14,7 +15,6 @@ from lensdepth.levelsets import (
     level_set,
     measure_distance,
     psi_diameter,
-    psi_diameter_from_matrix,
     psi_inradius,
     psi_volume,
 )
@@ -97,6 +97,17 @@ def test_hausdorff_is_a_metric(rng):
         assert dab >= 0.0
         assert dab == hausdorff(b, a, E2)
         assert hausdorff(a, c, E2) <= dab + hausdorff(b, c, E2) + 1e-9
+
+
+@pytest.mark.parametrize("block", [1, 7, 40, 1 << 20])
+def test_hausdorff_blocks_match_full_matrix(rng, monkeypatch, block):
+    monkeypatch.setattr(levelsets, "_BLOCK_ENTRIES", block)
+    a = rng.integers(-4, 5, size=(23, 2)).astype(float)
+    b = rng.standard_normal((9, 2)) * 3
+    for x, y in ((a, b), (b, a), (a, a[:1])):
+        cross = pairwise_matrix(np.concatenate([x, y]), E2)[:len(x), len(x):]
+        want = max(cross.min(axis=1).max(), cross.min(axis=0).max())
+        assert hausdorff(x, y, E2) == want
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +225,6 @@ def test_diameter_trivials(rng):
 def test_diameter_matches_matrix_oracle(rng):
     pts = rng.standard_normal((25, 3))
     dmat = pairwise_matrix(pts, EuclideanSpace(3))
-    members = np.arange(25)
-    assert psi_diameter(pts, EuclideanSpace(3)) == \
-        psi_diameter_from_matrix(dmat, members)
     assert psi_diameter(pts, EuclideanSpace(3)) == dmat.max()
 
 

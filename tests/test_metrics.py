@@ -34,6 +34,38 @@ def test_sphere_orthogonal_quarter_turn():
     assert d == pytest.approx(math.pi / 2, abs=1e-12)
 
 
+def _arc_pair(theta, axes):
+    """Two unit vectors at arc `theta`, in the plane of two coordinate axes."""
+    p, q = np.zeros(4), np.zeros(4)
+    p[axes[0]] = 1.0
+    q[axes[0]], q[axes[1]] = math.cos(theta), math.sin(theta)
+    return p, q
+
+
+@pytest.mark.parametrize("theta", np.concatenate(
+    [np.geomspace(1e-12, 1.0, 25), math.pi - np.geomspace(1e-9, 1.0, 19)]))
+def test_sphere_arc_accurate_at_constructed_angles(theta):
+    space = SphereSpace(4)
+    for axes in ((0, 1), (3, 1), (2, 0)):
+        p, q = _arc_pair(theta, axes)
+        assert space.distance(p, q) == pytest.approx(theta, rel=1e-15, abs=0.0)
+        assert space.distance(-p, -q) == space.distance(p, q)
+
+
+def test_sphere_arc_symmetric_and_zero_on_identical(rng):
+    space = SphereSpace(3)
+    pts = random_unit_vectors(rng, 60, 3)
+    pts[10:20] = pts[:10]
+    dmat = space.cross_matrix(pts, pts)
+    assert np.array_equal(dmat, dmat.T)
+    assert np.all(np.diag(dmat) == 0.0)
+    assert np.all(dmat[np.arange(10), np.arange(10, 20)] == 0.0)
+    assert np.array_equal(dmat, pairwise_matrix(pts, space))
+    for i in range(0, 60, 7):
+        assert space.dists_to(pts, pts[i]).tolist() == \
+            [space.distance(p, pts[i]) for p in pts]
+
+
 def test_sphere_range_and_clamping(rng):
     space = SphereSpace(4)
     pts = random_unit_vectors(rng, 100, 4)
