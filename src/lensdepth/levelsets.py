@@ -44,9 +44,6 @@ class LevelSet:
         mask[self.members] = True
         return mask
 
-    def member_points(self):
-        return _take(self.field.points, self.members)
-
 
 def level_set(field: DepthField, lam: float) -> LevelSet:
     """Evaluation points with depth >= lam (ties included); may be empty."""

@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 ZERO_LENGTH_TOL = 1e-12
@@ -169,52 +168,54 @@ def parse_newick(text: str, universe=None) -> Tree:
             raise NewickError("negative branch length", i)
         return value, j
 
-    def node(i, *, is_root):
-        i = skip_ws(i)
-        if i >= n:
-            raise NewickError("unexpected end of input", i)
-        if s[i] == "(":
-            open_at = i
-            i += 1
-            leafset: frozenset = frozenset()
-            while True:
-                child_set, i = node(i, is_root=False)
-                leafset |= child_set
-                i = skip_ws(i)
-                if i >= n:
-                    raise NewickError("unbalanced parentheses", open_at)
-                if s[i] == ",":
-                    i += 1
-                    continue
-                if s[i] == ")":
-                    i += 1
-                    break
-                raise NewickError(f"expected ',' or ')', found {s[i]!r}", i)
-            i = skip_ws(i)
-            if i < n and s[i] not in "(),:;":
-                _, i = read_label(i)          # internal label (e.g. support); ignored
-            length, i = read_length(i, required=not is_root)
-            if not is_root:
-                edges.append((leafset, length))
-            return leafset, i
-        if s[i] in "),:;":
-            raise NewickError(f"expected a subtree, found {s[i]!r}", i)
-        at = i
-        label, i = read_label(i)
+    # Iterative descent, so nesting depth is bounded by memory, not by the
+    # interpreter's recursion limit.
+    stack: list[list] = []        # open clades: [offset of '(', leaves so far]
+    while True:
+        pos = skip_ws(pos)
+        if pos >= n:
+            raise NewickError("unexpected end of input", pos)
+        if s[pos] == "(":
+            stack.append([pos, frozenset()])
+            pos += 1
+            continue
+        if s[pos] in "),:;":
+            raise NewickError(f"expected a subtree, found {s[pos]!r}", pos)
+        at = pos
+        label, pos = read_label(pos)
         if label in seen:
             raise NewickError(f"duplicate leaf label {label!r}", at)
         if universe_set is not None and label not in universe_set:
             raise NewickError(f"leaf label {label!r} absent from universe", at)
         seen[label] = at
-        length, i = read_length(i, required=not is_root)
+        length, pos = read_length(pos, required=bool(stack))
         leafset = frozenset([label])
-        if not is_root:
-            edges.append((leafset, length))
-        elif length is not None:
-            edges.append((leafset, length))   # single-leaf tree with a length
-        return leafset, i
+        if stack or length is not None:
+            edges.append((leafset, length))   # a single-leaf tree may have a length
+        # Close every clade that ends here; stop at a ',' or at the root.
+        while stack:
+            clade = stack[-1]
+            clade[1] |= leafset
+            pos = skip_ws(pos)
+            if pos >= n:
+                raise NewickError("unbalanced parentheses", clade[0])
+            if s[pos] == ",":
+                pos += 1
+                break
+            if s[pos] != ")":
+                raise NewickError(f"expected ',' or ')', found {s[pos]!r}", pos)
+            stack.pop()
+            leafset = clade[1]
+            pos = skip_ws(pos + 1)
+            if pos < n and s[pos] not in "(),:;":
+                _, pos = read_label(pos)      # internal label (e.g. support); ignored
+            length, pos = read_length(pos, required=bool(stack))
+            if stack:
+                edges.append((leafset, length))
+        if not stack:
+            break
+    all_leaves = leafset
 
-    all_leaves, pos = node(pos, is_root=True)
     pos = skip_ws(pos)
     if pos >= n or s[pos] != ";":
         raise NewickError("missing terminating ';'", pos)
@@ -290,15 +291,26 @@ def to_newick(tree: Tree) -> str:
         mask = (1 << v) if kind == "leaf" else v
         return (mask & -mask).bit_length()
 
-    def render(item):
+    # Explicit stack of (children still to write, closing text), so deep
+    # nesting does not hit the recursion limit.
+    parts = ["("]
+    stack = [(iter(sorted(children[None], key=sort_bit)), ");")]
+    while stack:
+        pending, close = stack[-1]
+        item = next(pending, None)
+        if item is None:
+            stack.pop()
+            parts.append(close)
+            continue
+        if parts[-1] != "(":
+            parts.append(",")
         kind, v = item
         if kind == "leaf":
-            return f"{tree.labels[v]}:{tree.pendant[v]!r}"
-        inner = ",".join(render(c) for c in sorted(children[v], key=sort_bit))
-        return f"({inner}):{lengths[v]!r}"
-
-    top = ",".join(render(c) for c in sorted(children[None], key=sort_bit))
-    return f"({top});"
+            parts.append(f"{tree.labels[v]}:{tree.pendant[v]!r}")
+        else:
+            parts.append("(")
+            stack.append((iter(sorted(children[v], key=sort_bit)), f"):{lengths[v]!r}"))
+    return "".join(parts)
 
 
 def parse_newick_lines(lines) -> tuple[list[Tree], list[int]]:
@@ -392,26 +404,58 @@ def _decompose(t1: Tree, t2: Tree):
 def _min_weight_cover(apart, bpart, umask):
     """Minimum-weight vertex cover of the bipartite incompatibility graph.
 
-    Vertex weights are squared lengths normalized per side; by LP
-    duality the cover is the min s-t cut of the associated flow network.
-    Returns (weight, a_indices, b_indices).
+    Vertex weights are squared lengths normalized per side.  By LP
+    duality the cover is a min s-t cut of the network s -> a (weight),
+    a -> b (unbounded, for each incompatible pair), b -> t (weight).  A
+    max flow by shortest augmenting paths (Edmonds-Karp, which also
+    terminates with float capacities) gives the cut: the cover is every
+    A-split the final residual graph cannot reach from s plus every
+    B-split it can reach.  Returns (weight, a_indices, b_indices).
     """
-    wa = [l * l for _, l in apart]
-    wb = [l * l for _, l in bpart]
-    sa, sb = sum(wa), sum(wb)
-    g = nx.DiGraph()
-    for i, w in enumerate(wa):
-        g.add_edge("s", ("a", i), capacity=w / sa)
-    for j, w in enumerate(wb):
-        g.add_edge(("b", j), "t", capacity=w / sb)
-    for i, (ma, _) in enumerate(apart):
-        for j, (mb, _) in enumerate(bpart):
-            if not compatible(ma, mb, umask):
-                g.add_edge(("a", i), ("b", j), capacity=float("inf"))
-    cut, (source_side, sink_side) = nx.minimum_cut(g, "s", "t")
-    ca = [i for i in range(len(apart)) if ("a", i) in sink_side]
-    cb = [j for j in range(len(bpart)) if ("b", j) in source_side]
-    return cut, ca, cb
+    na = len(apart)
+    sa, sb = sum(l * l for _, l in apart), sum(l * l for _, l in bpart)
+    wa = [l * l / sa for _, l in apart]
+    wb = [l * l / sb for _, l in bpart]
+    res_a, res_b = wa[:], wb[:]          # residual capacities of s -> a, b -> t
+    adj = [[j for j, (mb, _) in enumerate(bpart) if not compatible(ma, mb, umask)]
+           for ma, _ in apart]
+    flow = [[0.0] * len(bpart) for _ in apart]   # flow[i][j]: residual of b_j -> a_i
+    while True:
+        # Breadth-first search; node i < na is a_i, node na + j is b_j.
+        pred = {i: None for i in range(na) if res_a[i] > 0.0}
+        queue = list(pred)
+        last = None
+        for u in queue:
+            if u < na:
+                step = [na + j for j in adj[u]]
+            elif res_b[u - na] > 0.0:
+                last = u
+                break
+            else:
+                step = [i for i in range(na) if flow[i][u - na] > 0.0]
+            for v in step:
+                if v not in pred:
+                    pred[v] = u
+                    queue.append(v)
+        if last is None:
+            break
+        path = [last]
+        while pred[path[-1]] is not None:
+            path.append(pred[path[-1]])
+        path.reverse()                   # a, b, a, b, ..., b
+        hops = list(zip(path[0::2], path[1::2]))           # forward a -> b
+        backs = list(zip(path[2::2], path[1::2]))          # reverse b -> a
+        amount = min([res_a[path[0]], res_b[last - na]]
+                     + [flow[i][b - na] for i, b in backs])
+        res_a[path[0]] -= amount
+        res_b[last - na] -= amount
+        for i, b in hops:
+            flow[i][b - na] += amount
+        for i, b in backs:
+            flow[i][b - na] -= amount
+    ca = [i for i in range(na) if i not in pred]
+    cb = [j for j in range(len(bpart)) if na + j in pred]
+    return sum(wa[i] for i in ca) + sum(wb[j] for j in cb), ca, cb
 
 
 def _gtp_support(a_side, b_side, umask):
@@ -429,14 +473,12 @@ def _gtp_support(a_side, b_side, umask):
         if weight >= 1.0 - _COVER_SLACK:
             idx += 1
             continue
+        # Each split keeps an incompatible partner in its new pair; weight < 1 empties no part.
         ca_set, cb_set = set(ca), set(cb)
         c1 = tuple(apart[i] for i in ca)
         d2 = tuple(bpart[j] for j in cb)
         c2 = tuple(x for k, x in enumerate(apart) if k not in ca_set)
         d1 = tuple(x for k, x in enumerate(bpart) if k not in cb_set)
-        if not (c1 and c2 and d1 and d2):
-            idx += 1
-            continue
         pairs[idx:idx + 1] = [(c1, d1), (c2, d2)]
     return tuple(pairs)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,9 @@ from lensdepth import __version__
 from lensdepth.cli import run
 from lensdepth.dataio import fmt
 from lensdepth.dispersion import gamma_t_vs_normal
+from lensdepth.treespace import random_tree, to_newick
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
 
 @pytest.fixture
@@ -252,11 +256,53 @@ def test_levelset_accepts_space_separated_negative_grid(workdir, rng):
     assert len(rows) == 1 + 17 * 17
 
 
+def cli_env(**extra):
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_module_entry_point_runs():
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "lensdepth.cli", "--version"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=cli_env(), timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"lensdepth {__version__}" == "lensdepth 0.1.0"
+
+
+def write_twelve_leaf_trees(path, count):
+    rng = np.random.default_rng(7)
+    labels = [f"t{i:02d}" for i in range(1, 13)]
+    path.write_text("".join(to_newick(random_tree(labels, rng)) + "\n"
+                            for _ in range(count)))
+
+
+def test_treedist_bytes_do_not_depend_on_hash_seed(workdir):
+    write_twelve_leaf_trees(workdir / "trees.nwk", 60)
+    blobs = []
+    for seed in ("0", "5"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lensdepth.cli", "treedist", "--in", "trees.nwk",
+             "--out", f"d{seed}.csv", "--no-timestamp"],
+            capture_output=True, text=True, env=cli_env(PYTHONHASHSEED=seed), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        blobs.append((workdir / f"d{seed}.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_treedist_runs_without_networkx(workdir):
+    write_twelve_leaf_trees(workdir / "trees.nwk", 8)
+    code = ("import sys; sys.modules['networkx'] = None; "
+            "from lensdepth.cli import run; sys.exit(run(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "treedist", "--in", "trees.nwk", "--out", "d.csv"],
+        capture_output=True, text=True, env=cli_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(data_lines(workdir / "d.csv")) == 1 + 8
+
+
+def test_runtime_dependencies_are_numpy_and_scipy():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
+        deps = tomllib.load(f)["project"]["dependencies"]
+    assert sorted(re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps) == ["numpy", "scipy"]

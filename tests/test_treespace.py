@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -101,6 +102,16 @@ def test_parse_newick_lines_comments_and_numbers():
     assert trees[0].labels == trees[1].labels
 
 
+def test_deep_caterpillar_roundtrip():
+    # 1,200 nested clades: deeper than the interpreter's recursion limit.
+    text = "t0:0.5"
+    for k in range(1, 1201):
+        text = f"({text},t{k}:0.5):0.25"
+    t = parse_newick(text + ";")
+    assert len(t.interior) == 1198
+    assert parse_newick(to_newick(t)) == t
+
+
 def test_roundtrip_random_trees(rng):
     for leaves in (2, 3, 4, 5, 6, 7):
         labels = tuple("ABCDEFG"[:leaves])
@@ -199,7 +210,7 @@ def test_one_sided_incompatible_set_raises_tree_error(monkeypatch, rng):
 def test_geodesic_matches_exhaustive_oracle(rng):
     for leaves in (5, 6, 7):
         labels = tuple("ABCDEFG"[:leaves])
-        for _ in range(60):
+        for _ in range(700):
             a = random_tree(labels, rng)
             b = random_tree(labels, rng)
             assert bhv_distance(a, b).distance == pytest.approx(
@@ -218,6 +229,54 @@ def test_support_sequence_properties(rng):
         common_sq, aside, bside = _decompose(a, b)
         cone = math.sqrt(common_sq + (_norm(aside) + _norm(bside)) ** 2)
         assert math.sqrt(common_sq) - 1e-12 <= got.distance <= cone + 1e-12
+
+
+def owen_provan_violations(result, umask):
+    """Names of the geodesic conditions P1-P3 the support sequence breaks."""
+    support = result.support
+    found = set()
+    for i, (a_later, _) in enumerate(support):
+        for _, b_earlier in support[:i]:
+            if any(not compatible(a, b, umask) for a, _ in a_later for b, _ in b_earlier):
+                found.add("P1")
+    ratios = result.ratios
+    if any(x > y + 1e-12 for x, y in zip(ratios, ratios[1:])):
+        found.add("P2")
+    for apart, bpart in support:
+        if len(apart) < 2 or len(bpart) < 2:
+            continue
+        sa, sb = _norm(apart) ** 2, _norm(bpart) ** 2
+        wa = [l * l / sa for _, l in apart]
+        wb = [l * l / sb for _, l in bpart]
+        incompatible = [sum(1 << k for k, (b, _) in enumerate(bpart)
+                            if not compatible(a, b, umask)) for a, _ in apart]
+        # Every A-part C1 of a cover (bit k set: apart[k] in C1) forces
+        # the B-splits incompatible with A \ C1 into the cover.
+        for c1 in range(1 << len(apart)):
+            weight, forced = 0.0, 0
+            for k, w in enumerate(wa):
+                if c1 >> k & 1:
+                    weight += w
+                else:
+                    forced |= incompatible[k]
+            weight += sum(w for k, w in enumerate(wb) if forced >> k & 1)
+            if weight < 1.0 - 1e-9:
+                found.add("P3")
+                break
+    return found
+
+
+def test_support_satisfies_owen_provan_conditions_past_oracle_size():
+    rng = np.random.default_rng(7)
+    labels = tuple(f"t{i:02d}" for i in range(1, 13))
+    trees = [random_tree(labels, rng) for _ in range(60)]
+    umask = trees[0].universe_mask
+    bad = {}
+    for i, j in itertools.combinations(range(len(trees)), 2):
+        found = owen_provan_violations(bhv_distance(trees[i], trees[j]), umask)
+        if found:
+            bad[i, j] = sorted(found)
+    assert bad == {}
 
 
 def test_metric_axioms_on_random_triples(rng):
