@@ -43,17 +43,24 @@ def loo_depth_against(points, sample: Sample, threads: int = 1) -> np.ndarray:
         raise DepthError(f"leave-one-out depth needs n >= 3, have {sample.n}")
     points, dq, counts = _query_counts(points, sample, threads)
     values = counts / _pair_count(sample.n)
-    dmat = sample.distance_matrix
     loo_pairs = _pair_count(sample.n - 1)
-    for q in np.flatnonzero((dq == 0.0).any(axis=1)):
-        same = [e for e in np.flatnonzero(dq[q] == 0.0)
-                if np.all(points[q] == sample.points[e])]
+    space, pts = sample.space, sample.points
+    if dq is None:
+        # On the line no distance matrix was built: rows are made only for
+        # queries equal to a sample value.
+        candidates = np.flatnonzero(np.isin(points[:, 0], pts[:, 0]))
+    else:
+        candidates = np.flatnonzero((dq == 0.0).any(axis=1))
+    for q in candidates:
+        row = space.dists_to(pts, points[q]) if dq is None else dq[q]
+        same = [e for e in np.flatnonzero(row == 0.0) if np.all(points[q] == pts[e])]
         if not same:
             continue
         e = same[0]
+        e_row = space.dists_to(pts, pts[e]) if dq is None else sample.distance_matrix[e]
         # Pairs involving e: in-lens iff max(dq[q,i], dq[q,e]) <= d(e,i);
         # equal points have dq[q,e] == 0, so the test is dq[q,i] <= d(e,i).
-        covering_with_e = int((np.delete(dq[q], e) <= np.delete(dmat[e], e)).sum())
+        covering_with_e = int((np.delete(row, e) <= np.delete(e_row, e)).sum())
         values[q] = (counts[q] - covering_with_e) / loo_pairs
     return values
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, t as student_t, vonmises_fisher
 
 from . import treespace
 from .depth import (
@@ -53,6 +52,10 @@ class Sampler:
 def make_sampler(spec: dict) -> Sampler:
     """Build a sampler from its JSON spec, e.g. {"dist": "normal",
     "mu": 0, "sigma": 1}."""
+    # scipy.stats takes most of the package's import time, so it is
+    # imported only where a sampler needs it.
+    from scipy.stats import norm, t as student_t, vonmises_fisher
+
     spec = dict(spec)
     dist = spec.pop("dist", None)
     if dist == "normal":

@@ -5,11 +5,20 @@ The depth of a query point is the fraction of unordered sample pairs
 whose lens (intersection of the two closed balls centred at the pair
 with radius equal to their distance) contains it.  `empirical_lens_depth`
 is the direct double loop over pairs.  `batch_depth`, `self_depth_field`
-and `analysis.loo_depth_against` share one count: `_counts` splits the
-query rows into one contiguous block per thread and runs the vectorized
-`_count_block` on each, so every entry point matches the double loop bit
-for bit at any thread count.  `thread_map` is the package's one thread
-pool.
+and `analysis.loo_depth_against` share one count, which matches the
+double loop bit for bit at any thread count:
+
+- In R^1 the lens of (a, b) is the segment between them, so the count
+  comes from one sort of the sample and two binary searches per query,
+  in O((m + n) log n) with no distance matrix.  A rounding guard finds
+  the rows where the float predicate can disagree with the segment rule
+  (a near tie with a distinct sample value, or magnitudes whose squares
+  go subnormal or overflow) and sends only those to the pairwise kernel.
+  `threads` has nothing to split there.
+- Elsewhere `_counts` splits the query rows into one contiguous block
+  per thread and runs the vectorized `_count_block` on each.
+
+`thread_map` is the package's one thread pool.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MetricSpace, pairwise_matrix
+from .metrics import EuclideanSpace, MetricSpace, pairwise_matrix
 
 
 class DepthError(ValueError):
@@ -164,19 +173,77 @@ def _counts(dq: np.ndarray, dmat: np.ndarray, threads: int) -> np.ndarray:
                                      blocks, threads))
 
 
+# On the line the float predicate max(d(x,a), d(x,b)) <= d(a,b) counts
+# every pair whose segment holds x: subtraction, squaring and sqrt are
+# monotone.  It can also count a pair that misses x, but only if rounding
+# collapses d(x,b) onto d(a,b): when x lies within a few ulps of its
+# nearest distinct sample value, when that gap is so small that its square
+# goes subnormal, or when magnitudes are so large that squares overflow.
+_GUARD_ULPS = 8 * np.finfo(float).eps
+_GUARD_TINY = 2.0 ** -500
+_GUARD_HUGE = 2.0 ** 500
+
+
+def _on_line(space: MetricSpace) -> bool:
+    return isinstance(space, EuclideanSpace) and space.dim == 1
+
+
+def _line_counts(x: np.ndarray, sample: Sample):
+    """Covering-pair counts of the values `x` against a sample on the
+    line, and the indices of the rows the rounding guard flags.
+
+    A pair covers x iff it straddles x or has an endpoint equal to it:
+    below*above + eq*(n - eq) + C(eq, 2).  Flagged rows must be recounted
+    by the pairwise kernel to match the float predicate.
+    """
+    y = np.sort(sample.points[:, 0])
+    n = len(y)
+    lo = np.searchsorted(y, x, "left")
+    hi = np.searchsorted(y, x, "right")
+    eq = hi - lo
+    counts = lo * (n - hi) + eq * (n - eq) + eq * (eq - 1) // 2
+    with np.errstate(over="ignore"):
+        gap = np.minimum(np.where(lo > 0, x - y[np.maximum(lo - 1, 0)], np.inf),
+                         np.where(hi < n, y[np.minimum(hi, n - 1)] - x, np.inf))
+        scale = np.abs(x) + max(abs(y[0]), abs(y[-1]))
+    guard = (gap <= _GUARD_ULPS * scale) | (gap < _GUARD_TINY) | (scale > _GUARD_HUGE)
+    return counts, np.flatnonzero(guard)
+
+
+def _sample_counts(sample: Sample, queries, threads: int):
+    """The query-to-sample distance matrix behind the covering-pair counts
+    of `queries` against `sample`, and those counts; `queries=None` counts
+    the sample points themselves.  On the line the matrix is None: only
+    the rows the guard flags are built."""
+    space = sample.space
+
+    def kernel(rows):
+        # The sample matrix comes first: its construction's temporaries are
+        # then freed before the query matrix exists, which bounds peak memory.
+        dmat = sample.distance_matrix
+        dq = dmat[rows] if queries is None else space.cross_matrix(queries[rows],
+                                                                    sample.points)
+        return dq, _counts(dq, dmat, threads)
+
+    if not _on_line(space):
+        return kernel(slice(None))
+    x = (sample.points if queries is None else queries)[:, 0]
+    counts, rows = _line_counts(x, sample)
+    if rows.size:
+        counts[rows] = kernel(rows)[1]
+    return None, counts
+
+
 def _query_counts(queries, sample: Sample, threads: int):
-    """Validated queries, their distances to the sample points, and their
-    covering-pair counts."""
+    """Validated queries, their distances to the sample points (None on
+    the line), and their covering-pair counts."""
     if sample.n < 2:
         raise DepthError(f"need at least 2 sample points, have {sample.n}")
     queries = sample.space.coerce_points(queries)
     if len(queries) == 0:
         raise DepthError("empty query set")
-    # The sample matrix comes first: its construction's temporaries are
-    # then freed before the query matrix exists, which bounds peak memory.
-    dmat = sample.distance_matrix
-    dq = sample.space.cross_matrix(queries, sample.points)
-    return queries, dq, _counts(dq, dmat, threads)
+    dq, counts = _sample_counts(sample, queries, threads)
+    return queries, dq, counts
 
 
 def batch_depth(queries, sample: Sample, threads: int = 1) -> DepthField:
@@ -201,9 +268,8 @@ def self_depth_field(sample: Sample, threads: int = 1) -> DepthField:
     n = sample.n
     if n < 3:
         raise DepthError(f"leave-one-out depth needs n >= 3, have {n}")
-    dmat = sample.distance_matrix
     # Every pair containing index e covers x_e, so drop those n-1 pairs.
-    counts = _counts(dmat, dmat, threads) - (n - 1)
+    counts = _sample_counts(sample, None, threads)[1] - (n - 1)
     pc = _pair_count(n - 1)
     return DepthField(points=sample.points, values=counts / pc, n=n,
                       space=sample.space, counts=counts, pair_count=pc)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm, t as student_t
 
 from .depth import DepthField, Sample
 from .levelsets import LatticeGrid, nearest_indices, nested_diameters, nested_inradii
@@ -217,6 +216,8 @@ def _tn_dominates(lam: np.ndarray, v: float, sigma: float) -> np.ndarray:
     Both level sets are central quantile intervals; by symmetry the
     comparison reduces to the upper quantiles at (1 + sqrt(1-2*lam))/2.
     """
+    from scipy.stats import norm, t as student_t   # deferred: slow to import
+
     u = (1.0 + np.sqrt(np.maximum(1.0 - 2.0 * lam, 0.0))) / 2.0
     return student_t.ppf(u, v) >= sigma * norm.ppf(u)
 
@@ -279,6 +280,8 @@ def gamma_t_vs_normal_grid(vs, sigmas, points: int = 100_000) -> np.ndarray:
     The dominance indicator compares the quantile ratio t/normal against
     sigma, so each v needs a single pair of quantile evaluations.
     """
+    from scipy.stats import norm, t as student_t   # deferred: slow to import
+
     sigmas = np.asarray(sigmas, dtype=float)
     if np.any(sigmas <= 0):
         raise DispersionError("sigma grid must be positive")

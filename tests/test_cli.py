@@ -229,6 +229,26 @@ def test_byte_identical_across_thread_counts(workdir, rng, loo):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+@pytest.mark.parametrize("command", [
+    ["depth", "--queries", "q.csv"],
+    ["depth", "--queries", "q.csv", "--leave-one-out"],
+    ["outliers", "--lambda", "0.3"],
+], ids=["plain", "loo", "outliers"])
+def test_tie_heavy_line_byte_identical_across_thread_counts(workdir, rng, command):
+    # Integer values: every query and most sample points tie with others.
+    sample = rng.integers(-4, 5, 80).astype(float)
+    write_points(workdir / "s.csv", sample)
+    write_points(workdir / "q.csv", np.concatenate([np.arange(-5.0, 6.0),
+                                                    np.arange(-5.0, 5.0) + 0.5]))
+    blobs = []
+    for threads in ("1", "4", "8"):
+        out = f"d{threads}.csv"
+        assert run(command + ["--sample", "s.csv", "--threads", threads, "--seed", "11",
+                              "--out", out, "--no-timestamp"]) == 0
+        blobs.append((workdir / out).read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
 def test_rerun_idempotent_bytes(workdir, rng):
     write_points(workdir / "s.csv", rng.standard_normal(30))
     for out in ("a.csv", "b.csv"):
@@ -268,6 +288,16 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True, env=cli_env(), timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"lensdepth {__version__}" == "lensdepth 0.1.0"
+
+
+def test_version_does_not_import_scipy_stats():
+    code = ("import sys; from lensdepth.cli import main; sys.argv[0] = 'lensdepth'\n"
+            "try:\n    main()\nexcept SystemExit:\n    pass\n"
+            "print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, "--version"],
+                          capture_output=True, text=True, env=cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["lensdepth", __version__, "False"]
 
 
 def write_twelve_leaf_trees(path, count):
