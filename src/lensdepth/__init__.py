@@ -14,13 +14,9 @@ from .metrics import (
     EuclideanSpace,
     MetricError,
     PointValidationError,
-    SpaceMismatchError,
     SphereSpace,
     StiefelSpace,
-    distance,
     pairwise_matrix,
-    space_from_name,
-    stiefel_distance,
 )
 from .treespace import (
     GeodesicResult,
@@ -71,7 +67,6 @@ from .dispersion import (
 )
 from .analysis import (
     DepthDepthRecord,
-    deepest_pair,
     depth_depth,
     diameter_curve_by_group,
     outliers,

@@ -1,6 +1,5 @@
 """Applied depth workflows: depth-depth coordinates for two-group
-comparison, level-based outlier flagging, deepest-observation reports,
-and per-group diameter curves.
+comparison, level-based outlier flagging, and per-group diameter curves.
 
 Depths of a point against the group containing it are leave-one-out:
 pairs involving the point itself are excluded, since they always cover
@@ -22,7 +21,7 @@ from .depth import (
     batch_depth,
     self_depth_field,
 )
-from .dispersion import PsiCurve, psi_curve
+from .dispersion import PsiCurve, default_lambda_grid, psi_curve
 
 
 @dataclass(frozen=True)
@@ -103,21 +102,16 @@ def outliers(field: DepthField, lam: float) -> np.ndarray:
     return np.flatnonzero(field.values < lam)
 
 
-def deepest_pair(field: DepthField) -> int:
-    """Index of the deepest observation; ties break to the lowest index."""
-    if len(field.values) == 0:
-        raise DepthError("empty depth field")
-    return int(np.argmax(field.values))
-
-
 def diameter_curve_by_group(groups: dict[str, Sample], lambdas,
                             threads: int = 1) -> dict[str, PsiCurve]:
     """Per-group diameter curves of the leave-one-out depth level sets,
-    evaluated over each group's own sample points."""
-    curves: dict[str, PsiCurve] = {}
-    for label in sorted(groups):
-        sample = groups[label]
-        field = self_depth_field(sample, threads=threads)
-        curves[label] = psi_curve(field, "diam", lambdas,
-                                  pair_matrix=sample.distance_matrix)
-    return curves
+    evaluated over each group's own sample points.  An int `lambdas` is
+    the level count of `default_lambda_grid` over all groups' fields;
+    each field is computed once either way."""
+    fields = {label: self_depth_field(groups[label], threads=threads)
+              for label in sorted(groups)}
+    if isinstance(lambdas, int):
+        lambdas = default_lambda_grid(*fields.values(), count=lambdas)
+    return {label: psi_curve(field, "diam", lambdas,
+                             pair_matrix=groups[label].distance_matrix)
+            for label, field in fields.items()}

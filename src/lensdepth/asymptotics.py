@@ -375,14 +375,6 @@ def p2_matrix(points, sampler: Sampler, pairs: int, seed: int = 0,
     return hit_single / pairs, hit_joint / pairs
 
 
-def p2_functional(x1, x2, sampler: Sampler, pairs: int, seed: int = 0):
-    """Pair moments of two query points from shared draws:
-    (P(x1 covered), P(x2 covered), P(both covered))."""
-    pts = sampler.space.coerce_points([x1, x2])
-    p_vec, p_mat = p2_matrix(pts, sampler, pairs, seed=seed)
-    return float(p_vec[0]), float(p_vec[1]), float(p_mat[0, 1])
-
-
 def projection_cov_1d(points, cdf) -> np.ndarray:
     """Closed-form projection covariance matrix on the line.
 

@@ -249,7 +249,6 @@ def cmd_levelset(args) -> int:
     else:
         field = self_depth_field(sample, threads=args.threads)
         eval_points = field.points
-        grid = KnnGrid(eval_points, sample.space, k=args.knn)
     ls = levelsets.level_set(field, args.lam)
     mask = ls.member_mask
     header = ["index"] + _coord_header(eval_points) + ["depth", "member"]
@@ -257,6 +256,10 @@ def cmd_levelset(args) -> int:
             for i in range(len(field.values))]
     _write_rows(args, header, rows)
     if args.boundary_out:
+        if args.grid is None:
+            # Off the line, the depth field has already cached the sample's
+            # distance matrix, which the kNN graph reads.
+            grid = KnnGrid(sample, k=args.knn)
         boundary = levelsets.boundary_points(ls, grid)
         brows = [[int(i)] + _coords(eval_points, int(i)) for i in boundary]
         prov = _provenance(args)
@@ -412,11 +415,8 @@ def cmd_diam_by_group(args) -> int:
             groups[stem] = _load_sample(path, args.metric, args.shape)
     if not groups:
         raise DataError(f"{directory}: no .csv or .nwk group files")
-    if args.lambdas is not None:
-        lambdas = dataio.parse_float_range(args.lambdas)
-    else:
-        fields = [self_depth_field(s, threads=args.threads) for s in groups.values()]
-        lambdas = dispersion.default_lambda_grid(*fields, count=args.levels)
+    lambdas = (args.levels if args.lambdas is None
+               else dataio.parse_float_range(args.lambdas))
     curves = analysis.diameter_curve_by_group(groups, lambdas, threads=args.threads)
     rows = []
     for label in sorted(curves):

@@ -13,8 +13,9 @@ double loop bit for bit at any thread count:
   in O((m + n) log n) with no distance matrix.  A rounding guard finds
   the rows where the float predicate can disagree with the segment rule
   (a near tie with a distinct sample value, or magnitudes whose squares
-  go subnormal or overflow) and sends only those to the pairwise kernel.
-  `threads` has nothing to split there.
+  go subnormal or overflow) and counts only those pairwise, reading a
+  cached sample matrix if there is one and otherwise building one row
+  per distinct sample value.  `threads` has nothing to split there.
 - Elsewhere `_counts` splits the query rows into one contiguous block
   per thread and runs the vectorized `_count_block` on each.
 
@@ -230,8 +231,29 @@ def _sample_counts(sample: Sample, queries, threads: int):
     x = (sample.points if queries is None else queries)[:, 0]
     counts, rows = _line_counts(x, sample)
     if rows.size:
-        counts[rows] = kernel(rows)[1]
+        counts[rows] = (kernel(rows)[1] if sample._cache is not None
+                        else _distinct_row_counts(x[rows], sample))
     return None, counts
+
+
+def _distinct_row_counts(x: np.ndarray, sample: Sample) -> np.ndarray:
+    """Covering-pair counts of the values `x` by the float predicate
+    against a sample on the line without its distance matrix.
+
+    Distances depend on values only, so pairs are counted over the
+    distinct sample values weighted by multiplicity; each value's row is
+    built as `pairwise` builds it, so memory stays O(len(x) * n).
+    """
+    space = sample.space
+    vals, mult = np.unique(sample.points[:, 0], return_counts=True)
+    vals = vals[:, None]
+    dq = space.cross_matrix(x[:, None], vals)
+    counts = (dq <= 0.0) @ (mult * (mult - 1) // 2)     # pairs of equal values
+    for i in range(len(vals) - 1):
+        row = space.dists_to(vals[i + 1:], vals[i])
+        worst = np.maximum(dq[:, i, None], dq[:, i + 1:])
+        counts += mult[i] * ((worst <= row) @ mult[i + 1:])
+    return counts
 
 
 def _query_counts(queries, sample: Sample, threads: int):

@@ -49,10 +49,6 @@ class PsiCurve:
         if not np.all(np.diff(self.lambdas) > 0):
             raise DispersionError("the level grid must be strictly increasing")
 
-    def scaled(self, factor: float) -> "PsiCurve":
-        return PsiCurve(self.lambdas, self.values * factor, self.kind,
-                        self.region, self.empty_from)
-
 
 @dataclass(frozen=True)
 class OrderVerdict:
@@ -168,23 +164,15 @@ def weak_order(cx: PsiCurve, cy: PsiCurve, tol: float = 0.0) -> OrderVerdict:
     return OrderVerdict("weak", holds, witness, integral, cx.region)
 
 
-def gamma(cx: PsiCurve, cy: PsiCurve, sup_bound: float | None = None) -> float:
+def gamma(cx: PsiCurve, cy: PsiCurve) -> float:
     """Fraction of the level range on which psi_X >= psi_Y, under
     piecewise-linear interpolation of both curves between grid levels.
 
-    Identical curves give exactly 1.  `sup_bound`, when given, only
-    validates that the grid realizes [0, sup_bound].
+    Identical curves give exactly 1.
     """
     _check_pair(cx, cy)
     if np.isnan(cx.values).any() or np.isnan(cy.values).any():
         raise DispersionError("curves contain undefined (NaN) psi values")
-    if sup_bound is not None:
-        if sup_bound <= 0:
-            raise DispersionError(f"sup bound must be positive, got {sup_bound}")
-        lo, hi = float(cx.lambdas[0]), float(cx.lambdas[-1])
-        if abs(lo) > 1e-12 or abs(hi - sup_bound) > 1e-9:
-            raise DispersionError(
-                f"grid [{lo}, {hi}] does not realize [0, {sup_bound}]")
     d = cx.values - cy.values
     seg = np.diff(cx.lambdas)
     d0, d1 = d[:-1], d[1:]
@@ -314,25 +302,3 @@ def giovagnoli_order(sx: Sample, sy: Sample, tol: float = 0.0) -> OrderVerdict:
     holds = worst <= tol
     witness = None if holds else float(pool[int(np.argmax(gaps))])
     return OrderVerdict("giovagnoli", holds, witness, -worst)
-
-
-def refined_lambda_grid(fx, fy, lo: float, hi: float, *,
-                        base: int = 200, rounds: int = 25) -> np.ndarray:
-    """Level grid refined around the crossings of two callable curves.
-
-    Starts from an equispaced grid and repeatedly bisects every interval
-    whose endpoints disagree in the sign of fx - fy.
-    """
-    grid = np.linspace(lo, hi, base)
-    for _ in range(rounds):
-        d = np.asarray(fx(grid)) - np.asarray(fy(grid))
-        sign = d >= 0
-        flips = np.flatnonzero(sign[:-1] != sign[1:])
-        if len(flips) == 0:
-            break
-        mids = 0.5 * (grid[flips] + grid[flips + 1])
-        merged = np.unique(np.concatenate([grid, mids]))
-        if len(merged) == len(grid):
-            break
-        grid = merged
-    return grid

@@ -70,14 +70,14 @@ def hausdorff(a, b, space: MetricSpace) -> float:
     return float(max(a_to_b, b_to_a.max()))
 
 
-def nearest_indices(points, targets, space: MetricSpace,
-                    chunk: int = 4096) -> np.ndarray:
+def nearest_indices(points, targets, space: MetricSpace) -> np.ndarray:
     """Index of the nearest point of `targets` for each of `points`
-    (ties resolved to the lowest index)."""
+    (ties resolved to the lowest index), over row blocks of about
+    _BLOCK_ENTRIES cross-matrix entries."""
+    rows = max(1, _BLOCK_ENTRIES // len(targets))
     out = np.empty(len(points), dtype=np.int64)
-    for lo in range(0, len(points), chunk):
-        hi = min(lo + chunk, len(points))
-        out[lo:hi] = space.cross_matrix(points[lo:hi], targets).argmin(axis=1)
+    for lo in range(0, len(points), rows):
+        out[lo:lo + rows] = space.cross_matrix(points[lo:lo + rows], targets).argmin(axis=1)
     return out
 
 
@@ -180,21 +180,21 @@ class LatticeGrid:
 
 @dataclass(frozen=True)
 class KnnGrid:
-    """Sample-based evaluation geometry with a symmetrized kNN graph."""
+    """The sample's own points as evaluation geometry, with the
+    symmetrized k-nearest-neighbor graph of its cached distance matrix."""
 
-    points: object
-    space: MetricSpace
+    sample: Sample
     k: int = 8
     _adj: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
-        n = len(self.points)
+        n = self.sample.n
         if n < 2:
             raise LevelSetError("kNN geometry needs at least 2 points")
         k = min(self.k, n - 1)
-        cross = self.space.cross_matrix(self.points, self.points)
-        np.fill_diagonal(cross, np.inf)
-        order = np.argsort(cross, axis=1, kind="stable")[:, :k]
+        dist = self.sample.distance_matrix.copy()   # the cache stays untouched
+        np.fill_diagonal(dist, np.inf)
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
         adj = [set(map(int, row)) for row in order]
         for i, row in enumerate(order):      # symmetrize: union of both directions
             for j in row:
@@ -202,13 +202,13 @@ class KnnGrid:
         object.__setattr__(self, "_adj", tuple(tuple(sorted(s)) for s in adj))
 
     def __len__(self):
-        return len(self.points)
+        return self.sample.n
 
     def neighbor_indices(self, i: int):
         return list(self._adj[i])
 
     def describe(self) -> str:
-        return f"knn-graph k={self.k} n={len(self.points)}"
+        return f"knn-graph k={self.k} n={self.sample.n}"
 
 
 def inner_boundary(mask: np.ndarray, grid) -> np.ndarray:

@@ -32,10 +32,6 @@ class PointValidationError(MetricError):
     """A point does not belong to the space it was used with."""
 
 
-class SpaceMismatchError(MetricError):
-    """Two operands live in different (or differently sized) spaces."""
-
-
 class MetricSpace:
     """A metric space: point validation plus scalar and batch distances.
 
@@ -318,19 +314,6 @@ class BHVSpace(MetricSpace):
         return np.array([self.distance(p, q) for p in points])
 
 
-def distance(p, q, space: MetricSpace) -> float:
-    """Distance between two points after validating both against `space`."""
-    try:
-        p = space.coerce_point(p)
-    except PointValidationError as exc:
-        raise SpaceMismatchError(f"first operand: {exc}") from None
-    try:
-        q = space.coerce_point(q)
-    except PointValidationError as exc:
-        raise SpaceMismatchError(f"second operand: {exc}") from None
-    return space.distance(p, q)
-
-
 def pairwise_matrix(points, space: MetricSpace) -> np.ndarray:
     """Full symmetric distance matrix of a point set.
 
@@ -341,38 +324,3 @@ def pairwise_matrix(points, space: MetricSpace) -> np.ndarray:
     except PointValidationError as exc:
         raise PointValidationError(f"invalid point set: {exc}") from None
     return space.pairwise(pts)
-
-
-def stiefel_distance(a, b, mode: str = "chordal") -> float:
-    """Distance between two orthonormal frames of matching shape."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise SpaceMismatchError(
-            f"frame shapes differ or are not matrices: {a.shape} vs {b.shape}")
-    space = StiefelSpace(a.shape[0], a.shape[1], mode=mode)
-    return distance(a, b, space)
-
-
-def space_from_name(name: str, *, dim: int | None = None,
-                    shape: tuple[int, int] | None = None,
-                    labels=None) -> MetricSpace:
-    """Construct a space from its command-line name."""
-    if name == "euclidean":
-        if dim is None:
-            raise MetricError("euclidean space needs a dimension")
-        return EuclideanSpace(dim)
-    if name == "sphere":
-        if dim is None:
-            raise MetricError("sphere space needs an ambient dimension")
-        return SphereSpace(dim)
-    if name in ("stiefel-chordal", "stiefel-procrustes"):
-        if shape is None:
-            raise MetricError("stiefel space needs a frame shape, e.g. --shape 3x2")
-        mode = name.split("-", 1)[1]
-        return StiefelSpace(shape[0], shape[1], mode=mode)
-    if name == "bhv":
-        if labels is None:
-            raise MetricError("tree space needs a leaf universe")
-        return BHVSpace(labels)
-    raise MetricError(f"unknown metric {name!r}")

@@ -36,6 +36,54 @@ class NewickError(ValueError):
         self.offset = offset
 
 
+def _laminar(masks, n_leaves: int):
+    """Nesting of canonical split sides, or TreeError if two cross.
+
+    Sides never contain leaf 0, so two splits are compatible exactly when
+    their sides are disjoint or nested: the sides of a tree form a
+    laminar family.  One pass in ascending mask order (a subset's mask is
+    never larger) keeps a union-find over leaves whose roots record the
+    largest side placed so far; each new side absorbs the components
+    under its bits, and one whose side is not a subset is a crossing.
+    Returns each side's parent (its smallest strict superset, or None)
+    and each leaf's host (its smallest side, or None).
+    """
+    root = list(range(n_leaves))
+    top = [None] * n_leaves               # at a root: largest side placed over it
+    host = [None] * n_leaves
+    parent = {}
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for m in sorted(masks):
+        parent[m] = None
+        rest, merged = m, None
+        while rest:
+            r = find((rest & -rest).bit_length() - 1)
+            side = top[r]
+            if side is None:               # a leaf no side has covered yet
+                host[r] = m
+                rest &= rest - 1
+            elif side & ~m:
+                umask = (1 << n_leaves) - 1
+                m1, m2 = next(pair for pair in itertools.combinations(masks, 2)
+                              if not compatible(*pair, umask))
+                raise TreeError(f"incompatible splits {m1:#x} and {m2:#x}")
+            else:
+                parent[side] = m
+                rest &= ~side
+            if merged is None:
+                merged = r
+            else:
+                root[r] = merged
+        top[merged] = m
+    return parent, host
+
+
 def canonical_split(mask: int, universe_mask: int) -> int:
     """Canonical encoding of a bipartition: the side not containing leaf 0."""
     return mask ^ universe_mask if mask & 1 else mask
@@ -90,9 +138,7 @@ class Tree:
                 raise TreeError(f"split {m:#x} is not interior (side size {size})")
             if not (length > 0.0) or not math.isfinite(length):
                 raise TreeError("interior split lengths must be positive")
-        for m1, m2 in itertools.combinations(masks, 2):
-            if not compatible(m1, m2, umask):
-                raise TreeError(f"incompatible splits {m1:#x} and {m2:#x}")
+        _laminar(masks, L)
 
     @property
     def n_leaves(self) -> int:
@@ -261,55 +307,37 @@ def to_newick(tree: Tree) -> str:
     L = tree.n_leaves
     if L == 1:
         return f"{tree.labels[0]}:{tree.pendant[0]!r};"
-    sides = sorted((m for m, _ in tree.interior), key=lambda m: (m.bit_count(), m))
+    parent, host = _laminar([m for m, _ in tree.interior], L)
+    # Children as masks: a leaf is its single bit, a side has at least two.
+    children = {m: [] for m in [None, *parent]}
+    for m, p in parent.items():
+        children[p].append(m)
+    for leaf, h in enumerate(host):
+        children[h].append(1 << leaf)
     lengths = tree.interior_map
-    # Laminar nesting: parent of a side is its smallest strict superset.
-    parent: dict[int, int | None] = {}
-    for i, m in enumerate(sides):
-        parent[m] = None
-        for bigger in sides[i + 1:]:
-            if m & bigger == m:
-                parent[m] = bigger
-                break
-    children: dict[int | None, list] = {None: []}
-    for m in sides:
-        children[m] = []
-    for m in sides:
-        children[parent[m]].append(("side", m))
-    for leaf in range(L):
-        bit = 1 << leaf
-        host = None
-        for m in sides:
-            if m & bit:
-                host = m
-                break
-        children.setdefault(host, [])
-        children[host].append(("leaf", leaf))
 
-    def sort_bit(item):
-        kind, v = item
-        mask = (1 << v) if kind == "leaf" else v
-        return (mask & -mask).bit_length()
+    def lowest_bit(m):
+        return m & -m
 
     # Explicit stack of (children still to write, closing text), so deep
     # nesting does not hit the recursion limit.
     parts = ["("]
-    stack = [(iter(sorted(children[None], key=sort_bit)), ");")]
+    stack = [(iter(sorted(children[None], key=lowest_bit)), ");")]
     while stack:
         pending, close = stack[-1]
-        item = next(pending, None)
-        if item is None:
+        m = next(pending, None)
+        if m is None:
             stack.pop()
             parts.append(close)
             continue
         if parts[-1] != "(":
             parts.append(",")
-        kind, v = item
-        if kind == "leaf":
-            parts.append(f"{tree.labels[v]}:{tree.pendant[v]!r}")
+        if m.bit_count() == 1:
+            leaf = m.bit_length() - 1
+            parts.append(f"{tree.labels[leaf]}:{tree.pendant[leaf]!r}")
         else:
             parts.append("(")
-            stack.append((iter(sorted(children[v], key=sort_bit)), f"):{lengths[v]!r}"))
+            stack.append((iter(sorted(children[m], key=lowest_bit)), f"):{lengths[m]!r}"))
     return "".join(parts)
 
 
@@ -352,10 +380,6 @@ class GeodesicResult:
     distance: float
     support: tuple
     common_sq: float
-
-    @property
-    def ratios(self) -> list[float]:
-        return [_norm(a) / _norm(b) for a, b in self.support]
 
 
 def _norm(part) -> float:

@@ -3,7 +3,6 @@ import pytest
 from scipy.stats import norm
 
 from lensdepth.analysis import (
-    deepest_pair,
     depth_depth,
     diameter_curve_by_group,
     loo_depth_against,
@@ -173,24 +172,10 @@ def test_outliers_normal_closed_form_band(rng):
     assert must_flag <= flagged <= may_flag
 
 
-def test_deepest_constant_field_breaks_ties_low():
-    assert deepest_pair(field_of([0.4, 0.4, 0.4])) == 0
-
-
-def test_deepest_single_point():
-    assert deepest_pair(field_of([0.7])) == 0
-
-
-def test_deepest_matches_argmax_oracle(rng):
-    for _ in range(30):
-        vals = rng.uniform(0, 1, 25)
-        assert deepest_pair(field_of(vals)) == int(np.argmax(vals))
-
-
 def test_deepest_never_an_outlier(rng):
     f = field_of(rng.uniform(0, 1, 40))
     lam = f.max_value * 0.999
-    assert deepest_pair(f) not in set(outliers(f, lam).tolist())
+    assert int(np.argmax(f.values)) not in set(outliers(f, lam).tolist())
 
 
 # ---------------------------------------------------------------------------

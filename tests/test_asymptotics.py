@@ -10,7 +10,6 @@ from lensdepth.asymptotics import (
     clt_experiment,
     levelset_experiment,
     make_sampler,
-    p2_functional,
     p2_matrix,
     projection_cov_1d,
     run_config,
@@ -67,16 +66,21 @@ def test_normal_sampler_cdf_matches_scipy():
 # Pair moments
 
 
+def p2_pair(x1, x2, sampler, pairs, seed):
+    """P(x1 covered), P(x2 covered) and P(both covered) from shared draws."""
+    p_vec, p_mat = p2_matrix(np.array([[x1], [x2]]), sampler, pairs, seed=seed)
+    return float(p_vec[0]), float(p_vec[1]), float(p_mat[0, 1])
+
+
 def test_p2_point_mass_values():
     sampler = make_sampler({"dist": "point_mass", "value": [1.0]})
-    p1, p2, p12 = p2_functional(np.array([1.0]), np.array([3.0]), sampler, 500, seed=0)
+    p1, p2, p12 = p2_pair(1.0, 3.0, sampler, 500, seed=0)
     assert p1 == 1.0 and p2 == 0.0 and p12 == 0.0
 
 
 def test_p2_identical_points_idempotent():
     sampler = make_sampler({"dist": "normal"})
-    p1, p2, p12 = p2_functional(np.array([0.3]), np.array([0.3]), sampler,
-                                20_000, seed=1)
+    p1, p2, p12 = p2_pair(0.3, 0.3, sampler, 20_000, seed=1)
     assert p1 == p2 == p12
 
 
@@ -90,8 +94,7 @@ def test_p2_diagonal_equals_single_exactly():
 
 def test_p2_normal_center_near_half():
     sampler = make_sampler({"dist": "normal"})
-    p1, _, _ = p2_functional(np.array([0.0]), np.array([1.0]), sampler,
-                             1_000_000, seed=3)
+    p1, _, _ = p2_pair(0.0, 1.0, sampler, 1_000_000, seed=3)
     assert p1 == pytest.approx(0.5, abs=0.002)
 
 

@@ -180,6 +180,29 @@ def test_diam_by_group(workdir, rng):
     assert groups == {"y1", "y2"}
 
 
+def test_diam_by_group_computes_each_field_once(workdir, rng, monkeypatch):
+    from lensdepth import analysis, cli, depth
+
+    calls = []
+
+    def counted(sample, *args, **kwargs):
+        calls.append(sample.n)
+        return depth.self_depth_field(sample, *args, **kwargs)
+
+    for module in (analysis, cli):
+        monkeypatch.setattr(module, "self_depth_field", counted)
+    gdir = workdir / "groups"
+    gdir.mkdir()
+    for name, n in (("a", 20), ("b", 25), ("c", 30)):
+        write_points(gdir / f"{name}.csv", rng.standard_normal((n, 2)))
+    code = run(["diam-by-group", "--metric", "euclidean", "--groups", str(gdir),
+                "--levels", "12", "--out", "diam.csv", "--no-timestamp"])
+    assert code == 0
+    assert sorted(calls) == [20, 25, 30]
+    rows = data_lines(workdir / "diam.csv")
+    assert len(rows) == 1 + 3 * 12
+
+
 def test_treedist_matrix(workdir):
     (workdir / "trees.nwk").write_text(
         "# two trees\n"
@@ -336,3 +359,30 @@ def test_runtime_dependencies_are_numpy_and_scipy():
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
         deps = tomllib.load(f)["project"]["dependencies"]
     assert sorted(re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps) == ["numpy", "scipy"]
+
+
+def test_tree_levelset_boundary_reuses_the_sample_geodesics(workdir, monkeypatch):
+    from lensdepth import treespace
+
+    write_twelve_leaf_trees(workdir / "trees.nwk", 60)
+    calls = []
+
+    def counted(t1, t2):
+        calls.append(1)
+        return bhv_distance(t1, t2)
+
+    bhv_distance = treespace.bhv_distance
+    monkeypatch.setattr(treespace, "bhv_distance", counted)
+    args = ["levelset", "--metric", "bhv", "--sample", "trees.nwk", "--lambda", "0.3",
+            "--no-timestamp"]
+    assert run(args + ["--out", "plain.csv"]) == 0
+    assert len(calls) == 60 * 59 // 2
+    calls.clear()
+    assert run(args + ["--out", "ls.csv", "--boundary-out", "bd.csv"]) == 0
+    # The depth field's pairwise matrix serves the kNN graph as well.
+    assert len(calls) == 60 * 59 // 2
+    assert (workdir / "ls.csv").read_bytes() == (workdir / "plain.csv").read_bytes()
+    members = {int(r.split(",")[0]) for r in data_lines(workdir / "ls.csv")[1:]
+               if r.endswith(",1")}
+    boundary = [int(r) for r in data_lines(workdir / "bd.csv")[1:]]
+    assert boundary and set(boundary) <= members

@@ -11,6 +11,7 @@ from lensdepth.levelsets import (
     LatticeGrid,
     LevelSetError,
     boundary_points,
+    contains,
     hausdorff,
     level_set,
     measure_distance,
@@ -18,7 +19,11 @@ from lensdepth.levelsets import (
     psi_inradius,
     psi_volume,
 )
-from lensdepth.metrics import EuclideanSpace, pairwise_matrix
+from lensdepth.dispersion import psi_curve
+from lensdepth.metrics import BHVSpace, EuclideanSpace, pairwise_matrix
+from lensdepth.treespace import random_tree
+
+from conftest import space_with_points
 
 E1 = EuclideanSpace(1)
 E2 = EuclideanSpace(2)
@@ -205,10 +210,68 @@ def test_boundary_subset_of_members_and_shrinks(rng):
 
 def test_knn_grid_symmetric_neighbors(rng):
     pts = rng.standard_normal((30, 2))
-    g = KnnGrid(pts, E2, k=4)
+    g = KnnGrid(Sample(pts, E2), k=4)
     for i in range(30):
         for j in g.neighbor_indices(i):
             assert i in g.neighbor_indices(j)
+
+
+def cross_matrix_adjacency(points, space, k):
+    """The kNN graph built from a fresh `cross_matrix` of the points."""
+    cross = space.cross_matrix(points, points)
+    np.fill_diagonal(cross, np.inf)
+    order = np.argsort(cross, axis=1, kind="stable")[:, :k]
+    adj = [set(row.tolist()) for row in order]
+    for i, row in enumerate(order):
+        for j in row.tolist():
+            adj[j].add(i)
+    return [sorted(s) for s in adj]
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "sphere", "stiefel-chordal",
+                                  "stiefel-procrustes", "bhv"])
+def test_knn_grid_reads_sample_matrix_like_cross_matrix(rng, kind):
+    if kind == "bhv":
+        labels = tuple("ABCDEF")
+        space, points = BHVSpace(labels), [random_tree(labels, rng) for _ in range(24)]
+        points += [points[0], points[5], points[5]]
+    else:
+        space, points = space_with_points(kind, rng, 24)
+        points = np.concatenate([points, points[[0, 5, 5]]])
+    sample = Sample(points, space)
+    cached = sample.distance_matrix.copy()
+    for k in (1, 3, 8, 40):
+        g = KnnGrid(sample, k=k)
+        assert [g.neighbor_indices(i) for i in range(len(g))] == \
+            cross_matrix_adjacency(sample.points, space, min(k, sample.n - 1))
+    assert np.array_equal(sample.distance_matrix, cached)
+    assert not np.diagonal(sample.distance_matrix).any()
+
+
+@pytest.mark.parametrize("block", [1, 300, 700, 1 << 20])
+def test_nearest_index_blocks_match_full_argmin(rng, monkeypatch, block):
+    monkeypatch.setattr(levelsets, "_BLOCK_ENTRIES", block)
+    lattice = LatticeGrid(((-2.0, 2.0, 0.5), (-2.0, 2.0, 0.5)))
+    # Duplicate targets and quarter-step references make ties everywhere;
+    # they go to the lowest index.
+    targets = np.concatenate([lattice.points, lattice.points[::7]])
+    reference = rng.integers(-10, 11, size=(60, 2)) / 4.0
+    nearest = E2.cross_matrix(reference, targets).argmin(axis=1)
+    fields = [DepthField(points=targets, values=rng.uniform(0, 1, len(targets)),
+                         n=10, space=E2) for _ in range(2)]
+    values = [f.values[nearest] for f in fields]
+    for lam in (0.0, 0.3, 0.7):
+        assert contains(level_set(fields[0], lam), reference).tolist() == \
+            (values[0] >= lam).tolist()
+        assert measure_distance(level_set(fields[0], lam), level_set(fields[1], 0.5),
+                                Sample(reference, E2)) == \
+            float(np.mean((values[0] >= lam) != (values[1] >= 0.5)))
+    lambdas = np.linspace(0.0, 1.0, 11)
+    curve = psi_curve(fields[0], "volume", lambdas, reference=Sample(reference, E2),
+                      reference_mass=2.0)
+    assert curve.values.tolist() == [
+        2.0 * float(np.mean(values[0] >= lam)) if (fields[0].values >= lam).any()
+        else 0.0 for lam in lambdas]
 
 
 # ---------------------------------------------------------------------------

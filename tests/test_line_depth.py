@@ -168,3 +168,45 @@ def test_line_batch_depth_scales_past_any_distance_matrix(rng):
     for i in (0, 300, 450, 600):
         below = int((y < grid[i]).sum())
         assert field.counts[i] == below * (n - below)
+
+
+def weighted_value_counts(queries, sample_values):
+    """Float-predicate counts over distinct values from full matrices:
+    pairs of distinct values weighted by the product of multiplicities,
+    pairs of equal values covering x only at distance 0."""
+    vals, mult = np.unique(sample_values, return_counts=True)
+    dmat = LINE.pairwise(vals[:, None])
+    dq = LINE.cross_matrix(np.asarray(queries, dtype=float)[:, None], vals[:, None])
+    upper = np.triu(np.ones_like(dmat, dtype=bool), 1)
+    weights = np.where(upper, np.outer(mult, mult), 0)
+    covered = np.maximum(dq[:, :, None], dq[:, None, :]) <= dmat
+    return ((covered * weights).sum(axis=(1, 2))
+            + (dq <= 0.0) @ (mult * (mult - 1) // 2))
+
+
+def test_guarded_rows_build_no_sample_matrix(rng):
+    # The n x n sample matrix would take 320 GB; guarded rows are counted
+    # from one distance row per distinct sample value instead.
+    n = 200_000
+    y = rng.integers(-300, 301, n).astype(float)
+    sample = Sample(y, LINE)
+    queries = np.array([np.nextafter(y[0], np.inf), np.nextafter(y[1], -np.inf),
+                        0.5, y[2]])
+    _, rows = _line_counts(queries, sample)
+    assert rows.tolist() == [0, 1]
+    field = batch_depth(queries, sample)
+    assert sample._cache is None
+    assert field.counts.tolist() == weighted_value_counts(queries, y).tolist()
+
+
+def test_guarded_rows_read_a_cached_matrix(rng, monkeypatch):
+    from lensdepth import depth
+
+    y = rng.integers(-4, 5, 40).astype(float)
+    queries = neighbours(y[:4], steps=2)
+    sample = Sample(y, LINE)
+    expected = batch_depth(queries, sample).counts
+    sample.distance_matrix
+    monkeypatch.setattr(depth, "_distinct_row_counts", None)
+    assert batch_depth(queries, sample).counts.tolist() == expected.tolist()
+    assert expected.tolist() == kernel_counts(queries, sample).tolist()

@@ -6,15 +6,10 @@ import pytest
 from lensdepth.metrics import (
     BHVSpace,
     EuclideanSpace,
-    MetricError,
     PointValidationError,
     SphereSpace,
-    SpaceMismatchError,
     StiefelSpace,
-    distance,
     pairwise_matrix,
-    space_from_name,
-    stiefel_distance,
 )
 from lensdepth.treespace import random_tree
 
@@ -25,12 +20,12 @@ VECTOR_KINDS = ("euclidean", "sphere", "stiefel-chordal", "stiefel-procrustes")
 
 def test_euclidean_pythagoras():
     space = EuclideanSpace(2)
-    assert distance(np.array([0.0, 0.0]), np.array([3.0, 4.0]), space) == 5.0
+    assert space.distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
 
 
 def test_sphere_orthogonal_quarter_turn():
     space = SphereSpace(3)
-    d = distance(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), space)
+    d = space.distance(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
     assert d == pytest.approx(math.pi / 2, abs=1e-12)
 
 
@@ -164,23 +159,23 @@ def test_stiefel_chordal_column_swap():
     e = np.eye(3)
     a = e[:, :2]
     b = np.stack([e[:, 0], e[:, 2]], axis=1)
-    assert stiefel_distance(a, b, mode="chordal") == pytest.approx(math.sqrt(2))
-    assert stiefel_distance(a, a, mode="chordal") == 0.0
+    chordal = StiefelSpace(3, 2, mode="chordal")
+    assert chordal.distance(a, b) == pytest.approx(math.sqrt(2))
+    assert chordal.distance(a, a) == 0.0
 
 
 def test_stiefel_procrustes_never_exceeds_chordal(rng):
     frames = random_frames(rng, 40)
+    procrustes, chordal = StiefelSpace(3, 2, "procrustes"), StiefelSpace(3, 2, "chordal")
     for i in range(0, 40, 2):
         a, b = frames[i], frames[i + 1]
-        assert stiefel_distance(a, b, mode="procrustes") <= \
-            stiefel_distance(a, b, mode="chordal") + 1e-12
+        assert procrustes.distance(a, b) <= chordal.distance(a, b) + 1e-12
 
 
 def test_stiefel_rejects_non_orthonormal():
-    bad = np.ones((3, 2))
-    with pytest.raises(SpaceMismatchError):
-        stiefel_distance(bad, np.eye(3)[:, :2])
     space = StiefelSpace(3, 2)
+    with pytest.raises(PointValidationError):
+        space.coerce_point(np.ones((3, 2)))
     for value in (math.nan, math.inf):
         frame = np.eye(3)[:, :2].copy()
         frame[0, 0] = value
@@ -190,12 +185,12 @@ def test_stiefel_rejects_non_orthonormal():
             space.coerce_points(np.stack([np.eye(3)[:, :2], frame]))
 
 
-def test_distance_reports_offending_operand():
+def test_euclidean_rejects_wrong_length():
     space = EuclideanSpace(2)
-    with pytest.raises(SpaceMismatchError, match="first operand"):
-        distance(np.array([1.0]), np.array([0.0, 0.0]), space)
-    with pytest.raises(SpaceMismatchError, match="second operand"):
-        distance(np.array([0.0, 0.0]), np.array([1.0]), space)
+    with pytest.raises(PointValidationError, match="length 2"):
+        space.coerce_point(np.array([1.0]))
+    with pytest.raises(PointValidationError):
+        space.coerce_points(np.zeros((3, 3)))
 
 
 def test_sphere_rejects_non_unit():
@@ -209,13 +204,3 @@ def test_sphere_rejects_non_unit():
             space.coerce_point(np.array([value, 0.0, 1.0]))
         with pytest.raises(PointValidationError):
             space.coerce_points(np.array([[value, 0.0, 1.0], [0.0, 0.0, 1.0]]))
-
-
-def test_space_from_name():
-    assert isinstance(space_from_name("euclidean", dim=2), EuclideanSpace)
-    assert isinstance(space_from_name("sphere", dim=3), SphereSpace)
-    st = space_from_name("stiefel-procrustes", shape=(3, 2))
-    assert st.mode == "procrustes"
-    assert isinstance(space_from_name("bhv", labels=("A", "B", "C")), BHVSpace)
-    with pytest.raises(MetricError):
-        space_from_name("hyperbolic", dim=2)

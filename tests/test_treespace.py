@@ -144,6 +144,125 @@ def test_tree_rejects_incompatible_splits():
         tree5([(mask("AB"), 0.3), (mask("AC"), 0.4)])
 
 
+def pairwise_outcome(masks, n_leaves):
+    """The pairwise compatibility scan: the error for the first crossing
+    pair in `itertools.combinations` order, or None."""
+    umask = (1 << n_leaves) - 1
+    for m1, m2 in itertools.combinations(masks, 2):
+        if not compatible(m1, m2, umask):
+            return f"incompatible splits {m1:#x} and {m2:#x}"
+    return None
+
+
+def random_sides(rng, n_leaves, nested):
+    """Distinct canonical interior sides, at most n_leaves - 3 of them, in
+    random order: a random tree's sides, half the time with one random
+    side added (`nested`), or random sides, which mostly cross."""
+    if n_leaves < 4:
+        return []
+
+    def random_side():
+        return int(rng.integers(1, 1 << (n_leaves - 1))) << 1
+
+    if nested:
+        sides = [m for m, _ in random_tree(range(n_leaves), rng).interior]
+        if rng.random() < 0.5:
+            sides.append(random_side())
+    else:
+        sides = [random_side() for _ in range(n_leaves)]
+    sides = [m for m in dict.fromkeys(sides) if 2 <= m.bit_count() <= n_leaves - 2]
+    rng.shuffle(sides)
+    return sides[:n_leaves - 3]
+
+
+def test_laminar_check_matches_pairwise_scan(rng):
+    outcomes = {None: 0, "error": 0}
+    for trial in range(3000):
+        n_leaves = int(rng.integers(4, 14))
+        masks = random_sides(rng, n_leaves, nested=trial % 2 == 0)
+        expected = pairwise_outcome(masks, n_leaves)
+        labels = tuple(f"x{i}" for i in range(n_leaves))
+        try:
+            Tree(labels, tuple((m, 1.0) for m in masks), (1.0,) * n_leaves)
+            got = None
+        except TreeError as exc:
+            got = str(exc)
+        assert got == expected, masks
+        outcomes[None if got is None else "error"] += 1
+    assert min(outcomes.values()) > 500
+
+
+def test_laminar_parents_and_hosts_match_pairwise_search(rng):
+    for _ in range(300):
+        n_leaves = int(rng.integers(1, 10))
+        sides = random_sides(rng, n_leaves, nested=True)
+        if pairwise_outcome(sides, n_leaves) is not None:
+            continue
+        parent, host = treespace._laminar(sides, n_leaves)
+        ordered = sorted(sides, key=lambda m: (m.bit_count(), m))
+        for i, m in enumerate(ordered):
+            assert parent[m] == next((b for b in ordered[i + 1:] if m & b == m), None)
+        for leaf in range(n_leaves):
+            assert host[leaf] == next((m for m in ordered if m >> leaf & 1), None)
+
+
+def reference_newick(tree):
+    """`to_newick` by explicit superset searches: each side's parent is
+    its smallest strict superset and each leaf's host its smallest side;
+    children are written in the order of their lowest leaf."""
+    sides = sorted((m for m, _ in tree.interior), key=lambda m: (m.bit_count(), m))
+    lengths = tree.interior_map
+
+    def write(node):
+        items = [m for m in sides
+                 if next((b for b in sides if b != m and b & m == m), None) == node]
+        items += [1 << k for k in range(tree.n_leaves)
+                  if next((m for m in sides if m >> k & 1), None) == node]
+        out = []
+        for m in sorted(items, key=lambda m: m & -m):
+            if m.bit_count() == 1:
+                k = m.bit_length() - 1
+                out.append(f"{tree.labels[k]}:{tree.pendant[k]!r}")
+            else:
+                out.append(f"({write(m)}):{lengths[m]!r}")
+        return ",".join(out)
+
+    if tree.n_leaves == 1:
+        return f"{tree.labels[0]}:{tree.pendant[0]!r};"
+    return f"({write(None)});"
+
+
+def test_newick_strings_match_reference_writer(rng):
+    for _ in range(300):
+        n_leaves = int(rng.integers(1, 10))
+        labels = tuple(f"t{i}" for i in range(n_leaves))
+        t = (random_tree(labels, rng) if n_leaves >= 3
+             else Tree(labels, (), tuple(rng.uniform(0.1, 1.0, n_leaves))))
+        kept = tuple(split for split in t.interior if rng.random() < 0.7)
+        t = Tree(labels, kept, t.pendant)
+        assert to_newick(t) == reference_newick(t)
+
+
+def caterpillar(n_leaves):
+    """A caterpillar whose sides are the nested suffixes {k, ..., n-1}."""
+    labels = tuple(f"x{i:04d}" for i in range(n_leaves))
+    umask = (1 << n_leaves) - 1
+    interior = tuple(sorted((umask ^ ((1 << k) - 1), 0.5 + k / n_leaves)
+                            for k in range(2, n_leaves - 1)))
+    return Tree(labels, interior, (1.0,) * n_leaves)
+
+
+def test_deep_caterpillar_newick_is_the_nested_string():
+    n = 2400
+    t = caterpillar(n)
+    assert len(t.interior) == n - 3
+    # Side {k, ..., n-1} holds leaf k and side {k+1, ..., n-1}.
+    text = f"x{n - 2:04d}:1.0,x{n - 1:04d}:1.0"
+    for k in range(n - 3, 1, -1):
+        text = f"x{k:04d}:1.0,({text}):{0.5 + (k + 1) / n!r}"
+    assert to_newick(t) == f"(x0000:1.0,x0001:1.0,({text}):{0.5 + 2 / n!r});"
+
+
 def test_tree_rejects_too_many_splits():
     with pytest.raises(TreeError):
         tree5([(mask("AB"), 0.1), (mask("CD"), 0.1), (mask("ABE"), 0.1)])
@@ -222,13 +341,18 @@ def test_support_sequence_properties(rng):
         a = random_tree(tuple("ABCDEFG"), rng)
         b = random_tree(tuple("ABCDEFG"), rng)
         got = bhv_distance(a, b)
-        ratios = got.ratios
+        ratios = block_ratios(got)
         assert all(x <= y + 1e-12 for x, y in zip(ratios, ratios[1:]))
         # distance bounded below by the shared-coordinate part and above
         # by the single-bend cone path
         common_sq, aside, bside = _decompose(a, b)
         cone = math.sqrt(common_sq + (_norm(aside) + _norm(bside)) ** 2)
         assert math.sqrt(common_sq) - 1e-12 <= got.distance <= cone + 1e-12
+
+
+def block_ratios(result):
+    """Norm ratios |A_i| / |B_i| of the support's blocks, in order."""
+    return [_norm(a) / _norm(b) for a, b in result.support]
 
 
 def owen_provan_violations(result, umask):
@@ -239,7 +363,7 @@ def owen_provan_violations(result, umask):
         for _, b_earlier in support[:i]:
             if any(not compatible(a, b, umask) for a, _ in a_later for b, _ in b_earlier):
                 found.add("P1")
-    ratios = result.ratios
+    ratios = block_ratios(result)
     if any(x > y + 1e-12 for x, y in zip(ratios, ratios[1:])):
         found.add("P2")
     for apart, bpart in support:
