@@ -21,7 +21,7 @@ from .depth import (
     batch_depth,
     self_depth_field,
 )
-from .dispersion import PsiCurve, default_lambda_grid, psi_curve
+from .dispersion import PsiCurve, psi_curve
 
 
 @dataclass(frozen=True)
@@ -102,16 +102,12 @@ def outliers(field: DepthField, lam: float) -> np.ndarray:
     return np.flatnonzero(field.values < lam)
 
 
-def diameter_curve_by_group(groups: dict[str, Sample], lambdas,
-                            threads: int = 1) -> dict[str, PsiCurve]:
+def diameter_curve_by_group(groups: dict[str, Sample],
+                            fields: dict[str, DepthField],
+                            lambdas) -> dict[str, PsiCurve]:
     """Per-group diameter curves of the leave-one-out depth level sets,
-    evaluated over each group's own sample points.  An int `lambdas` is
-    the level count of `default_lambda_grid` over all groups' fields;
-    each field is computed once either way."""
-    fields = {label: self_depth_field(groups[label], threads=threads)
-              for label in sorted(groups)}
-    if isinstance(lambdas, int):
-        lambdas = default_lambda_grid(*fields.values(), count=lambdas)
-    return {label: psi_curve(field, "diam", lambdas,
+    evaluated over each group's own sample points; `fields[label]` is
+    `self_depth_field(groups[label])`."""
+    return {label: psi_curve(fields[label], "diam", lambdas,
                              pair_matrix=groups[label].distance_matrix)
-            for label, field in fields.items()}
+            for label in sorted(groups)}

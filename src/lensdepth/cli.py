@@ -415,9 +415,10 @@ def cmd_diam_by_group(args) -> int:
             groups[stem] = _load_sample(path, args.metric, args.shape)
     if not groups:
         raise DataError(f"{directory}: no .csv or .nwk group files")
-    lambdas = (args.levels if args.lambdas is None
-               else dataio.parse_float_range(args.lambdas))
-    curves = analysis.diameter_curve_by_group(groups, lambdas, threads=args.threads)
+    fields = {label: self_depth_field(sample, threads=args.threads)
+              for label, sample in groups.items()}
+    lambdas = _lambda_grid(args, *fields.values())
+    curves = analysis.diameter_curve_by_group(groups, fields, lambdas)
     rows = []
     for label in sorted(curves):
         for lam, val in zip(curves[label].lambdas, curves[label].values):

@@ -13,9 +13,9 @@ double loop bit for bit at any thread count:
   in O((m + n) log n) with no distance matrix.  A rounding guard finds
   the rows where the float predicate can disagree with the segment rule
   (a near tie with a distinct sample value, or magnitudes whose squares
-  go subnormal or overflow) and counts only those pairwise, reading a
-  cached sample matrix if there is one and otherwise building one row
-  per distinct sample value.  `threads` has nothing to split there.
+  go subnormal or overflow) and counts only those pairwise, against one
+  distance row per distinct sample value, so no n x n matrix is built.
+  `threads` has nothing to split there.
 - Elsewhere `_counts` splits the query rows into one contiguous block
   per thread and runs the vectorized `_count_block` on each.
 
@@ -216,24 +216,17 @@ def _sample_counts(sample: Sample, queries, threads: int):
     of `queries` against `sample`, and those counts; `queries=None` counts
     the sample points themselves.  On the line the matrix is None: only
     the rows the guard flags are built."""
-    space = sample.space
-
-    def kernel(rows):
-        # The sample matrix comes first: its construction's temporaries are
-        # then freed before the query matrix exists, which bounds peak memory.
-        dmat = sample.distance_matrix
-        dq = dmat[rows] if queries is None else space.cross_matrix(queries[rows],
-                                                                    sample.points)
-        return dq, _counts(dq, dmat, threads)
-
-    if not _on_line(space):
-        return kernel(slice(None))
-    x = (sample.points if queries is None else queries)[:, 0]
-    counts, rows = _line_counts(x, sample)
-    if rows.size:
-        counts[rows] = (kernel(rows)[1] if sample._cache is not None
-                        else _distinct_row_counts(x[rows], sample))
-    return None, counts
+    if _on_line(sample.space):
+        x = (sample.points if queries is None else queries)[:, 0]
+        counts, rows = _line_counts(x, sample)
+        if rows.size:
+            counts[rows] = _distinct_row_counts(x[rows], sample)
+        return None, counts
+    # The sample matrix comes first: its construction's temporaries are then
+    # freed before the query matrix exists, which bounds peak memory.
+    dmat = sample.distance_matrix
+    dq = dmat if queries is None else sample.space.cross_matrix(queries, sample.points)
+    return dq, _counts(dq, dmat, threads)
 
 
 def _distinct_row_counts(x: np.ndarray, sample: Sample) -> np.ndarray:

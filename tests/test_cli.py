@@ -203,6 +203,17 @@ def test_diam_by_group_computes_each_field_once(workdir, rng, monkeypatch):
     assert len(rows) == 1 + 3 * 12
 
 
+def test_diam_by_group_rejects_a_single_level(workdir, rng, capsys):
+    gdir = workdir / "groups"
+    gdir.mkdir()
+    write_points(gdir / "a.csv", rng.standard_normal(10))
+    code = run(["diam-by-group", "--metric", "euclidean", "--groups", str(gdir),
+                "--lambdas", "0.2", "--out", "diam.csv", "--no-timestamp"])
+    assert code == 1
+    assert "--lambdas must be a range with at least 2 levels" in capsys.readouterr().err
+    assert not (workdir / "diam.csv").exists()
+
+
 def test_treedist_matrix(workdir):
     (workdir / "trees.nwk").write_text(
         "# two trees\n"

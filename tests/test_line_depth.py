@@ -197,16 +197,3 @@ def test_guarded_rows_build_no_sample_matrix(rng):
     field = batch_depth(queries, sample)
     assert sample._cache is None
     assert field.counts.tolist() == weighted_value_counts(queries, y).tolist()
-
-
-def test_guarded_rows_read_a_cached_matrix(rng, monkeypatch):
-    from lensdepth import depth
-
-    y = rng.integers(-4, 5, 40).astype(float)
-    queries = neighbours(y[:4], steps=2)
-    sample = Sample(y, LINE)
-    expected = batch_depth(queries, sample).counts
-    sample.distance_matrix
-    monkeypatch.setattr(depth, "_distinct_row_counts", None)
-    assert batch_depth(queries, sample).counts.tolist() == expected.tolist()
-    assert expected.tolist() == kernel_counts(queries, sample).tolist()
