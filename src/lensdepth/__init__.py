@@ -16,7 +16,6 @@ from .metrics import (
     PointValidationError,
     SphereSpace,
     StiefelSpace,
-    pairwise_matrix,
 )
 from .treespace import (
     GeodesicResult,

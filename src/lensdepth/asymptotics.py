@@ -17,8 +17,10 @@ from . import treespace
 from .depth import (
     DepthError,
     Sample,
+    _coverage_batches,
     batch_depth,
     population_ld_1d,
+    population_ld_mc,
     population_level_interval_1d,
     thread_map,
 )
@@ -44,7 +46,6 @@ class Sampler:
 
     space: object
     draw: object                 # draw(rng, k) -> points container
-    label: str
     cdf: object = None
     ppf: object = None
 
@@ -59,9 +60,9 @@ def make_sampler(spec: dict) -> Sampler:
     spec = dict(spec)
     dist = spec.pop("dist", None)
     if dist == "normal":
-        mu = float(spec.pop("mu", 0.0))
-        sigma = float(spec.pop("sigma", 1.0))
-        dim = int(spec.pop("dim", 1))
+        mu = _field(spec, "mu", float, 0.0)
+        sigma = _field(spec, "sigma", float, 1.0)
+        dim = _field(spec, "dim", int, 1)
         _reject_extra(dist, spec)
         if sigma <= 0:
             raise ExperimentError("normal sampler needs sigma > 0")
@@ -74,9 +75,9 @@ def make_sampler(spec: dict) -> Sampler:
         if dim == 1:
             kw = dict(cdf=lambda x: norm.cdf(x, loc=mu, scale=sigma),
                       ppf=lambda q: norm.ppf(q, loc=mu, scale=sigma))
-        return Sampler(space, draw, f"normal(mu={mu},sigma={sigma},dim={dim})", **kw)
+        return Sampler(space, draw, **kw)
     if dist == "student_t":
-        v = float(spec.pop("v"))
+        v = _field(spec, "v", float)
         _reject_extra(dist, spec)
         if v < 1:
             raise ExperimentError("student_t sampler needs v >= 1")
@@ -85,12 +86,12 @@ def make_sampler(spec: dict) -> Sampler:
         def draw(rng, k):
             return rng.standard_t(v, (k, 1))
 
-        return Sampler(space, draw, f"student_t(v={v})",
+        return Sampler(space, draw,
                        cdf=lambda x: student_t.cdf(x, v),
                        ppf=lambda q: student_t.ppf(q, v))
     if dist == "uniform":
-        lo = float(spec.pop("lo", 0.0))
-        hi = float(spec.pop("hi", 1.0))
+        lo = _field(spec, "lo", float, 0.0)
+        hi = _field(spec, "hi", float, 1.0)
         _reject_extra(dist, spec)
         if hi <= lo:
             raise ExperimentError("uniform sampler needs hi > lo")
@@ -100,22 +101,22 @@ def make_sampler(spec: dict) -> Sampler:
             return rng.uniform(lo, hi, (k, 1))
 
         width = hi - lo
-        return Sampler(space, draw, f"uniform({lo},{hi})",
+        return Sampler(space, draw,
                        cdf=lambda x: np.clip((np.asarray(x, dtype=float) - lo)
                                              / width, 0.0, 1.0),
                        ppf=lambda q: lo + width * np.asarray(q, dtype=float))
     if dist == "point_mass":
-        value = np.atleast_1d(np.asarray(spec.pop("value"), dtype=float))
+        value = np.atleast_1d(_field(spec, "value", _float_array))
         _reject_extra(dist, spec)
         space = EuclideanSpace(len(value))
 
         def draw(rng, k):
             return np.tile(value, (k, 1))
 
-        return Sampler(space, draw, f"point_mass({value.tolist()})")
+        return Sampler(space, draw)
     if dist == "sphere_vmf":
-        mu = np.asarray(spec.pop("mu"), dtype=float)
-        kappa = float(spec.pop("kappa"))
+        mu = _field(spec, "mu", _float_array)
+        kappa = _field(spec, "kappa", float)
         _reject_extra(dist, spec)
         mu = mu / np.linalg.norm(mu)
         space = SphereSpace(len(mu))
@@ -126,10 +127,10 @@ def make_sampler(spec: dict) -> Sampler:
             # renormalize within float tolerance so validation passes
             return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
-        return Sampler(space, draw, f"sphere_vmf(kappa={kappa},dim={len(mu)})")
+        return Sampler(space, draw)
     if dist == "bhv_noise":
-        base = spec.pop("base_tree")
-        scale = float(spec.pop("scale", 0.1))
+        base = _field(spec, "base_tree", lambda b: b)
+        scale = _field(spec, "scale", float, 0.1)
         _reject_extra(dist, spec)
         tree = base if isinstance(base, treespace.Tree) else treespace.parse_newick(base)
         space = BHVSpace(tree.labels)
@@ -145,8 +146,27 @@ def make_sampler(spec: dict) -> Sampler:
                 out.append(tree.with_lengths(il, pl))
             return out
 
-        return Sampler(space, draw, f"bhv_noise(scale={scale})")
+        return Sampler(space, draw)
     raise ExperimentError(f"unknown sampler dist {dist!r}")
+
+
+def _field(spec: dict, key: str, convert, *default):
+    """Pop `key` from a config dict and convert it, or return the
+    optional `default` when it is absent; a missing required or
+    unreadable field is an ExperimentError that names it."""
+    if key not in spec:
+        if not default:
+            raise ExperimentError(f"missing config field {key!r}")
+        return default[0]
+    value = spec.pop(key)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ExperimentError(f"config field {key!r} has a bad value {value!r}") from None
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
 def _reject_extra(dist, spec):
@@ -229,7 +249,6 @@ def _stat_block(per_n: list[np.ndarray], n_schedule) -> dict:
 def _population_depth_on(points, sampler: Sampler, pairs: int, seed: int):
     if sampler.cdf is not None:
         return np.asarray(population_ld_1d(points[:, 0], sampler.cdf))
-    from .depth import population_ld_mc
     return np.array([population_ld_mc(p, sampler, pairs, seed=seed)
                      for p in points])
 
@@ -342,8 +361,7 @@ class CltReport:
         }
 
 
-def p2_matrix(points, sampler: Sampler, pairs: int, seed: int = 0,
-              batch: int = 200_000):
+def p2_matrix(points, sampler: Sampler, pairs: int, seed: int = 0):
     """Joint pair-moment estimates from shared draws.
 
     Returns (p_vec, p_mat): p_vec[i] = P(point i covered by a random
@@ -352,26 +370,14 @@ def p2_matrix(points, sampler: Sampler, pairs: int, seed: int = 0,
     """
     if pairs < 1:
         raise ExperimentError("need at least one Monte Carlo pair")
-    space = sampler.space
     k = len(points)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(2,)))
     hit_single = np.zeros(k, dtype=np.int64)
     hit_joint = np.zeros((k, k), dtype=np.int64)
-    done = 0
-    while done < pairs:
-        m = min(batch, pairs - done)
-        y1 = sampler.draw(rng, m)
-        y2 = sampler.draw(rng, m)
-        r = space.paired_distances(y1, y2)
-        ind = np.empty((k, m), dtype=bool)
-        for i in range(k):
-            d1 = space.dists_to(y1, points[i])
-            d2 = space.dists_to(y2, points[i])
-            ind[i] = (d1 <= r) & (d2 <= r)
+    for ind in _coverage_batches(points, sampler, pairs, rng):
         hit_single += ind.sum(axis=1)
         hit_joint += ind.astype(np.int64) @ ind.T
-        done += m
     return hit_single / pairs, hit_joint / pairs
 
 
@@ -454,19 +460,18 @@ def run_config(config: dict) -> dict:
     """
     config = dict(config)
     kind = config.pop("experiment", None)
-    lam = config.pop("lambda", None)
-    grid = config.pop("grid", None)
-    if grid is not None:
-        grid = tuple(tuple(map(float, axis)) for axis in grid)
+    lam = _field(config, "lambda", float, None)
     cfg = ExperimentConfig(
-        sampler=config.pop("sampler"),
-        n_schedule=tuple(config.pop("n_schedule")),
-        replications=int(config.pop("replications")),
-        seed=int(config.pop("seed", 0)),
-        grid=grid,
-        points=tuple(tuple(np.atleast_1d(p).tolist()) for p in config.pop("points", ())),
-        pairs=int(config.pop("pairs", 1_000_000)),
-        threads=int(config.pop("threads", 1)),
+        sampler=_field(config, "sampler", dict),
+        n_schedule=_field(config, "n_schedule", lambda ns: tuple(int(n) for n in ns)),
+        replications=_field(config, "replications", int),
+        seed=_field(config, "seed", int, 0),
+        grid=_field(config, "grid", lambda g: tuple(tuple(map(float, axis)) for axis in g),
+                    None),
+        points=_field(config, "points",
+                      lambda ps: tuple(tuple(np.atleast_1d(p).tolist()) for p in ps), ()),
+        pairs=_field(config, "pairs", int, 1_000_000),
+        threads=_field(config, "threads", int, 1),
     )
     if config:
         raise ExperimentError(f"unknown config fields: {sorted(config)}")
@@ -475,7 +480,7 @@ def run_config(config: dict) -> dict:
     if kind == "levelset":
         if lam is None:
             raise ExperimentError("levelset experiment needs a lambda")
-        return levelset_experiment(cfg, float(lam)).to_dict()
+        return levelset_experiment(cfg, lam).to_dict()
     if kind == "clt":
         return clt_experiment(cfg).to_dict()
     raise ExperimentError(f"unknown experiment {kind!r}")

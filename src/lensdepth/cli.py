@@ -183,34 +183,30 @@ def _write_rows(args, header, rows):
         dataio.write_table(args.out, header, rows, prov)
 
 
-def _load_sample(path, metric, shape) -> Sample:
+def _read_points(path, metric, shape):
+    """The raw points of a file for `metric`, and the space the file's
+    first tree or column count implies; the depth functions validate the
+    points against whichever sample's space they meet."""
     if metric == "bhv":
         trees, _ = dataio.read_newick_file(path)
-        return Sample(trees, BHVSpace(trees[0].labels))
+        return trees, BHVSpace(trees[0].labels)
     if metric.startswith("stiefel"):
         if shape is None:
             raise CliError("stiefel metrics need --shape, e.g. --shape 3x2")
         d, k = dataio.parse_shape(shape)
         pts = dataio.read_points_csv(path, shape=(d, k))
-        return Sample(pts, StiefelSpace(d, k, mode=metric.split("-", 1)[1]))
+        return pts, StiefelSpace(d, k, mode=metric.split("-", 1)[1])
     pts = dataio.read_points_csv(path)
     dim = pts.shape[1]
-    space = EuclideanSpace(dim) if metric == "euclidean" else SphereSpace(dim)
-    return Sample(pts, space)
+    return pts, EuclideanSpace(dim) if metric == "euclidean" else SphereSpace(dim)
 
 
-def _load_points_like(path, sample: Sample):
-    if isinstance(sample.space, BHVSpace):
-        trees, _ = dataio.read_newick_file(path)
-        return sample.space.coerce_points(trees)
-    if isinstance(sample.space, StiefelSpace):
-        d, k = sample.space.rows, sample.space.cols
-        return sample.space.coerce_points(dataio.read_points_csv(path, shape=(d, k)))
-    return sample.space.coerce_points(dataio.read_points_csv(path))
+def _load_sample(path, metric, shape) -> Sample:
+    return Sample(*_read_points(path, metric, shape))
 
 
 def _coord_header(points) -> list[str]:
-    if isinstance(points, list):
+    if points.ndim == 1:            # trees have no coordinates
         return []
     if points.ndim == 2:
         return [f"x{i+1}" for i in range(points.shape[1])]
@@ -219,9 +215,7 @@ def _coord_header(points) -> list[str]:
 
 
 def _coords(points, i):
-    if isinstance(points, list):
-        return []
-    return list(np.asarray(points[i]).ravel())
+    return [] if points.ndim == 1 else list(points[i].ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +224,7 @@ def _coords(points, i):
 
 def cmd_depth(args) -> int:
     sample = _load_sample(args.sample, args.metric, args.shape)
-    queries = _load_points_like(args.queries, sample)
+    queries = _read_points(args.queries, args.metric, args.shape)[0]
     if args.leave_one_out:
         values = analysis.loo_depth_against(queries, sample, threads=args.threads)
     else:
@@ -249,6 +243,11 @@ def cmd_levelset(args) -> int:
     else:
         field = self_depth_field(sample, threads=args.threads)
         eval_points = field.points
+    if args.boundary_out and args.grid is None:
+        # Off the line, the depth field has already cached the sample's
+        # distance matrix, which the kNN graph reads.  Built before any
+        # output is written, so a bad --knn leaves no partial output.
+        grid = KnnGrid(sample, k=args.knn)
     ls = levelsets.level_set(field, args.lam)
     mask = ls.member_mask
     header = ["index"] + _coord_header(eval_points) + ["depth", "member"]
@@ -256,10 +255,6 @@ def cmd_levelset(args) -> int:
             for i in range(len(field.values))]
     _write_rows(args, header, rows)
     if args.boundary_out:
-        if args.grid is None:
-            # Off the line, the depth field has already cached the sample's
-            # distance matrix, which the kNN graph reads.
-            grid = KnnGrid(sample, k=args.knn)
         boundary = levelsets.boundary_points(ls, grid)
         brows = [[int(i)] + _coords(eval_points, int(i)) for i in boundary]
         prov = _provenance(args)
@@ -288,7 +283,7 @@ def cmd_psi(args) -> int:
     if args.psi == "volume":
         if args.reference is None:
             raise CliError("volume sweeps need --reference points")
-        ref_pts = _load_points_like(args.reference, sample)
+        ref_pts = _read_points(args.reference, args.metric, args.shape)[0]
         reference = Sample(ref_pts, sample.space)
     lambdas = _lambda_grid(args, field)
     curve = dispersion.psi_curve(field, args.psi, lambdas, grid=grid,
@@ -306,10 +301,7 @@ def _two_sample_curves(args):
         eval_points = grid.points
     else:
         grid = None
-        if isinstance(sx.points, list):
-            eval_points = list(sx.points) + list(sy.points)
-        else:
-            eval_points = np.concatenate([sx.points, sy.points])
+        eval_points = np.concatenate([sx.points, sy.points])
     fx = batch_depth(eval_points, sx, threads=args.threads)
     fy = batch_depth(eval_points, sy, threads=args.threads)
     lambdas = _lambda_grid(args, fx, fy)
@@ -375,7 +367,7 @@ def cmd_ddplot(args) -> int:
     s1 = _load_sample(args.group1, args.metric, args.shape)
     points = None
     if args.points is not None:
-        points = _load_points_like(args.points, s0)
+        points = _read_points(args.points, args.metric, args.shape)[0]
     records = analysis.depth_depth(s0, s1, points=points, threads=args.threads)
     rows = [(r.index, "" if r.group is None else r.group, r.depth0, r.depth1)
             for r in records]

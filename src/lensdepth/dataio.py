@@ -145,6 +145,16 @@ def parse_shape(text: str) -> tuple[int, int]:
         raise DataError(f"bad frame shape {text!r}; expected e.g. 3x2") from None
 
 
+def _finite_floats(text: str, pieces) -> list[float]:
+    try:
+        values = [float(p) for p in pieces]
+    except ValueError:
+        raise DataError(f"bad number in {text!r}") from None
+    if not all(np.isfinite(values)):
+        raise DataError(f"non-finite number in {text!r}")
+    return values
+
+
 def parse_grid_spec(text: str) -> LatticeGrid:
     """Parse "lo:hi:step[,lo:hi:step...]" into a lattice."""
     axes = []
@@ -152,21 +162,18 @@ def parse_grid_spec(text: str) -> LatticeGrid:
         pieces = part.split(":")
         if len(pieces) != 3:
             raise DataError(f"bad grid axis {part!r}; expected lo:hi:step")
-        try:
-            axes.append(tuple(float(p) for p in pieces))
-        except ValueError:
-            raise DataError(f"bad grid axis {part!r}") from None
+        axes.append(tuple(_finite_floats(part, pieces)))
     return LatticeGrid(tuple(axes))
 
 
 def parse_float_range(text: str) -> np.ndarray:
     """A single float, or "lo:hi:step" (both endpoints included when hit)."""
-    if ":" not in text:
-        return np.array([float(text)])
     pieces = text.split(":")
+    if len(pieces) == 1:
+        return np.array(_finite_floats(text, pieces))
     if len(pieces) != 3:
         raise DataError(f"bad range {text!r}; expected lo:hi:step")
-    lo, hi, step = (float(p) for p in pieces)
+    lo, hi, step = _finite_floats(text, pieces)
     if step <= 0 or hi < lo:
         raise DataError(f"bad range {text!r}")
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
@@ -175,22 +182,19 @@ def parse_float_range(text: str) -> np.ndarray:
 
 def parse_int_range(text: str) -> list[int]:
     """A single integer, or "a..b" inclusive."""
-    if ".." not in text:
-        return [int(text)]
-    lo, hi = text.split("..")
-    lo, hi = int(lo), int(hi)
-    if hi < lo:
+    try:
+        bounds = [int(p) for p in text.split("..")]
+    except ValueError:
+        raise DataError(f"bad integer range {text!r}") from None
+    if len(bounds) == 1:
+        return bounds
+    if len(bounds) != 2 or bounds[1] < bounds[0]:
         raise DataError(f"bad range {text!r}")
-    return list(range(lo, hi + 1))
+    return list(range(bounds[0], bounds[1] + 1))
 
 
 # ---------------------------------------------------------------------------
 # Minimal static SVG output
-
-
-def _svg_header(width, height):
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">')
 
 
 def _scale(values, lo, hi, out_lo, out_hi):
@@ -202,57 +206,59 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#7f7f7f")
 
 
-def svg_scatter(groups: dict, width=480, height=480,
-                xlabel="", ylabel="") -> str:
-    """Scatter plot of labelled (x, y) point groups."""
+def _svg_frame(width, height, body, xlabel, ylabel) -> str:
+    """A complete SVG document: white background, the `body` elements,
+    and the two axis labels."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        *body,
+        f'<text x="{width // 2}" y="{height - 8}" font-size="12" '
+        f'text-anchor="middle">{xlabel}</text>',
+        f'<text x="12" y="{height // 2}" font-size="12" '
+        f'transform="rotate(-90 12 {height // 2})" '
+        f'text-anchor="middle">{ylabel}</text>',
+        "</svg>"])
+
+
+def svg_scatter(groups: dict, xlabel="", ylabel="") -> str:
+    """480 x 480 scatter plot of labelled (x, y) point groups."""
+    width = height = 480
+    m = 40
     xs = [p[0] for pts in groups.values() for p in pts]
     ys = [p[1] for pts in groups.values() for p in pts]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
-    parts = [_svg_header(width, height),
-             f'<rect width="{width}" height="{height}" fill="white"/>']
-    m = 40
+    body = []
     for gi, (label, pts) in enumerate(sorted(groups.items())):
         color = _PALETTE[gi % len(_PALETTE)]
         px = _scale([p[0] for p in pts], lo_x, hi_x, m, width - m)
         py = _scale([p[1] for p in pts], lo_y, hi_y, height - m, m)
         for x, y in zip(px, py):
-            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" '
-                         f'fill="{color}" fill-opacity="0.7"/>')
-        parts.append(f'<text x="{m + 4}" y="{m + 14 * (gi + 1)}" '
-                     f'fill="{color}" font-size="12">{label}</text>')
-    parts.append(f'<text x="{width // 2}" y="{height - 8}" font-size="12" '
-                 f'text-anchor="middle">{xlabel}</text>')
-    parts.append(f'<text x="12" y="{height // 2}" font-size="12" '
-                 f'transform="rotate(-90 12 {height // 2})" '
-                 f'text-anchor="middle">{ylabel}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+            body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" '
+                        f'fill="{color}" fill-opacity="0.7"/>')
+        body.append(f'<text x="{m + 4}" y="{m + 14 * (gi + 1)}" '
+                    f'fill="{color}" font-size="12">{label}</text>')
+    return _svg_frame(width, height, body, xlabel, ylabel)
 
 
-def svg_curves(curves: dict, width=560, height=400,
-               xlabel="level", ylabel="") -> str:
-    """Line plot of labelled (x array, y array) curves."""
+def svg_curves(curves: dict, ylabel="") -> str:
+    """560 x 400 line plot of labelled (level array, y array) curves."""
+    width, height = 560, 400
+    m = 40
     xs = np.concatenate([np.asarray(x) for x, _ in curves.values()])
     ys = np.concatenate([np.asarray(y) for _, y in curves.values()])
     lo_x, hi_x = float(xs.min()), float(xs.max())
     lo_y, hi_y = float(ys.min()), float(ys.max())
-    parts = [_svg_header(width, height),
-             f'<rect width="{width}" height="{height}" fill="white"/>']
-    m = 40
+    body = []
     for gi, (label, (x, y)) in enumerate(sorted(curves.items())):
         color = _PALETTE[gi % len(_PALETTE)]
         px = _scale(list(x), lo_x, hi_x, m, width - m)
         py = _scale(list(y), lo_y, hi_y, height - m, m)
         pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
-        parts.append(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{m + 4}" y="{m + 14 * (gi + 1)}" '
-                     f'fill="{color}" font-size="12">{label}</text>')
-    parts.append(f'<text x="{width // 2}" y="{height - 8}" font-size="12" '
-                 f'text-anchor="middle">{xlabel}</text>')
-    parts.append(f'<text x="12" y="{height // 2}" font-size="12" '
-                 f'transform="rotate(-90 12 {height // 2})" '
-                 f'text-anchor="middle">{ylabel}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+        body.append(f'<polyline points="{pts}" fill="none" '
+                    f'stroke="{color}" stroke-width="1.5"/>')
+        body.append(f'<text x="{m + 4}" y="{m + 14 * (gi + 1)}" '
+                    f'fill="{color}" font-size="12">{label}</text>')
+    return _svg_frame(width, height, body, "level", ylabel)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import EuclideanSpace, MetricSpace, pairwise_matrix
+from .metrics import EuclideanSpace, MetricSpace
 
 
 class DepthError(ValueError):
@@ -44,19 +44,15 @@ def _pair_count(n: int) -> int:
 class Sample:
     """An indexed point set in a metric space with a cached distance matrix.
 
-    The matrix is computed on first use via `pairwise_matrix`, so the
-    cache always agrees with per-pair recomputation exactly.
+    The points are validated once, here; the matrix is computed on first
+    use by `space.pairwise`, so the cache always agrees with per-pair
+    recomputation exactly.
     """
 
-    def __init__(self, points, space: MetricSpace, cache: np.ndarray | None = None):
+    def __init__(self, points, space: MetricSpace):
         self.points = space.coerce_points(points)
         self.space = space
-        if cache is not None:
-            cache = np.asarray(cache, dtype=float)
-            n = len(self.points)
-            if cache.shape != (n, n):
-                raise DepthError(f"cache shape {cache.shape} does not match {n} points")
-        self._cache = cache
+        self._cache = None
 
     @property
     def n(self) -> int:
@@ -65,7 +61,7 @@ class Sample:
     @property
     def distance_matrix(self) -> np.ndarray:
         if self._cache is None:
-            self._cache = pairwise_matrix(self.points, self.space)
+            self._cache = self.space.pairwise(self.points)
         return self._cache
 
     def __repr__(self):
@@ -76,8 +72,9 @@ class Sample:
 class DepthField:
     """Depth values over an evaluation point set.
 
-    `values` = `counts / pair_count` where counts are the exact numbers
-    of covering pairs, so every value is a multiple of 1/pair_count.
+    `values` = `counts / C(n', 2)` where counts are the exact numbers of
+    covering pairs among the n' sample points counted (n, or n - 1
+    leave-one-out), so every value is a multiple of 1/C(n', 2).
     """
 
     points: object
@@ -85,7 +82,6 @@ class DepthField:
     n: int
     space: MetricSpace
     counts: np.ndarray | None = None
-    pair_count: int | None = None
 
     def __len__(self):
         return len(self.values)
@@ -269,9 +265,8 @@ def batch_depth(queries, sample: Sample, threads: int = 1) -> DepthField:
     isolation).
     """
     queries, _, counts = _query_counts(queries, sample, threads)
-    pc = _pair_count(sample.n)
-    return DepthField(points=queries, values=counts / pc, n=sample.n,
-                      space=sample.space, counts=counts, pair_count=pc)
+    return DepthField(points=queries, values=counts / _pair_count(sample.n),
+                      n=sample.n, space=sample.space, counts=counts)
 
 
 def self_depth_field(sample: Sample, threads: int = 1) -> DepthField:
@@ -285,9 +280,8 @@ def self_depth_field(sample: Sample, threads: int = 1) -> DepthField:
         raise DepthError(f"leave-one-out depth needs n >= 3, have {n}")
     # Every pair containing index e covers x_e, so drop those n-1 pairs.
     counts = _sample_counts(sample, None, threads)[1] - (n - 1)
-    pc = _pair_count(n - 1)
-    return DepthField(points=sample.points, values=counts / pc, n=n,
-                      space=sample.space, counts=counts, pair_count=pc)
+    return DepthField(points=sample.points, values=counts / _pair_count(n - 1),
+                      n=n, space=sample.space, counts=counts)
 
 
 def population_ld_1d(x, cdf):
@@ -315,8 +309,32 @@ def population_level_interval_1d(lam: float, ppf) -> tuple[float, float]:
     return float(ppf((1.0 - s) / 2.0)), float(ppf((1.0 + s) / 2.0))
 
 
-def population_ld_mc(x, sampler, pairs: int, seed: int = 0,
-                     batch: int = 200_000) -> float:
+# Random pairs drawn per Monte Carlo batch; bounds the temporaries at a few
+# arrays of this length per covered point.
+_MC_BATCH = 200_000
+
+
+def _coverage_batches(points, sampler, pairs: int, rng: np.random.Generator):
+    """Draw `pairs` independent pairs from `sampler` in batches of
+    _MC_BATCH and yield, per batch, the (len(points), batch) indicators
+    that each pair's lens covers each point."""
+    space = sampler.space
+    done = 0
+    while done < pairs:
+        m = min(_MC_BATCH, pairs - done)
+        y1 = sampler.draw(rng, m)
+        y2 = sampler.draw(rng, m)
+        r = space.paired_distances(y1, y2)
+        ind = np.empty((len(points), m), dtype=bool)
+        for i in range(len(points)):
+            d1 = space.dists_to(y1, points[i])
+            d2 = space.dists_to(y2, points[i])
+            ind[i] = (d1 <= r) & (d2 <= r)
+        yield ind
+        done += m
+
+
+def population_ld_mc(x, sampler, pairs: int, seed: int = 0) -> float:
     """Monte Carlo population depth: the fraction of independent sample
     pairs whose lens contains `x`.
 
@@ -325,18 +343,7 @@ def population_ld_mc(x, sampler, pairs: int, seed: int = 0,
     """
     if pairs < 1:
         raise DepthError(f"need at least one pair, got {pairs}")
-    space = sampler.space
-    x = space.coerce_point(x)
+    x = sampler.space.coerce_point(x)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    hits = 0
-    done = 0
-    while done < pairs:
-        k = min(batch, pairs - done)
-        y1 = sampler.draw(rng, k)
-        y2 = sampler.draw(rng, k)
-        r = space.paired_distances(y1, y2)
-        d1 = space.dists_to(y1, x)
-        d2 = space.dists_to(y2, x)
-        hits += int(((d1 <= r) & (d2 <= r)).sum())
-        done += k
+    hits = sum(int(ind.sum()) for ind in _coverage_batches([x], sampler, pairs, rng))
     return hits / pairs

@@ -74,7 +74,10 @@ class OrderVerdict:
 
 
 def default_lambda_grid(*fields: DepthField, count: int = 200) -> np.ndarray:
-    """Equispaced levels on [0, s] with s the largest observed depth."""
+    """`count` >= 2 equispaced levels on [0, s] with s the largest
+    observed depth."""
+    if count < 2:
+        raise DispersionError(f"a level grid needs at least 2 levels, got {count}")
     s = max(f.max_value for f in fields)
     if s <= 0:
         raise DispersionError("all depth values are zero; no usable level range")
@@ -215,18 +218,17 @@ def gamma_t_vs_normal(v: float, sigma: float, *, method: str = "quadrature",
     """Gamma for X ~ t(v) against Y ~ N(0, sigma^2) on the line.
 
     Population level sets are closed-form quantile intervals, and the
-    level range is (0, 1/2].  `method="quadrature"` integrates the
-    dominance indicator on a midpoint grid; `method="bisection"`
-    locates every dominance crossing by sign scanning plus bisection and
-    sums interval lengths.  The two agree to ~1/points.
+    level range is (0, 1/2].  `method="quadrature"` is the one-cell
+    `gamma_t_vs_normal_grid`; `method="bisection"` locates every
+    dominance crossing by sign scanning plus bisection and sums interval
+    lengths.  The two agree to ~1/points.
     """
     if v < 1:
         raise DispersionError(f"degrees of freedom must be >= 1, got {v}")
     if sigma <= 0:
         raise DispersionError(f"sigma must be positive, got {sigma}")
     if method == "quadrature":
-        lam = (np.arange(points) + 0.5) * (0.5 / points)
-        g = float(_tn_dominates(lam, v, sigma).mean())
+        g = float(gamma_t_vs_normal_grid([v], [sigma], points)[0, 0])
         return TNGamma(g, 2.0 * g)
     if method != "bisection":
         raise DispersionError(f"unknown method {method!r}")
@@ -265,11 +267,14 @@ def gamma_t_vs_normal(v: float, sigma: float, *, method: str = "quadrature",
 def gamma_t_vs_normal_grid(vs, sigmas, points: int = 100_000) -> np.ndarray:
     """Quadrature gamma over a (v, sigma) grid, shaped (len(vs), len(sigmas)).
 
-    The dominance indicator compares the quantile ratio t/normal against
-    sigma, so each v needs a single pair of quantile evaluations.
+    The dominance indicator, integrated on a midpoint grid of `points`
+    levels, compares the quantile ratio t/normal against sigma, so each
+    v needs a single pair of quantile evaluations.
     """
     from scipy.stats import norm, t as student_t   # deferred: slow to import
 
+    if points < 1:
+        raise DispersionError(f"quadrature needs at least 1 point, got {points}")
     sigmas = np.asarray(sigmas, dtype=float)
     if np.any(sigmas <= 0):
         raise DispersionError("sigma grid must be positive")

@@ -114,20 +114,19 @@ def measure_distance(a: LevelSet, b: LevelSet, reference: Sample) -> float:
 class LatticeGrid:
     """Axis-aligned lattice over a box, points in C order.
 
-    `axes` holds (lo, hi, step) per dimension.  Without `wrap`, lattice
-    positions one step outside the box act as non-member virtual
-    neighbors, so a full-grid level set still has a boundary.
+    `axes` holds finite (lo, hi, step) per dimension.  Lattice positions
+    one step outside the box act as non-member virtual neighbors, so a
+    full-grid level set still has a boundary.
     """
 
     axes: tuple[tuple[float, float, float], ...]
-    wrap: bool = False
     _axis_values: tuple = field(init=False, repr=False, compare=False, default=())
     _points: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         values = []
         for lo, hi, step in self.axes:
-            if step <= 0 or hi < lo:
+            if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
                 raise LevelSetError(f"bad axis ({lo}, {hi}, {step})")
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
             values.append(lo + step * np.arange(count))
@@ -149,16 +148,14 @@ class LatticeGrid:
 
     def neighbor_indices(self, i: int):
         """Flat indices of the 2d axis neighbors; None marks a position
-        outside the lattice (only without wrap)."""
+        outside the lattice."""
         shape = self.shape
         coords = np.unravel_index(i, shape)
         out = []
         for d, size in enumerate(shape):
             for delta in (-1, 1):
                 c = coords[d] + delta
-                if self.wrap:
-                    c %= size
-                elif c < 0 or c >= size:
+                if c < 0 or c >= size:
                     out.append(None)
                     continue
                 nb = list(coords)
@@ -188,6 +185,8 @@ class KnnGrid:
     _adj: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
+        if self.k < 1:
+            raise LevelSetError(f"kNN geometry needs k >= 1, got {self.k}")
         n = self.sample.n
         if n < 2:
             raise LevelSetError("kNN geometry needs at least 2 points")
@@ -206,9 +205,6 @@ class KnnGrid:
 
     def neighbor_indices(self, i: int):
         return list(self._adj[i])
-
-    def describe(self) -> str:
-        return f"knn-graph k={self.k} n={self.sample.n}"
 
 
 def inner_boundary(mask: np.ndarray, grid) -> np.ndarray:
@@ -240,19 +236,20 @@ def psi_diameter(points, space: MetricSpace) -> float:
     """Largest pairwise distance; 0 for a singleton."""
     if len(points) == 0:
         raise LevelSetError("diameter of an empty set")
+    points = space.coerce_points(points)
     return float(nested_diameters(points, space, [len(points)], np.arange(len(points)))[0])
 
 
-def psi_inradius(members, complement, space: MetricSpace, grid=None) -> float:
+def psi_inradius(members, complement, space: MetricSpace,
+                 grid: LatticeGrid | None = None) -> float:
     """Largest distance from a member to its nearest non-member point.
 
-    When `grid` is a bounded `LatticeGrid`, its virtual exterior points
-    count as non-members too, so `complement` may be empty.  On a
-    discrete evaluation set this approximates the inradius with bias at
-    most the point spacing.
+    When `grid` is a `LatticeGrid`, its virtual exterior points count as
+    non-members too, so `complement` may be empty.  On a discrete
+    evaluation set this approximates the inradius with bias at most the
+    point spacing.
     """
-    points = (list(complement) + members if isinstance(members, list)
-              else np.concatenate([complement, members]))
+    points = np.concatenate([complement, members])
     order = np.arange(len(points))
     return float(nested_inradii(points, space, [len(members)], order, grid)[0])
 
@@ -263,7 +260,7 @@ def nested_diameters(points, space: MetricSpace, counts, order,
     Each point added in `order` raises a running maximum by its
     distances to the points added before it, read from `pair_matrix`
     when given, so temporaries are O(N)."""
-    ordered = _take(points, order)
+    ordered = points[order]
     prefix = np.zeros(max(counts, default=0) + 1)   # prefix[c]: first c points
     for k in range(1, len(prefix) - 1):
         row = (space.dists_to(ordered[:k], ordered[k]) if pair_matrix is None
@@ -272,34 +269,28 @@ def nested_diameters(points, space: MetricSpace, counts, order,
     return prefix[counts]
 
 
-def nested_inradii(points, space: MetricSpace, counts, order, grid=None) -> np.ndarray:
+def nested_inradii(points, space: MetricSpace, counts, order,
+                   grid: LatticeGrid | None = None) -> np.ndarray:
     """Inradii of the members `points[order[N-c:]]` against the rest, for
     nonincreasing `counts` (0 for c = 0).  Points move to the complement
     in `order`; each member keeps a running minimum distance to it, from
-    a bounded `LatticeGrid`'s exterior or +inf, so temporaries are O(N)."""
-    pts = _take(points, order)
+    the lattice's exterior or +inf, so temporaries are O(N)."""
+    pts = points[order]
     n = len(pts)
-    bounded = isinstance(grid, LatticeGrid) and not grid.wrap
-    nearest = (np.array([grid.exterior_distance(p) for p in pts]) if bounded
-               else np.full(n, np.inf))
+    nearest = (np.full(n, np.inf) if grid is None
+               else np.array([grid.exterior_distance(p) for p in pts]))
     out, moved = np.zeros(len(counts)), 0
     for j, c in enumerate(c for c in counts if c):
-        if c == n and not bounded:
+        if c == n and grid is None:
             raise LevelSetError(
                 "inradius is undefined with an empty complement outside a "
-                "bounded lattice; start the level grid above 0")
+                "lattice; start the level grid above 0")
         for k in range(moved, n - c):
             np.minimum(nearest[k + 1:], space.dists_to(pts[k + 1:], pts[k]),
                        out=nearest[k + 1:])
         moved = n - c
         out[j] = nearest[n - c:].max()
     return out
-
-
-def _take(points, idx):
-    if isinstance(points, list):
-        return [points[i] for i in idx]
-    return points[idx]
 
 
 def psi_volume(ls: LevelSet, reference: Sample, reference_mass: float) -> PsiVolume:

@@ -32,11 +32,22 @@ class PointValidationError(MetricError):
     """A point does not belong to the space it was used with."""
 
 
+def _root_sum_sq(diff: np.ndarray) -> np.ndarray:
+    """Square root of the sum of squares over the last axis, accumulated
+    column by column from the left, the order of every scalar `distance`
+    loop, so both paths agree bit for bit."""
+    s = diff[..., 0] * diff[..., 0]
+    for j in range(1, diff.shape[-1]):
+        s = s + diff[..., j] * diff[..., j]
+    return np.sqrt(s)
+
+
 class MetricSpace:
     """A metric space: point validation plus scalar and batch distances.
 
-    `points` containers are numpy arrays for the vector spaces (first
-    axis indexes points) and plain lists for tree space.
+    `points` containers are numpy arrays whose first axis indexes points:
+    float arrays for the vector spaces, 1-d object arrays of `Tree` for
+    tree space.
     """
 
     kind = "abstract"
@@ -115,8 +126,8 @@ class EuclideanSpace(MetricSpace):
         return arr
 
     def distance(self, p, q) -> float:
-        # Left-associated sum of squared coordinate differences; dists_to
-        # accumulates columns in the same order so both paths agree bitwise.
+        # The same left-to-right sum as `_root_sum_sq`, kept apart from it:
+        # the `empirical_lens_depth` oracle checks the batch path against it.
         s = 0.0
         for a, b in zip(p.tolist(), q.tolist()):
             t = a - b
@@ -124,11 +135,7 @@ class EuclideanSpace(MetricSpace):
         return math.sqrt(s)
 
     def dists_to(self, points, q) -> np.ndarray:
-        diff = points - q
-        s = diff[..., 0] * diff[..., 0]
-        for j in range(1, diff.shape[-1]):
-            s = s + diff[..., j] * diff[..., j]
-        return np.sqrt(s)
+        return _root_sum_sq(points - q)
 
     paired_distances = dists_to
 
@@ -177,13 +184,7 @@ class SphereSpace(MetricSpace):
         # 2 atan2(|p - q|, |p + q|) keeps full relative accuracy at every
         # angle, where arccos of the inner product loses arcs below ~1e-8;
         # it is symmetric in p and q and exactly 0 for identical points.
-        diff, plus = points - q, points + q
-        s = diff[..., 0] * diff[..., 0]
-        t = plus[..., 0] * plus[..., 0]
-        for j in range(1, diff.shape[-1]):
-            s = s + diff[..., j] * diff[..., j]
-            t = t + plus[..., j] * plus[..., j]
-        return 2.0 * np.arctan2(np.sqrt(s), np.sqrt(t))
+        return 2.0 * np.arctan2(_root_sum_sq(points - q), _root_sum_sq(points + q))
 
     paired_distances = dists_to
 
@@ -245,11 +246,7 @@ class StiefelSpace(MetricSpace):
 
     def dists_to(self, points, q) -> np.ndarray:
         if self.mode == "chordal":
-            diff = (points - q).reshape(points.shape[0], -1)
-            s = diff[:, 0] * diff[:, 0]
-            for j in range(1, diff.shape[1]):
-                s = s + diff[:, j] * diff[:, j]
-            return np.sqrt(s)
+            return _root_sum_sq((points - q).reshape(points.shape[0], -1))
         out = np.empty(points.shape[0])
         for i in range(points.shape[0]):
             out[i] = self._procrustes(points[i], q)
@@ -303,7 +300,10 @@ class BHVSpace(MetricSpace):
         return p
 
     def coerce_points(self, points):
-        return [self.coerce_point(p) for p in points]
+        trees = [self.coerce_point(p) for p in points]
+        out = np.empty(len(trees), dtype=object)    # numpy treats a Tree as a scalar
+        out[:] = trees
+        return out
 
     def distance(self, p, q) -> float:
         if p.sort_key() > q.sort_key():
@@ -313,14 +313,3 @@ class BHVSpace(MetricSpace):
     def dists_to(self, points, q) -> np.ndarray:
         return np.array([self.distance(p, q) for p in points])
 
-
-def pairwise_matrix(points, space: MetricSpace) -> np.ndarray:
-    """Full symmetric distance matrix of a point set.
-
-    Entry (i, j) equals `space.distance(points[i], points[j])` exactly.
-    """
-    try:
-        pts = space.coerce_points(points)
-    except PointValidationError as exc:
-        raise PointValidationError(f"invalid point set: {exc}") from None
-    return space.pairwise(pts)

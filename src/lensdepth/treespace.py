@@ -179,7 +179,9 @@ def parse_newick(text: str, universe=None) -> Tree:
     n = len(s)
     pos = 0
     seen: dict[str, int] = {}
-    edges: list[tuple[frozenset, float]] = []   # (leaf set below edge, length)
+    # Leaves in text order: the leaves below an edge are a range of it.
+    order: list[str] = []
+    edges: list[tuple[int, int, float]] = []   # (start, end) of that range, length
     universe_set = set(universe) if universe is not None else None
 
     def skip_ws(i):
@@ -216,13 +218,13 @@ def parse_newick(text: str, universe=None) -> Tree:
 
     # Iterative descent, so nesting depth is bounded by memory, not by the
     # interpreter's recursion limit.
-    stack: list[list] = []        # open clades: [offset of '(', leaves so far]
+    stack: list[tuple] = []       # open clades: (offset of '(', first leaf's rank)
     while True:
         pos = skip_ws(pos)
         if pos >= n:
             raise NewickError("unexpected end of input", pos)
         if s[pos] == "(":
-            stack.append([pos, frozenset()])
+            stack.append((pos, len(order)))
             pos += 1
             continue
         if s[pos] in "),:;":
@@ -234,33 +236,31 @@ def parse_newick(text: str, universe=None) -> Tree:
         if universe_set is not None and label not in universe_set:
             raise NewickError(f"leaf label {label!r} absent from universe", at)
         seen[label] = at
+        order.append(label)
         length, pos = read_length(pos, required=bool(stack))
-        leafset = frozenset([label])
         if stack or length is not None:
-            edges.append((leafset, length))   # a single-leaf tree may have a length
+            # a single-leaf tree may have a length
+            edges.append((len(order) - 1, len(order), length))
         # Close every clade that ends here; stop at a ',' or at the root.
         while stack:
-            clade = stack[-1]
-            clade[1] |= leafset
+            opened, first = stack[-1]
             pos = skip_ws(pos)
             if pos >= n:
-                raise NewickError("unbalanced parentheses", clade[0])
+                raise NewickError("unbalanced parentheses", opened)
             if s[pos] == ",":
                 pos += 1
                 break
             if s[pos] != ")":
                 raise NewickError(f"expected ',' or ')', found {s[pos]!r}", pos)
             stack.pop()
-            leafset = clade[1]
             pos = skip_ws(pos + 1)
             if pos < n and s[pos] not in "(),:;":
                 _, pos = read_label(pos)      # internal label (e.g. support); ignored
             length, pos = read_length(pos, required=bool(stack))
             if stack:
-                edges.append((leafset, length))
+                edges.append((first, len(order), length))
         if not stack:
             break
-    all_leaves = leafset
 
     pos = skip_ws(pos)
     if pos >= n or s[pos] != ";":
@@ -271,22 +271,25 @@ def parse_newick(text: str, universe=None) -> Tree:
 
     if universe is not None:
         labels = tuple(universe)
-        missing = set(labels) - set(all_leaves)
+        missing = set(labels) - set(order)
         if missing:
             raise NewickError(
                 f"tree lacks universe leaves {sorted(missing)!r}", n - 1)
     else:
-        labels = tuple(sorted(all_leaves))
+        labels = tuple(sorted(order))
     index = {lab: k for k, lab in enumerate(labels)}
     L = len(labels)
     umask = (1 << L) - 1
+    # prefix[r]: bits of the first r leaves in text order, so the mask of a
+    # range is prefix[end] ^ prefix[start] (each leaf appears once).
+    prefix = [0]
+    for lab in order:
+        prefix.append(prefix[-1] | 1 << index[lab])
     pendant = [0.0] * L
     interior: dict[int, float] = {}
-    for leafset, length in edges:
-        mask = 0
-        for lab in leafset:
-            mask |= 1 << index[lab]
-        size = len(leafset)
+    for start, end, length in edges:
+        mask = prefix[end] ^ prefix[start]
+        size = end - start
         if size == 1:
             pendant[mask.bit_length() - 1] += length
         elif size == L - 1:
@@ -586,9 +589,9 @@ def bhv_distance_exhaustive(t1: Tree, t2: Tree) -> float:
     return math.sqrt(common_sq + best)
 
 
-def random_tree(labels, rng: np.random.Generator,
-                interior_range=(0.1, 1.0), pendant_range=(0.1, 1.0)) -> Tree:
-    """Random binary tree via uniform sequential cluster joins."""
+def random_tree(labels, rng: np.random.Generator) -> Tree:
+    """Random binary tree via uniform sequential cluster joins, with every
+    edge length uniform on [0.1, 1)."""
     labels = tuple(labels)
     L = len(labels)
     clusters = [1 << i for i in range(L)]
@@ -601,7 +604,7 @@ def random_tree(labels, rng: np.random.Generator,
         clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
         clusters.append(merged)
     interior = tuple(sorted(
-        (canonical_split(m, umask), float(rng.uniform(*interior_range)))
+        (canonical_split(m, umask), float(rng.uniform(0.1, 1.0)))
         for m in masks))
-    pendant = tuple(float(rng.uniform(*pendant_range)) for _ in range(L))
+    pendant = tuple(float(rng.uniform(0.1, 1.0)) for _ in range(L))
     return Tree(labels, interior, pendant)

@@ -38,7 +38,6 @@ from lensdepth.metrics import (
     EuclideanSpace,
     SphereSpace,
     StiefelSpace,
-    pairwise_matrix,
 )
 from lensdepth.treespace import (
     bhv_distance,

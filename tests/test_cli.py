@@ -247,6 +247,53 @@ def test_simulate_smoke(workdir):
     assert body["provenance"]["seed"] == 0
 
 
+_SAMPLE = ["--sample", "s.csv"]
+_LEVELSET = ["levelset", *_SAMPLE, "--lambda", "0.1"]
+_SIDE_OUTPUTS = {"levelset": ["--boundary-out", "bd.csv"],
+                 "diam-by-group": ["--svg", "plot.svg"]}
+_NORMAL_1D = {"experiment": "supnorm", "sampler": {"dist": "normal"},
+              "n_schedule": [10], "replications": 1, "grid": [[-1.0, 1.0, 0.5]]}
+
+# Bad values arriving from the command line or a config file; each row
+# must fail at its parse or validation site, before any output is written.
+HOSTILE = {
+    "v-not-int": ["gamma-tn", "--v", "x", "--sigma", "1"],
+    "v-range-not-int": ["gamma-tn", "--v", "1..x", "--sigma", "1"],
+    "sigma-not-float": ["gamma-tn", "--v", "3", "--sigma", "abc"],
+    "points-zero": ["gamma-tn", "--v", "3", "--sigma", "1", "--points", "0"],
+    "points-negative": ["gamma-tn", "--v", "3", "--sigma", "1", "--points", "-4"],
+    "lambdas-not-float": ["psi", *_SAMPLE, "--psi", "diam", "--lambdas=a:b:c"],
+    "lambdas-infinite": ["psi", *_SAMPLE, "--psi", "diam", "--lambdas=0:inf:0.1"],
+    "psi-levels-negative": ["psi", *_SAMPLE, "--psi", "diam", "--levels", "-1"],
+    "groups-levels-negative": ["diam-by-group", "--groups", "groups", "--levels", "-2"],
+    "grid-nan": [*_LEVELSET, "--grid=0:1:nan"],
+    "grid-infinite": [*_LEVELSET, "--grid=0:inf:1,0:1:1"],
+    "knn-zero": [*_LEVELSET, "--knn", "0"],
+    "knn-negative": [*_LEVELSET, "--knn", "-3"],
+    "config-empty": {},
+    "config-replications-not-int": dict(_NORMAL_1D, replications="x"),
+    "config-student-t-without-v": dict(_NORMAL_1D, sampler={"dist": "student_t"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_is_one_error_line(workdir, capsys, case):
+    rng = np.random.default_rng(3)
+    write_points(workdir / "s.csv", rng.standard_normal((12, 2)))
+    (workdir / "groups").mkdir()
+    write_points(workdir / "groups" / "a.csv", rng.standard_normal((12, 2)))
+    row = HOSTILE[case]
+    if isinstance(row, dict):
+        (workdir / "exp.json").write_text(json.dumps(row))
+        row = ["simulate", "--config", "exp.json"]
+    code = run(row + ["--out", "out.csv"] + _SIDE_OUTPUTS.get(row[0], []))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("lensdepth: error: ")
+    assert "Traceback" not in err
+    assert not any((workdir / name).exists() for name in ("out.csv", "bd.csv", "plot.svg"))
+
+
 @pytest.mark.parametrize("loo", [[], ["--leave-one-out"]], ids=["plain", "loo"])
 def test_byte_identical_across_thread_counts(workdir, rng, loo):
     sample = rng.standard_normal(60)

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from lensdepth import levelsets
+from lensdepth.analysis import loo_depth_against
 from lensdepth.depth import DepthField, Sample, batch_depth
 from lensdepth.levelsets import (
     KnnGrid,
@@ -15,12 +16,13 @@ from lensdepth.levelsets import (
     hausdorff,
     level_set,
     measure_distance,
+    nearest_indices,
     psi_diameter,
     psi_inradius,
     psi_volume,
 )
 from lensdepth.dispersion import psi_curve
-from lensdepth.metrics import BHVSpace, EuclideanSpace, pairwise_matrix
+from lensdepth.metrics import BHVSpace, EuclideanSpace
 from lensdepth.treespace import random_tree
 
 from conftest import space_with_points
@@ -110,7 +112,7 @@ def test_hausdorff_blocks_match_full_matrix(rng, monkeypatch, block):
     a = rng.integers(-4, 5, size=(23, 2)).astype(float)
     b = rng.standard_normal((9, 2)) * 3
     for x, y in ((a, b), (b, a), (a, a[:1])):
-        cross = pairwise_matrix(np.concatenate([x, y]), E2)[:len(x), len(x):]
+        cross = E2.pairwise(np.concatenate([x, y]))[:len(x), len(x):]
         want = max(cross.min(axis=1).max(), cross.min(axis=0).max())
         assert hausdorff(x, y, E2) == want
 
@@ -164,6 +166,13 @@ def test_measure_distance_symmetry(rng):
 # Grids and boundaries
 
 
+@pytest.mark.parametrize("axis", [(0.0, math.inf, 1.0), (-math.inf, 1.0, 1.0),
+                                  (0.0, 1.0, math.nan), (0.0, 1.0, 0.0), (1.0, 0.0, 0.5)])
+def test_lattice_rejects_bad_axes(axis):
+    with pytest.raises(LevelSetError, match="bad axis"):
+        LatticeGrid(((0.0, 1.0, 0.5), axis))
+
+
 def test_lattice_points_and_neighbors():
     g = LatticeGrid(((0.0, 2.0, 1.0), (0.0, 1.0, 1.0)))
     assert g.shape == (3, 2)
@@ -173,13 +182,11 @@ def test_lattice_points_and_neighbors():
     assert nbrs.count(None) == 2
 
 
-def test_boundary_full_grid_bounded_vs_torus():
+def test_boundary_full_grid_is_the_lattice_edge():
     g = LatticeGrid(((0.0, 4.0, 1.0),))
     f = field_1d(np.ones(5), points=g.points)
     ls = level_set(f, 0.5)
     assert boundary_points(ls, g).tolist() == [0, 4]
-    gt = LatticeGrid(((0.0, 4.0, 1.0),), wrap=True)
-    assert boundary_points(ls, gt).tolist() == []
 
 
 def test_boundary_singleton_member():
@@ -248,6 +255,35 @@ def test_knn_grid_reads_sample_matrix_like_cross_matrix(rng, kind):
     assert not np.diagonal(sample.distance_matrix).any()
 
 
+def test_knn_grid_needs_a_neighbor(rng):
+    sample = Sample(rng.standard_normal((6, 2)), E2)
+    for k in (0, -3):
+        with pytest.raises(LevelSetError, match="k >= 1"):
+            KnnGrid(sample, k=k)
+
+
+def test_tree_points_as_list_or_object_array_agree(rng):
+    labels = tuple("ABCDEF")
+    space = BHVSpace(labels)
+    trees = [random_tree(labels, rng) for _ in range(14)]
+    trees += [trees[0], trees[3], trees[3]]            # ties
+    arr = space.coerce_points(trees)
+    assert arr.dtype == object and arr.shape == (17,)
+    assert all(a is t for a, t in zip(arr, trees))
+    by_list, by_array = Sample(trees, space), Sample(arr, space)
+    assert by_list.points.dtype == object
+    for k in (1, 4):
+        assert [KnnGrid(by_list, k).neighbor_indices(i) for i in range(17)] == \
+            [KnnGrid(by_array, k).neighbor_indices(i) for i in range(17)]
+    a, b = trees[:9], trees[9:]
+    assert nearest_indices(a, b, space).tolist() == \
+        nearest_indices(arr[:9], arr[9:], space).tolist()
+    assert hausdorff(a, b, space) == hausdorff(arr[:9], arr[9:], space) > 0.0
+    assert psi_inradius(a, b, space) == psi_inradius(arr[:9], arr[9:], space) > 0.0
+    assert psi_diameter(a, space) == psi_diameter(arr[:9], space) > 0.0
+    assert np.array_equal(loo_depth_against(a, by_list), loo_depth_against(arr[:9], by_array))
+
+
 @pytest.mark.parametrize("block", [1, 300, 700, 1 << 20])
 def test_nearest_index_blocks_match_full_argmin(rng, monkeypatch, block):
     monkeypatch.setattr(levelsets, "_BLOCK_ENTRIES", block)
@@ -287,7 +323,7 @@ def test_diameter_trivials(rng):
 
 def test_diameter_matches_matrix_oracle(rng):
     pts = rng.standard_normal((25, 3))
-    dmat = pairwise_matrix(pts, EuclideanSpace(3))
+    dmat = Sample(pts, EuclideanSpace(3)).distance_matrix
     assert psi_diameter(pts, EuclideanSpace(3)) == dmat.max()
 
 

@@ -9,7 +9,6 @@ from lensdepth.metrics import (
     PointValidationError,
     SphereSpace,
     StiefelSpace,
-    pairwise_matrix,
 )
 from lensdepth.treespace import random_tree
 
@@ -55,7 +54,7 @@ def test_sphere_arc_symmetric_and_zero_on_identical(rng):
     assert np.array_equal(dmat, dmat.T)
     assert np.all(np.diag(dmat) == 0.0)
     assert np.all(dmat[np.arange(10), np.arange(10, 20)] == 0.0)
-    assert np.array_equal(dmat, pairwise_matrix(pts, space))
+    assert np.array_equal(dmat, space.pairwise(space.coerce_points(pts)))
     for i in range(0, 60, 7):
         assert space.dists_to(pts, pts[i]).tolist() == \
             [space.distance(p, pts[i]) for p in pts]
@@ -122,21 +121,47 @@ def test_euclidean_scalar_vector_identity_all_dims(rng):
             assert row[i] == space.distance(pts[i], q)
 
 
+def tie_heavy_and_antipodal(kind, rng):
+    """Points with many exact ties, and pairs that are nearly opposite."""
+    if kind == "euclidean":
+        pts = rng.integers(-2, 3, (40, 4)).astype(float)
+        return EuclideanSpace(4), np.concatenate([pts, -pts, -pts + 1e-12])
+    if kind == "sphere":
+        axes = np.concatenate([np.eye(3), -np.eye(3)])
+        base = random_unit_vectors(rng, 10, 3)
+        near = -base + 1e-9 * rng.standard_normal((10, 3))
+        near /= np.linalg.norm(near, axis=1, keepdims=True)
+        return SphereSpace(3), np.concatenate([axes, axes, base, -base, near])
+    frames = random_frames(rng, 10)
+    flipped = frames * np.array([1.0, -1.0])             # one column negated
+    return StiefelSpace(3, 2), np.concatenate([frames, frames, -frames, flipped])
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "sphere", "stiefel-chordal"])
+def test_dists_to_matches_scalar_on_ties_and_antipodes(kind, rng):
+    space, pts = tie_heavy_and_antipodal(kind, rng)
+    pts = space.coerce_points(pts)
+    for q in pts:
+        row = space.dists_to(pts, q)
+        assert row.tolist() == [space.distance(p, q) for p in pts]
+
+
 def test_pairwise_matrix_small_example():
     space = EuclideanSpace(1)
-    got = pairwise_matrix(np.array([[0.0], [1.0], [2.0]]), space)
+    got = space.pairwise(space.coerce_points([[0.0], [1.0], [2.0]]))
     assert np.array_equal(got, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
 
 def test_pairwise_matrix_single_point():
-    got = pairwise_matrix(np.array([[7.0]]), EuclideanSpace(1))
+    space = EuclideanSpace(1)
+    got = space.pairwise(space.coerce_points([[7.0]]))
     assert got.shape == (1, 1) and got[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("kind", VECTOR_KINDS)
 def test_pairwise_matrix_matches_recomputation_and_threads(kind, rng):
     space, pts = space_with_points(kind, rng, 18)
-    dmat = pairwise_matrix(pts, space)
+    dmat = space.pairwise(space.coerce_points(pts))
     assert np.array_equal(dmat, dmat.T)
     assert np.all(np.diag(dmat) == 0.0)
     for i in range(len(pts)):
@@ -147,7 +172,7 @@ def test_pairwise_matrix_matches_recomputation_and_threads(kind, rng):
 def test_pairwise_triangle_inequality_exhaustive(rng):
     space = EuclideanSpace(3)
     pts = rng.standard_normal((20, 3))
-    dmat = pairwise_matrix(pts, space)
+    dmat = space.pairwise(space.coerce_points(pts))
     n = len(pts)
     for i in range(n):
         for j in range(n):

@@ -120,6 +120,61 @@ def test_roundtrip_random_trees(rng):
             assert parse_newick(to_newick(t)) == t
 
 
+def random_rooted_newick(rng, labels):
+    """A random rooted tree with 2- and 3-way joins, its root of degree
+    2 or 3, written with the children in random order.  Returns the text
+    and every edge below the root as (set of leaves below it, length)."""
+    nodes = [(frozenset([lab]), lab) for lab in labels]
+    edges = []
+
+    def join(group):
+        parts = []
+        for leaves, text in group:
+            length = float(rng.uniform(0.1, 1.0))
+            edges.append((leaves, length))
+            parts.append(f"{text}:{length!r}")
+        return frozenset().union(*(leaves for leaves, _ in group)), "(" + ",".join(parts) + ")"
+
+    root_degree = int(rng.integers(2, 4))
+    while len(nodes) > root_degree:
+        k = min(int(rng.integers(2, 4)), len(nodes) - 1)
+        picked = rng.choice(len(nodes), size=k, replace=False).tolist()   # random order
+        nodes = [n for i, n in enumerate(nodes) if i not in picked] + \
+            [join([nodes[i] for i in picked])]
+    return join(nodes)[1] + ";", edges
+
+
+def tree_from_leaf_sets(edges, labels):
+    """The split system of the edges, built from explicit leaf sets: a
+    degree-2 root's two edges merge, into a pendant edge when one side is
+    a single leaf."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    L = len(labels)
+    pendant = [0.0] * L
+    interior = {}
+    for leaves, length in edges:
+        if len(leaves) == 1:
+            pendant[index[next(iter(leaves))]] += length
+        elif len(leaves) == L - 1:
+            pendant[index[next(iter(set(labels) - leaves))]] += length
+        else:
+            m = canonical_split(sum(1 << index[lab] for lab in leaves), (1 << L) - 1)
+            interior[m] = interior.get(m, 0.0) + length
+    return Tree(tuple(labels), tuple(sorted(interior.items())), tuple(pendant))
+
+
+def test_parse_matches_explicit_split_sets(rng):
+    for _ in range(300):
+        n_leaves = int(rng.integers(2, 12))
+        labels = [f"t{i}" for i in rng.permutation(n_leaves).tolist()]
+        text, edges = random_rooted_newick(rng, labels)
+        t = parse_newick(text)
+        assert t == tree_from_leaf_sets(edges, sorted(labels))
+        assert parse_newick(to_newick(t)) == t
+        # An explicit universe fixes a leaf order other than the sorted one.
+        assert parse_newick(text, universe=labels) == tree_from_leaf_sets(edges, labels)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 5 - 1), st.integers(0, 2 ** 5 - 1))
 def test_compatibility_symmetric_and_reflexive(m1, m2):
