@@ -22,6 +22,7 @@ from .depth import (
     self_depth_field,
 )
 from .dispersion import PsiCurve, psi_curve
+from .levelsets import level_set
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def depth_depth(sample0: Sample, sample1: Sample, points=None,
 def outliers(field: DepthField, lam: float) -> np.ndarray:
     """Indices with depth strictly below the level; exactly the
     complement of the level set's members."""
-    return np.flatnonzero(field.values < lam)
+    return np.flatnonzero(~level_set(field, lam).member_mask)
 
 
 def diameter_curve_by_group(groups: dict[str, Sample],

@@ -41,7 +41,13 @@ class Sampler:
     """A seeded point-generating distribution over a metric space.
 
     `cdf`/`ppf` are present for one-dimensional distributions with a
-    closed-form population depth.
+    closed-form population depth, and take scalars or arrays:
+
+    - normal and student_t: `cdf` maps -inf to 0, +inf to 1 and NaN to
+      NaN; `ppf` maps q = 0 to -inf, q = 1 to +inf, and q outside [0, 1]
+      or NaN to NaN.  Both equal scipy.stats' norm and t bit for bit.
+    - uniform: `cdf` clips to [0, 1]; `ppf` is the affine map of q and
+      is not clipped.
     """
 
     space: object
@@ -53,10 +59,9 @@ class Sampler:
 def make_sampler(spec: dict) -> Sampler:
     """Build a sampler from its JSON spec, e.g. {"dist": "normal",
     "mu": 0, "sigma": 1}."""
-    # scipy.stats takes most of the package's import time, so it is
-    # imported only where a sampler needs it.
-    from scipy.stats import norm, t as student_t, vonmises_fisher
-
+    # scipy is imported only by the branch that needs it: the 1-d normal
+    # and student_t laws load scipy.special, and sphere_vmf alone loads
+    # scipy.stats, which takes about three times as long to import.
     spec = dict(spec)
     dist = spec.pop("dist", None)
     if dist == "normal":
@@ -71,11 +76,13 @@ def make_sampler(spec: dict) -> Sampler:
         def draw(rng, k):
             return mu + sigma * rng.standard_normal((k, dim))
 
-        kw = dict(cdf=None, ppf=None)
-        if dim == 1:
-            kw = dict(cdf=lambda x: norm.cdf(x, loc=mu, scale=sigma),
-                      ppf=lambda q: norm.ppf(q, loc=mu, scale=sigma))
-        return Sampler(space, draw, **kw)
+        if dim > 1:
+            return Sampler(space, draw)
+        from scipy.special import ndtr, ndtri
+
+        return Sampler(space, draw,
+                       cdf=lambda x: ndtr((np.asarray(x, dtype=float) - mu) / sigma),
+                       ppf=lambda q: ndtri(q) * sigma + mu)
     if dist == "student_t":
         v = _field(spec, "v", float)
         _reject_extra(dist, spec)
@@ -83,12 +90,17 @@ def make_sampler(spec: dict) -> Sampler:
             raise ExperimentError("student_t sampler needs v >= 1")
         space = EuclideanSpace(1)
 
+        from scipy.special import stdtr, stdtrit
+
         def draw(rng, k):
             return rng.standard_t(v, (k, 1))
 
-        return Sampler(space, draw,
-                       cdf=lambda x: student_t.cdf(x, v),
-                       ppf=lambda q: student_t.ppf(q, v))
+        def ppf(q):
+            # stdtrit gives +inf at q = 0; the quantile there is -inf.
+            q = np.asarray(q, dtype=float)
+            return np.where(q == 0, -np.inf, stdtrit(v, q))[()]
+
+        return Sampler(space, draw, cdf=lambda x: stdtr(v, x), ppf=ppf)
     if dist == "uniform":
         lo = _field(spec, "lo", float, 0.0)
         hi = _field(spec, "hi", float, 1.0)
@@ -120,6 +132,8 @@ def make_sampler(spec: dict) -> Sampler:
         _reject_extra(dist, spec)
         mu = mu / np.linalg.norm(mu)
         space = SphereSpace(len(mu))
+        from scipy.stats import vonmises_fisher
+
         frozen = vonmises_fisher(mu, kappa)
 
         def draw(rng, k):

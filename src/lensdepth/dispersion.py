@@ -114,6 +114,9 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
     else:
         if reference is None:
             raise DispersionError("volume curves need a reference sample")
+        if not (np.isfinite(reference_mass) and reference_mass > 0):
+            raise DispersionError(
+                f"reference mass must be finite and positive, got {reference_mass}")
         ref = depths[nearest_indices(reference.points, field.points, reference.space)]
         values = np.array([reference_mass * float(np.mean(ref >= lam)) if c else 0.0
                            for lam, c in zip(lambdas, counts)])
@@ -129,12 +132,18 @@ def _check_pair(cx: PsiCurve, cy: PsiCurve):
         raise DispersionError("curves live on different level grids")
 
 
+def _check_tol(tol: float):
+    if not np.isfinite(tol):
+        raise DispersionError(f"tolerance must be finite, got {tol}")
+
+
 def spread_out_ge(cx: PsiCurve, cy: PsiCurve, tol: float = 0.0) -> OrderVerdict:
     """Check that X is at least as spread out as Y: over every level pair
     p1 < p2, X's psi decrement dominates Y's within `tol`.
 
     Equivalent to the difference curve psi_X - psi_Y being nonincreasing.
     """
+    _check_tol(tol)
     _check_pair(cx, cy)
     diff = cx.values - cy.values
     running_min = np.minimum.accumulate(diff)
@@ -148,6 +157,7 @@ def spread_out_ge(cx: PsiCurve, cy: PsiCurve, tol: float = 0.0) -> OrderVerdict:
 
 def strong_order(cx: PsiCurve, cy: PsiCurve, tol: float = 0.0) -> OrderVerdict:
     """Pointwise dominance: psi_X >= psi_Y at every grid level."""
+    _check_tol(tol)
     _check_pair(cx, cy)
     gap = cy.values - cx.values
     worst = float(gap.max())
@@ -159,6 +169,7 @@ def strong_order(cx: PsiCurve, cy: PsiCurve, tol: float = 0.0) -> OrderVerdict:
 def weak_order(cx: PsiCurve, cy: PsiCurve, tol: float = 0.0) -> OrderVerdict:
     """Integrated dominance: the trapezoidal integral of psi_X - psi_Y
     over the grid is nonnegative."""
+    _check_tol(tol)
     _check_pair(cx, cy)
     diff = cx.values - cy.values
     integral = float(np.trapezoid(diff, cx.lambdas))
@@ -207,10 +218,12 @@ def _tn_dominates(lam: np.ndarray, v: float, sigma: float) -> np.ndarray:
     Both level sets are central quantile intervals; by symmetry the
     comparison reduces to the upper quantiles at (1 + sqrt(1-2*lam))/2.
     """
-    from scipy.stats import norm, t as student_t   # deferred: slow to import
+    from scipy.special import ndtri, stdtrit   # deferred: slow to import
 
+    # u lies in [1/2, 1], where stdtrit and ndtri are the t and normal
+    # quantiles (stdtrit's +inf at q = 0 is never reached).
     u = (1.0 + np.sqrt(np.maximum(1.0 - 2.0 * lam, 0.0))) / 2.0
-    return student_t.ppf(u, v) >= sigma * norm.ppf(u)
+    return stdtrit(v, u) >= sigma * ndtri(u)
 
 
 def gamma_t_vs_normal(v: float, sigma: float, *, method: str = "quadrature",
@@ -271,7 +284,7 @@ def gamma_t_vs_normal_grid(vs, sigmas, points: int = 100_000) -> np.ndarray:
     levels, compares the quantile ratio t/normal against sigma, so each
     v needs a single pair of quantile evaluations.
     """
-    from scipy.stats import norm, t as student_t   # deferred: slow to import
+    from scipy.special import ndtri, stdtrit   # deferred: slow to import
 
     if points < 1:
         raise DispersionError(f"quadrature needs at least 1 point, got {points}")
@@ -280,12 +293,12 @@ def gamma_t_vs_normal_grid(vs, sigmas, points: int = 100_000) -> np.ndarray:
         raise DispersionError("sigma grid must be positive")
     lam = (np.arange(points) + 0.5) * (0.5 / points)
     u = (1.0 + np.sqrt(1.0 - 2.0 * lam)) / 2.0
-    qn = norm.ppf(u)
+    qn = ndtri(u)
     out = np.empty((len(vs), len(sigmas)))
     for i, v in enumerate(vs):
         if v < 1:
             raise DispersionError(f"degrees of freedom must be >= 1, got {v}")
-        ratio = student_t.ppf(u, v) / qn
+        ratio = stdtrit(v, u) / qn
         for j, sigma in enumerate(sigmas):
             out[i, j] = float((ratio >= sigma).mean())
     return out
@@ -295,6 +308,7 @@ def giovagnoli_order(sx: Sample, sy: Sample, tol: float = 0.0) -> OrderVerdict:
     """Distance-based stochastic dominance: X is more disperse than Y
     when the ECDF of X's pairwise distances never exceeds Y's at any
     pooled evaluation point."""
+    _check_tol(tol)
     if sx.n < 2 or sy.n < 2:
         raise DispersionError("both samples need at least 2 points")
     dx = np.sort(sx.distance_matrix[np.triu_indices(sx.n, 1)])

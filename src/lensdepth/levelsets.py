@@ -47,8 +47,8 @@ class LevelSet:
 
 def level_set(field: DepthField, lam: float) -> LevelSet:
     """Evaluation points with depth >= lam (ties included); may be empty."""
-    if lam < 0:
-        raise LevelSetError(f"level must be nonnegative, got {lam}")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise LevelSetError(f"level must be finite and nonnegative, got {lam}")
     members = np.flatnonzero(field.values >= lam)
     return LevelSet(float(lam), members, field)
 
@@ -298,6 +298,9 @@ def psi_volume(ls: LevelSet, reference: Sample, reference_mass: float) -> PsiVol
     of reference points in it, with the binomial standard error."""
     if reference.n == 0:
         raise LevelSetError("empty reference sample")
+    if not (math.isfinite(reference_mass) and reference_mass > 0):
+        raise LevelSetError(
+            f"reference mass must be finite and positive, got {reference_mass}")
     inside = contains(ls, reference.points, reference.space)
     frac = float(inside.mean())
     se = reference_mass * math.sqrt(frac * (1.0 - frac) / reference.n)

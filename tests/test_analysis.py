@@ -16,7 +16,7 @@ from lensdepth.depth import (
     empirical_lens_depth,
     self_depth_field,
 )
-from lensdepth.levelsets import level_set
+from lensdepth.levelsets import LevelSetError, level_set
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
 from lensdepth.treespace import random_tree
 
@@ -146,6 +146,12 @@ def test_outliers_level_zero_empty():
 
 def test_outliers_level_above_one_everything():
     assert outliers(field_of([0.0, 0.2, 1.0]), 1.01).tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -0.1])
+def test_outliers_reject_levels_the_level_set_rejects(lam):
+    with pytest.raises(LevelSetError):
+        outliers(field_of([0.0, 0.2, 1.0]), lam)
 
 
 def test_outliers_complement_of_level_set_exactly(rng):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import norm, t as tdist
 
 from lensdepth.asymptotics import (
     CltReport,
@@ -15,6 +15,7 @@ from lensdepth.asymptotics import (
     run_config,
     supnorm_experiment,
 )
+from lensdepth.depth import population_level_interval_1d
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
 
 
@@ -59,7 +60,66 @@ def test_sampler_rejects_unknown_fields():
 def test_normal_sampler_cdf_matches_scipy():
     sampler = make_sampler({"dist": "normal", "mu": 2.0, "sigma": 3.0})
     xs = np.array([-1.0, 2.0, 4.0])
-    assert np.allclose(sampler.cdf(xs), norm.cdf(xs, loc=2, scale=3))
+    assert np.array_equal(sampler.cdf(xs), norm.cdf(xs, loc=2, scale=3))
+
+
+# Dense grids plus the endpoints, signed zeros, NaN and values off [0, 1].
+XS = np.concatenate([np.linspace(-40.0, 40.0, 40_001),
+                     [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e-300, -1e300]])
+QS = np.concatenate([np.linspace(0.0, 1.0, 40_001),
+                     [0.0, 1.0, -0.0, np.nan, -0.1, 1.1, 5e-324, 1.0 - 2.0 ** -53]])
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    # array_equal treats 0.0 and -0.0 as equal; the sign bit must match
+    # too (a NaN's sign bit carries nothing and is not compared)
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+
+@pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (0.3, 1.7), (-2.0, 0.05), (1e3, 30.0)])
+def test_normal_sampler_is_scipy_norm_bit_for_bit(mu, sigma):
+    sampler = make_sampler({"dist": "normal", "mu": mu, "sigma": sigma})
+    assert_same_bits(sampler.cdf(XS), norm.cdf(XS, loc=mu, scale=sigma))
+    assert_same_bits(sampler.ppf(QS), norm.ppf(QS, loc=mu, scale=sigma))
+    for x in (-np.inf, np.inf, np.nan, mu):
+        assert_same_bits(sampler.cdf(x), norm.cdf(x, loc=mu, scale=sigma))
+    for q in (0.0, 1.0, 0.5, np.nan):
+        assert_same_bits(sampler.ppf(q), norm.ppf(q, loc=mu, scale=sigma))
+    assert sampler.cdf(-np.inf) == 0.0 and sampler.cdf(np.inf) == 1.0
+    assert sampler.ppf(0.0) == -np.inf and sampler.ppf(1.0) == np.inf
+
+
+@pytest.mark.parametrize("v", [1, 2, 3.5, 10, 30])
+def test_student_t_sampler_is_scipy_t_bit_for_bit(v):
+    sampler = make_sampler({"dist": "student_t", "v": v})
+    assert_same_bits(sampler.cdf(XS), tdist.cdf(XS, v))
+    assert_same_bits(sampler.ppf(QS), tdist.ppf(QS, v))
+    for x in (-np.inf, np.inf, np.nan, 0.0):
+        assert_same_bits(sampler.cdf(x), tdist.cdf(x, v))
+    for q in (0.0, -0.0, 1.0, 0.5, np.nan):
+        assert_same_bits(sampler.ppf(q), tdist.ppf(q, v))
+    assert sampler.cdf(-np.inf) == 0.0 and sampler.cdf(np.inf) == 1.0
+    assert sampler.ppf(0.0) == -np.inf and sampler.ppf(1.0) == np.inf
+
+
+@pytest.mark.parametrize("spec,ppf", [
+    ({"dist": "normal", "mu": 0.3, "sigma": 1.7}, lambda q: norm.ppf(q, loc=0.3, scale=1.7)),
+    ({"dist": "student_t", "v": 3}, lambda q: tdist.ppf(q, 3)),
+], ids=["normal", "student_t"])
+def test_population_level_interval_at_extreme_levels(spec, ppf):
+    sampler = make_sampler(spec)
+    # lambda = 0 reaches the q = 0 and q = 1 endpoints: the whole line
+    assert population_level_interval_1d(0.0, sampler.ppf) == (-np.inf, np.inf)
+    # lambda = 1/2 is the deepest level: both ends at the median
+    lo, hi = population_level_interval_1d(0.5, sampler.ppf)
+    assert lo == hi == float(ppf(0.5))
+    for lam in (0.0, 0.1, 0.3, 0.5):
+        assert population_level_interval_1d(lam, sampler.ppf) \
+            == population_level_interval_1d(lam, ppf)
 
 
 # ---------------------------------------------------------------------------

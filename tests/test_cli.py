@@ -270,6 +270,17 @@ HOSTILE = {
     "grid-infinite": [*_LEVELSET, "--grid=0:inf:1,0:1:1"],
     "knn-zero": [*_LEVELSET, "--knn", "0"],
     "knn-negative": [*_LEVELSET, "--knn", "-3"],
+    "lambda-nan": ["levelset", *_SAMPLE, "--lambda", "nan"],
+    "lambda-infinite": ["levelset", *_SAMPLE, "--lambda", "inf", "--grid=-1:1:0.5,-1:1:0.5"],
+    "outliers-lambda-nan": ["outliers", *_SAMPLE, "--lambda", "nan"],
+    "tol-nan": ["order", "--x", "s.csv", "--y", "s.csv", "--relation", "strong",
+                "--tol", "nan"],
+    "tol-infinite": ["order", "--x", "s.csv", "--y", "s.csv", "--relation", "giovagnoli",
+                     "--tol", "inf"],
+    "reference-mass-nan": ["psi", *_SAMPLE, "--psi", "volume", "--reference", "s.csv",
+                           "--reference-mass", "nan"],
+    "reference-mass-zero": ["psi", *_SAMPLE, "--psi", "volume", "--reference", "s.csv",
+                            "--reference-mass", "0"],
     "config-empty": {},
     "config-replications-not-int": dict(_NORMAL_1D, replications="x"),
     "config-student-t-without-v": dict(_NORMAL_1D, sampler={"dist": "student_t"}),
@@ -371,14 +382,50 @@ def test_module_entry_point_runs():
     assert proc.stdout.strip() == f"lensdepth {__version__}" == "lensdepth 0.1.0"
 
 
-def test_version_does_not_import_scipy_stats():
+_SIMULATE = {"n_schedule": [20, 40], "replications": 2, "seed": 5,
+             "grid": [[-3.0, 3.0, 0.25]]}
+# Each row: a command, the config `simulate` reads (or None), and whether
+# scipy.stats may be loaded.  Only the von Mises-Fisher sampler needs it;
+# that row also shows the probe sees the import when it happens.
+SCIPY_STATS_CASES = {
+    "version": (["--version"], None, False),
+    "simulate-normal-supnorm": (["simulate"], dict(
+        _SIMULATE, experiment="supnorm",
+        sampler={"dist": "normal", "mu": 0.3, "sigma": 1.7}), False),
+    "simulate-normal-levelset": (["simulate"], dict(
+        _SIMULATE, experiment="levelset", sampler={"dist": "normal"},
+        **{"lambda": 0.3}), False),
+    "simulate-student-t": (["simulate"], dict(
+        _SIMULATE, experiment="levelset", sampler={"dist": "student_t", "v": 3},
+        **{"lambda": 0.0}), False),
+    "gamma-tn": (["gamma-tn", "--v", "1..3", "--sigma", "0.5:1.5:0.5",
+                  "--points", "2000"], None, False),
+    "simulate-sphere-vmf": (["simulate"], {
+        "experiment": "clt", "sampler": {"dist": "sphere_vmf", "mu": [0, 0, 1], "kappa": 4.0},
+        "n_schedule": [10], "replications": 500, "seed": 5, "pairs": 2000,
+        "points": [[0, 0, 1], [0, 1, 0]]}, True),
+}
+
+
+@pytest.mark.parametrize("case", list(SCIPY_STATS_CASES))
+def test_scipy_stats_is_loaded_only_for_vmf(workdir, case):
+    argv, config, loads_stats = SCIPY_STATS_CASES[case]
+    if config is not None:
+        (workdir / "exp.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "exp.json"]
+    if argv != ["--version"]:
+        argv = argv + ["--out", "out.csv", "--no-timestamp"]
     code = ("import sys; from lensdepth.cli import main; sys.argv[0] = 'lensdepth'\n"
-            "try:\n    main()\nexcept SystemExit:\n    pass\n"
-            "print('scipy.stats' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, "--version"],
-                          capture_output=True, text=True, env=cli_env(), timeout=120)
+            "try:\n    main()\nexcept SystemExit as exc:\n    status = exc.code\n"
+            "print(status, 'scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=cli_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["lensdepth", __version__, "False"]
+    assert proc.stdout.split()[-2:] == ["0", str(loads_stats)], proc.stderr
+    if argv == ["--version"]:
+        assert proc.stdout.split()[:2] == ["lensdepth", __version__]
+    else:
+        assert (workdir / "out.csv").exists()
 
 
 def write_twelve_leaf_trees(path, count):

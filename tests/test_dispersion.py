@@ -9,6 +9,7 @@ from lensdepth.dispersion import (
     DispersionError,
     OrderVerdict,
     PsiCurve,
+    _tn_dominates,
     default_lambda_grid,
     gamma,
     gamma_t_vs_normal,
@@ -192,6 +193,14 @@ def test_psi_volume_curve_matches_psi_volume(rng):
     assert got.empty_from == lambdas[-2]
 
 
+@pytest.mark.parametrize("mass", [np.nan, np.inf, 0.0, -1.0])
+def test_psi_volume_curve_rejects_bad_reference_mass(rng, mass):
+    sample = Sample(rng.standard_normal(20), E1)
+    field = self_depth_field(sample)
+    with pytest.raises(DispersionError, match="reference mass"):
+        psi_curve(field, "volume", [0.0, 0.2], reference=sample, reference_mass=mass)
+
+
 def test_psi_inradius_needs_a_complement_without_exterior(rng):
     sample = Sample(rng.standard_normal((12, 2)), E2)
     field = self_depth_field(sample)
@@ -277,6 +286,17 @@ def test_verdict_witness_iff_failure(rng):
         OrderVerdict("strong", True, 0.3, 0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_orders_reject_non_finite_tolerance(rng, tol):
+    c = curve(rng.uniform(0, 1, 20))
+    for order in (spread_out_ge, strong_order, weak_order):
+        with pytest.raises(DispersionError, match="tolerance"):
+            order(c, c, tol=tol)
+    s = Sample(rng.standard_normal((10, 2)), E2)
+    with pytest.raises(DispersionError, match="tolerance"):
+        giovagnoli_order(s, s, tol=tol)
+
+
 def test_grid_mismatch_rejected(rng):
     a = curve(rng.uniform(0, 1, 20))
     b = curve(rng.uniform(0, 1, 21), np.linspace(0, 0.5, 21))
@@ -359,6 +379,32 @@ def test_tn_gamma_grid_matches_pointwise():
         for j, s in enumerate(sigmas):
             single = gamma_t_vs_normal(v, s, points=20_000).gamma
             assert table[i, j] == pytest.approx(single, abs=1e-12)
+
+
+def tn_dominates_reference(lam, v, sigma):
+    u = (1 + np.sqrt(np.maximum(1 - 2 * lam, 0.0))) / 2
+    return tdist.ppf(u, v) >= sigma * norm.ppf(u)
+
+
+@pytest.mark.parametrize("v", [1, 2, 3.5, 10, 30])
+def test_tn_dominates_matches_scipy_stats_reference(v):
+    # the bisection scan's midpoints, its geometric sentinels near both
+    # ends, the ends themselves, and a dense grid
+    edges = 0.5 * np.power(10.0, -np.arange(1, 14, dtype=float))
+    lam = np.concatenate([(np.arange(2048) + 0.5) * (0.5 / 2048), edges, 0.5 - edges,
+                          [0.0, 0.5], np.linspace(0.0, 0.5, 20_001)])
+    for sigma in (1e-12, 0.05, 0.7, 1.0, 1.3, 5.0):
+        assert np.array_equal(_tn_dominates(lam, v, sigma),
+                              tn_dominates_reference(lam, v, sigma))
+
+
+def test_tn_gamma_grid_matches_scipy_stats_reference():
+    vs, sigmas, points = [1, 2, 5], np.array([0.05, 0.5, 1.0, 2.0, 5.0]), 20_000
+    lam = (np.arange(points) + 0.5) * (0.5 / points)
+    u = (1.0 + np.sqrt(1.0 - 2.0 * lam)) / 2.0
+    want = [[float((tdist.ppf(u, v) / norm.ppf(u) >= s).mean()) for s in sigmas]
+            for v in vs]
+    assert gamma_t_vs_normal_grid(vs, sigmas, points).tolist() == want
 
 
 def test_tn_gamma_invalid_parameters():

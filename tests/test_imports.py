@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and only the
+von Mises-Fisher sampler imports scipy.stats.
 
-`__init__` is exempt: its imports are the package's public surface."""
+`__init__` is exempt from the first check: its imports are the package's
+public surface."""
 
 import ast
 import pathlib
@@ -34,3 +36,37 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def scipy_stats_imports(source: str) -> list[str]:
+    """Every import of scipy.stats or of a name from it, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names
+                      if a.name == "scipy.stats" or a.name.startswith("scipy.stats.")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module == "scipy.stats" or node.module.startswith("scipy.stats."):
+                found += [f"from {node.module} import {a.name}" for a in node.names]
+            elif node.module == "scipy":
+                found += [f"from scipy import {a.name}" for a in node.names
+                          if a.name == "stats"]
+    return found
+
+
+def test_checker_finds_scipy_stats_imports():
+    source = ("import scipy.stats\nimport scipy.special\nfrom scipy import stats, special\n"
+              "def f():\n    from scipy.stats import norm\n"
+              "    from scipy.stats._distn_infrastructure import rv_continuous\n")
+    assert scipy_stats_imports(source) == [
+        "import scipy.stats", "from scipy import stats", "from scipy.stats import norm",
+        "from scipy.stats._distn_infrastructure import rv_continuous"]
+
+
+def test_scipy_stats_is_imported_only_for_vonmises_fisher():
+    # scipy.stats takes about three times as long to import as
+    # scipy.special, which the normal and Student-t laws use instead.
+    found = {p.name: scipy_stats_imports(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: imports for name, imports in found.items() if imports} == {
+        "asymptotics.py": ["from scipy.stats import vonmises_fisher"]}

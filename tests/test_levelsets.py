@@ -72,6 +72,12 @@ def test_level_set_negative_lambda_rejected():
         level_set(field_1d([0.5]), -0.1)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_level_set_non_finite_lambda_rejected(lam):
+    with pytest.raises(LevelSetError, match="finite"):
+        level_set(field_1d([0.5]), lam)
+
+
 # ---------------------------------------------------------------------------
 # Hausdorff
 
@@ -365,6 +371,14 @@ def test_volume_trivial_bounds(rng):
     assert full.value == 2.5 and full.stderr == 0.0
     empty = psi_volume(level_set(f, 2.0), ref, reference_mass=2.5)
     assert empty.value == 0.0
+
+
+@pytest.mark.parametrize("mass", [np.nan, np.inf, 0.0, -2.5])
+def test_volume_rejects_bad_reference_mass(rng, mass):
+    f = field_1d(np.ones(11), points=np.linspace(0, 1, 11))
+    ref = Sample(rng.uniform(0, 1, 20), E1)
+    with pytest.raises(LevelSetError, match="reference mass"):
+        psi_volume(level_set(f, 0.5), ref, reference_mass=mass)
 
 
 def test_volume_normal_interval(rng):
