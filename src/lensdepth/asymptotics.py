@@ -166,17 +166,20 @@ def make_sampler(spec: dict) -> Sampler:
 
 def _field(spec: dict, key: str, convert, *default):
     """Pop `key` from a config dict and convert it, or return the
-    optional `default` when it is absent; a missing required or
-    unreadable field is an ExperimentError that names it."""
+    optional `default` when it is absent; a missing required, unreadable
+    or non-finite float field is an ExperimentError that names it."""
     if key not in spec:
         if not default:
             raise ExperimentError(f"missing config field {key!r}")
         return default[0]
     value = spec.pop(key)
     try:
-        return convert(value)
+        out = convert(value)
     except (TypeError, ValueError):
         raise ExperimentError(f"config field {key!r} has a bad value {value!r}") from None
+    if isinstance(out, (float, np.ndarray)) and not np.all(np.isfinite(out)):
+        raise ExperimentError(f"config field {key!r} has a non-finite value {value!r}")
+    return out
 
 
 def _float_array(value) -> np.ndarray:

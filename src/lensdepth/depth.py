@@ -300,6 +300,8 @@ def population_level_interval_1d(lam: float, ppf) -> tuple[float, float]:
     The set of points with depth >= lam is the interval whose CDF values
     span [(1 - sqrt(1-2*lam))/2, (1 + sqrt(1-2*lam))/2].
     """
+    if not math.isfinite(lam):
+        raise DepthError(f"level must be finite, got {lam}")
     if lam < 0:
         raise DepthError(f"level must be nonnegative, got {lam}")
     if lam > 0.5:

@@ -5,11 +5,15 @@ distance, Stiefel frame spaces (chordal or Procrustes metric), and the
 tree space of weighted phylogenetic trees.
 
 All distances funnel through the space objects, and the vectorized
-helpers (`dists_to`, `cross_matrix`, `pairwise`) are written so that
-they produce bit-identical floats to the scalar `distance` call.  Batch
-operations elsewhere in the package rely on this to match per-point
-recomputation exactly, independent of chunking or thread count.
-Distance matrices are built on one thread.
+helpers (`dists_to`, `paired_distances`, `cross_matrix`, `pairwise`)
+are written so that they produce bit-identical floats to the scalar
+`distance` call: every sum runs in a fixed order, never in one numpy
+picks by array shape.  Batch operations elsewhere in the package rely
+on this to match per-point recomputation exactly, independent of
+chunking or thread count.  Distance matrices are built on one thread.
+Distances stay accurate near zero: the sphere uses an atan2 arc and
+the Procrustes metric the norm of principal-vector differences, neither
+of which cancels.
 """
 
 from __future__ import annotations
@@ -196,8 +200,9 @@ class StiefelSpace(MetricSpace):
     """Orthonormal k-frames in R^d stored as (d, k) matrices.
 
     `mode="chordal"` uses the Frobenius norm of the difference;
-    `mode="procrustes"` minimizes over right orthogonal alignment, via
-    the singular values of the k x k cross product.
+    `mode="procrustes"` minimizes it over right orthogonal alignment,
+    reflections included: |A U - B V|_F with A^T B = U S V^T, one
+    stacked SVD per batch of frame pairs (`_procrustes_rows`).
     """
 
     def __init__(self, rows: int, cols: int, mode: str = "chordal"):
@@ -244,13 +249,13 @@ class StiefelSpace(MetricSpace):
                 raise PointValidationError(f"frame {i}: {exc}") from None
         return arr
 
-    def dists_to(self, points, q) -> np.ndarray:
+    def paired_distances(self, ps, qs) -> np.ndarray:
         if self.mode == "chordal":
-            return _root_sum_sq((points - q).reshape(points.shape[0], -1))
-        out = np.empty(points.shape[0])
-        for i in range(points.shape[0]):
-            out[i] = self._procrustes(points[i], q)
-        return out
+            return _root_sum_sq(_flat_rows(ps - qs))
+        return _procrustes_rows(ps, qs)
+
+    def dists_to(self, points, q) -> np.ndarray:
+        return self.paired_distances(points, np.broadcast_to(q, points.shape))
 
     def distance(self, p, q) -> float:
         if self.mode == "chordal":
@@ -259,17 +264,52 @@ class StiefelSpace(MetricSpace):
                 t = a - b
                 s += t * t
             return math.sqrt(s)
-        return self._procrustes(p, q)
+        return float(_procrustes_rows(p[None], q[None])[0])
 
-    def _procrustes(self, a, b) -> float:
-        if np.array_equal(a, b):
-            return 0.0
-        # Canonical operand order keeps d(a, b) == d(b, a) bit-exact.
-        if a.tobytes() > b.tobytes():
-            a, b = b, a
-        sv = np.linalg.svd(a.T @ b, compute_uv=False)
-        val = 2.0 * self.cols - 2.0 * float(sv.sum())
-        return math.sqrt(val) if val > 0.0 else 0.0
+
+def _flat_rows(x: np.ndarray) -> np.ndarray:
+    """An (n, ...) stack as n flat rows, n = 0 included."""
+    return x.reshape(x.shape[0], math.prod(x.shape[1:]))
+
+
+def _bytes_greater(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows i where a[i].tobytes() > b[i].tobytes(), without building
+    the byte strings: read as big-endian integers, 8-byte words order
+    as their bytes do, and the first word that differs decides."""
+    aw = _flat_rows(np.ascontiguousarray(a).view(">u8"))
+    bw = _flat_rows(np.ascontiguousarray(b).view(">u8"))
+    rows = np.arange(len(a))
+    first = (aw != bw).argmax(axis=1)
+    return aw[rows, first] > bw[rows, first]
+
+
+def _procrustes_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Procrustes distances min over Q in O(k) of |a_i Q - b_i|_F between
+    the frames of two (n, d, k) stacks, by one stacked SVD.
+
+    With a_i^T b_i = U S V^T the distance is |a_i U - b_i V|_F, the norm
+    of the differences of the principal vectors, 2 sqrt(sum sin^2(t/2))
+    over the principal angles t.  Unlike sqrt(2k - 2 sum S) it does not
+    cancel, so it stays accurate near zero.  Every product is an explicit
+    left-to-right sum, and the operand with the smaller bytes goes first,
+    so a row's value does not depend on the batch around it and
+    d(a, b) == d(b, a) bit for bit; frames equal by value give 0.0.
+    """
+    swap = _bytes_greater(a, b)[:, None, None]
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    terms = a[..., :, None] * b[..., None, :]           # a[r, i] b[r, j]
+    m = terms[:, 0]
+    for r in range(1, a.shape[1]):
+        m = m + terms[:, r]
+    u, _, vt = np.linalg.svd(m)
+    au = a[..., :, None] * u[:, None]                    # a[r, i] u[i, j]
+    bv = b[..., :, None] * vt.swapaxes(1, 2)[:, None]    # b[r, i] v[i, j]
+    sa, sb = au[:, :, 0], bv[:, :, 0]
+    for i in range(1, a.shape[2]):
+        sa, sb = sa + au[:, :, i], sb + bv[:, :, i]
+    out = _root_sum_sq(_flat_rows(sa - sb))
+    out[np.all(a == b, axis=(1, 2))] = 0.0
+    return out
 
 
 class BHVSpace(MetricSpace):

@@ -57,6 +57,18 @@ def test_sampler_rejects_unknown_fields():
         make_sampler({"dist": "cauchy"})
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"dist": "normal", "sigma": float("nan")}, "sigma"),
+    ({"dist": "normal", "mu": float("inf")}, "mu"),
+    ({"dist": "student_t", "v": float("nan")}, "v"),
+    ({"dist": "point_mass", "value": [1.0, float("nan")]}, "value"),
+    ({"dist": "sphere_vmf", "mu": [0.0, float("-inf"), 1.0], "kappa": 5.0}, "mu"),
+])
+def test_sampler_rejects_non_finite_fields(spec, field):
+    with pytest.raises(ExperimentError, match=f"'{field}' has a non-finite value"):
+        make_sampler(spec)
+
+
 def test_normal_sampler_cdf_matches_scipy():
     sampler = make_sampler({"dist": "normal", "mu": 2.0, "sigma": 3.0})
     xs = np.array([-1.0, 2.0, 4.0])

@@ -284,7 +284,14 @@ HOSTILE = {
     "config-empty": {},
     "config-replications-not-int": dict(_NORMAL_1D, replications="x"),
     "config-student-t-without-v": dict(_NORMAL_1D, sampler={"dist": "student_t"}),
+    "config-sigma-nan": dict(_NORMAL_1D, sampler={"dist": "normal", "sigma": float("nan")}),
+    "config-v-nan": dict(_NORMAL_1D, sampler={"dist": "student_t", "v": float("nan")}),
+    "config-lambda-nan": dict(_NORMAL_1D, experiment="levelset", **{"lambda": float("nan")}),
 }
+
+# Rows whose one error line must name the field they break.
+HOSTILE_FIELD = {"config-sigma-nan": "'sigma'", "config-v-nan": "'v'",
+                 "config-lambda-nan": "'lambda'"}
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))
@@ -302,6 +309,7 @@ def test_hostile_input_is_one_error_line(workdir, capsys, case):
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("lensdepth: error: ")
     assert "Traceback" not in err
+    assert HOSTILE_FIELD.get(case, "") in err
     assert not any((workdir / name).exists() for name in ("out.csv", "bd.csv", "plot.svg"))
 
 

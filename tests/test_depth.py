@@ -200,8 +200,9 @@ def test_population_level_interval():
     lo, hi = population_level_interval_1d(0.375, norm.ppf)
     assert lo == pytest.approx(norm.ppf(0.25))
     assert hi == pytest.approx(norm.ppf(0.75))
-    with pytest.raises(DepthError):
-        population_level_interval_1d(0.6, norm.ppf)
+    for lam in (0.6, math.nan, math.inf, -math.inf):
+        with pytest.raises(DepthError):
+            population_level_interval_1d(lam, norm.ppf)
 
 
 def test_population_mc_point_mass():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lensdepth.metrics import (
     BHVSpace,
@@ -134,16 +135,47 @@ def tie_heavy_and_antipodal(kind, rng):
         return SphereSpace(3), np.concatenate([axes, axes, base, -base, near])
     frames = random_frames(rng, 10)
     flipped = frames * np.array([1.0, -1.0])             # one column negated
-    return StiefelSpace(3, 2), np.concatenate([frames, frames, -frames, flipped])
+    return StiefelSpace(3, 2, kind.split("-")[1]), np.concatenate(
+        [frames, frames, -frames, flipped, signed_zero_frames()])
 
 
-@pytest.mark.parametrize("kind", ["euclidean", "sphere", "stiefel-chordal"])
+def signed_zero_frames():
+    """Axis-aligned frames, each followed by a copy whose zeros are -0.0:
+    equal by value, different by bytes."""
+    axes = np.stack([np.eye(3)[:, [0, 1]], np.eye(3)[:, [2, 0]], -np.eye(3)[:, [1, 2]]])
+    negzero = np.where(axes == 0.0, -0.0, axes)
+    return np.stack([axes, negzero], axis=1).reshape(-1, 3, 2)
+
+
+@pytest.mark.parametrize("kind", VECTOR_KINDS)
 def test_dists_to_matches_scalar_on_ties_and_antipodes(kind, rng):
     space, pts = tie_heavy_and_antipodal(kind, rng)
     pts = space.coerce_points(pts)
     for q in pts:
         row = space.dists_to(pts, q)
         assert row.tolist() == [space.distance(p, q) for p in pts]
+        assert space.paired_distances(pts, np.broadcast_to(q, pts.shape)).tolist() \
+            == row.tolist()
+
+
+@pytest.mark.parametrize("mode", ["chordal", "procrustes"])
+def test_stiefel_signed_zeros_are_one_frame(mode):
+    space = StiefelSpace(3, 2, mode)
+    frames = signed_zero_frames()
+    assert frames[0].tobytes() != frames[1].tobytes()
+    for a, b in zip(frames[::2], frames[1::2]):
+        assert space.distance(a, b) == space.distance(b, a) == 0.0
+    dmat = space.cross_matrix(frames, frames)
+    assert np.all(dmat[np.arange(0, 6, 2), np.arange(1, 6, 2)] == 0.0)
+    assert np.array_equal(dmat, dmat.T)
+
+
+@pytest.mark.parametrize("kind", VECTOR_KINDS)
+def test_empty_batches(kind, rng):
+    space, pts = space_with_points(kind, rng, 3)
+    assert space.dists_to(pts[:0], pts[0]).shape == (0,)
+    assert space.paired_distances(pts[:0], pts[:0]).shape == (0,)
+    assert space.cross_matrix(pts, pts[:0]).shape == (3, 0)
 
 
 def test_pairwise_matrix_small_example():
@@ -229,3 +261,152 @@ def test_sphere_rejects_non_unit():
             space.coerce_point(np.array([value, 0.0, 1.0]))
         with pytest.raises(PointValidationError):
             space.coerce_points(np.array([[value, 0.0, 1.0], [0.0, 0.0, 1.0]]))
+
+
+def _procrustes_by_singular_values(a, b):
+    """The textbook form sqrt(2k - 2 sum sigma(a^T b)), which cancels near 0."""
+    sv = np.linalg.svd(a.T @ b, compute_uv=False)
+    return math.sqrt(max(2.0 * a.shape[1] - 2.0 * sv.sum(), 0.0))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 1), (4, 4), (6, 3)])
+def test_stiefel_procrustes_matches_singular_value_form(shape, rng):
+    space = StiefelSpace(*shape, "procrustes")
+    frames = space.coerce_points(random_frames(rng, 41, *shape))
+    for q in frames[:5]:
+        row = space.dists_to(frames, q)
+        want = [_procrustes_by_singular_values(p, q) for p in frames]
+        far = np.array(want) > 1e-3
+        assert np.all(np.abs(row - want)[far] <= 1e-12)
+
+
+def _principal_angle_frames(t1, t2):
+    """Frames [e1, e2] and [cos t1 e1 + sin t1 e3, cos t2 e2 + sin t2 e4]
+    of R^4, whose principal angles are exactly t1 and t2."""
+    a, b = np.zeros((4, 2)), np.zeros((4, 2))
+    a[0, 0] = a[1, 1] = 1.0
+    b[0, 0], b[2, 0] = math.cos(t1), math.sin(t1)
+    b[1, 1], b[3, 1] = math.cos(t2), math.sin(t2)
+    return a, b
+
+
+def _rotation(t):
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+@pytest.mark.parametrize("theta", np.geomspace(1e-12, math.pi / 2, 25))
+def test_stiefel_procrustes_accurate_at_small_angles(theta, rng):
+    space = StiefelSpace(4, 2, "procrustes")
+    for t1, t2 in ((theta, 0.0), (0.0, theta), (theta, theta), (theta, theta / 7),
+                   (math.pi / 2, theta)):
+        a, b = _principal_angle_frames(t1, t2)
+        want = 2.0 * math.sqrt(math.sin(t1 / 2) ** 2 + math.sin(t2 / 2) ** 2)
+        assert space.distance(a, b) == pytest.approx(want, rel=1e-14, abs=0.0)
+        ambient, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        a, b = (ambient @ a @ _rotation(rng.uniform(0, 2 * math.pi)),
+                ambient @ b @ _rotation(rng.uniform(0, 2 * math.pi)))
+        assert space.distance(a, b) == pytest.approx(want, rel=0.0, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Properties of every vector space, on random point sets with planted ties
+
+
+def _flip_first(points):
+    """Negate the first entry along the last axis: one coordinate of a
+    vector, the first column of a frame."""
+    sign = np.ones(points.shape[-1])
+    sign[0] = -1.0
+    return points * sign
+
+
+@st.composite
+def vector_point_sets(draw, kind):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 7))
+    if kind == "euclidean":
+        dim = draw(st.integers(1, 4))
+        space = EuclideanSpace(dim)
+        pts = rng.standard_normal((n, dim)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    elif kind == "sphere":
+        dim = draw(st.integers(2, 4))
+        space, pts = SphereSpace(dim), random_unit_vectors(rng, n, dim)
+    else:
+        k = draw(st.integers(1, 3))
+        d = draw(st.integers(k, 4))
+        space, pts = StiefelSpace(d, k, kind.split("-")[1]), random_frames(rng, n, d, k)
+    # Plant copies, negations and single-sign flips of other points.
+    for dst, src, how in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1),
+            st.sampled_from(["copy", "negate", "flip"])), max_size=4)):
+        pts[dst] = {"copy": pts[src], "negate": -pts[src],
+                    "flip": _flip_first(pts[src])}[how]
+    return space, space.coerce_points(pts)
+
+
+def _ulps(scale, k=8):
+    return k * np.finfo(float).eps * max(scale, 1.0)
+
+
+def _random_orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("kind", VECTOR_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_vector_space_metric_axioms(kind, data):
+    space, pts = data.draw(vector_point_sets(kind))
+    dmat = space.pairwise(pts)
+    tol = _ulps(dmat.max())
+    assert np.all(dmat >= 0.0)
+    assert np.array_equal(dmat, dmat.T)
+    for i, p in enumerate(pts):
+        assert space.distance(p, p) == 0.0
+        for j, q in enumerate(pts):
+            assert space.distance(p, q) == space.distance(q, p)
+    assert np.all(dmat[:, None, :] <= dmat[:, :, None] + dmat[None, :, :] + tol)
+
+
+@pytest.mark.parametrize("kind", VECTOR_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_vector_space_isometry_invariance(kind, data, seed):
+    space, pts = data.draw(vector_point_sets(kind))
+    rng = np.random.default_rng(seed)
+    ambient = _random_orthogonal(rng, pts.shape[1])
+    moved = ambient @ pts[..., None] if pts.ndim == 2 else ambient @ pts
+    if kind == "stiefel-chordal":
+        moved = moved @ _random_orthogonal(rng, pts.shape[2])
+    if kind == "stiefel-procrustes":
+        # Procrustes aligns each frame on its own, reflections included.
+        moved = moved @ np.stack([_random_orthogonal(rng, pts.shape[2]) for _ in pts])
+    moved = space.coerce_points(moved.reshape(pts.shape))
+    dmat = space.pairwise(pts)
+    scale = float(np.abs(pts).max()) * math.sqrt(pts[0].size)
+    assert np.all(np.abs(space.pairwise(moved) - dmat) <= _ulps(scale, 64))
+
+
+@pytest.mark.parametrize("kind", VECTOR_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_vector_space_batches_are_bit_identical(kind, data):
+    space, pts = data.draw(vector_point_sets(kind))
+    others = pts[::-1]
+    dmat = space.pairwise(pts)
+
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    assert bits(space.cross_matrix(pts, pts)) == bits(dmat)
+    scalar = [[space.distance(p, q) for q in pts] for p in pts]
+    assert bits(scalar) == bits(dmat)
+    for m in range(1, len(pts) + 1):
+        for j, q in enumerate(pts):
+            assert bits(space.dists_to(pts[:m], q)) == bits(dmat[:m, j])
+        assert bits(space.paired_distances(pts[:m], others[:m])) == \
+            bits([space.distance(p, q) for p, q in zip(pts[:m], others[:m])])
+        assert bits(space.pairwise(pts[:m])) == bits(dmat[:m, :m])
+        assert bits(space.cross_matrix(pts[:m], others)) == \
+            bits([[space.distance(p, q) for q in others] for p in pts[:m]])
