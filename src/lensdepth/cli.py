@@ -41,7 +41,8 @@ class CliError(ValueError):
 def _common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="RNG seed recorded in outputs")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker thread cap (never changes results)")
+                        help="worker thread cap, at most the core count "
+                             "(never changes results)")
     parser.add_argument("--out", required=True, help="output path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="tabular output format")
@@ -483,6 +484,9 @@ def run(argv) -> int:
         return args.func(args)
     except _KNOWN_ERRORS as exc:
         print(f"lensdepth: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"lensdepth: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .levelsets import LatticeGrid
+from .levelsets import LatticeGrid, expand_range
 from .treespace import parse_newick_lines
 
 
@@ -176,8 +176,7 @@ def parse_float_range(text: str) -> np.ndarray:
     lo, hi, step = _finite_floats(text, pieces)
     if step <= 0 or hi < lo:
         raise DataError(f"bad range {text!r}")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    return expand_range(lo, hi, step, DataError)
 
 
 def parse_int_range(text: str) -> list[int]:

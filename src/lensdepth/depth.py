@@ -25,6 +25,7 @@ double loop bit for bit at any thread count:
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -150,15 +151,17 @@ def _count_block(dq: np.ndarray, dmat: np.ndarray) -> np.ndarray:
 
 
 def thread_map(fn, items, threads: int = 1) -> list:
-    """`[fn(item) for item in items]` on up to `threads` worker threads.
+    """`[fn(item) for item in items]` on up to `threads` worker threads,
+    never more than the core count.
 
     Results come back in item order, so whatever a caller aggregates from
     them is independent of `threads`.
     """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(min(threads, len(items))) as ex:
+    with ThreadPoolExecutor(workers) as ex:
         return list(ex.map(fn, items))
 
 

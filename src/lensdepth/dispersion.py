@@ -11,7 +11,6 @@ independent numerical methods that cross-check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -206,12 +205,6 @@ def gamma(cx: PsiCurve, cy: PsiCurve) -> float:
     return covered / total
 
 
-class TNGamma(NamedTuple):
-    """Gamma of a Student-t element against a centred normal."""
-    gamma: float
-    two_gamma: float
-
-
 def _tn_dominates(lam: np.ndarray, v: float, sigma: float) -> np.ndarray:
     """Indicator that the t(v) level-set width beats the N(0, sigma^2) one.
 
@@ -226,25 +219,19 @@ def _tn_dominates(lam: np.ndarray, v: float, sigma: float) -> np.ndarray:
     return stdtrit(v, u) >= sigma * ndtri(u)
 
 
-def gamma_t_vs_normal(v: float, sigma: float, *, method: str = "quadrature",
-                      points: int = 100_000) -> TNGamma:
+def gamma_t_vs_normal(v: float, sigma: float) -> float:
     """Gamma for X ~ t(v) against Y ~ N(0, sigma^2) on the line.
 
     Population level sets are closed-form quantile intervals, and the
-    level range is (0, 1/2].  `method="quadrature"` is the one-cell
-    `gamma_t_vs_normal_grid`; `method="bisection"` locates every
-    dominance crossing by sign scanning plus bisection and sums interval
-    lengths.  The two agree to ~1/points.
+    level range is (0, 1/2].  Every dominance crossing is located by sign
+    scanning plus bisection and the dominated interval lengths summed: an
+    independent check of the quadrature in `gamma_t_vs_normal_grid`,
+    which it matches to ~1/points.
     """
     if v < 1:
         raise DispersionError(f"degrees of freedom must be >= 1, got {v}")
     if sigma <= 0:
         raise DispersionError(f"sigma must be positive, got {sigma}")
-    if method == "quadrature":
-        g = float(gamma_t_vs_normal_grid([v], [sigma], points)[0, 0])
-        return TNGamma(g, 2.0 * g)
-    if method != "bisection":
-        raise DispersionError(f"unknown method {method!r}")
     coarse = 2048
     lam = (np.arange(coarse) + 0.5) * (0.5 / coarse)
     # The dominance region can pinch arbitrarily close to either endpoint
@@ -273,8 +260,7 @@ def gamma_t_vs_normal(v: float, sigma: float, *, method: str = "quadrature",
         mid = np.array([0.5 * (lo + hi)])
         if bool(_tn_dominates(mid, v, sigma)[0]):
             total += hi - lo
-    g = total / 0.5
-    return TNGamma(g, 2.0 * g)
+    return total / 0.5
 
 
 def gamma_t_vs_normal_grid(vs, sigmas, points: int = 100_000) -> np.ndarray:

@@ -110,6 +110,16 @@ def measure_distance(a: LevelSet, b: LevelSet, reference: Sample) -> float:
 # Evaluation geometries
 
 
+def expand_range(lo: float, hi: float, step: float, error=LevelSetError) -> np.ndarray:
+    """lo, lo + step, ... up to hi, which is included when a step lands
+    within 1e-9 steps of it.  A count that numpy refuses to hold raises
+    `error`."""
+    try:
+        return lo + step * np.arange(math.floor((hi - lo) / step + 1e-9) + 1)
+    except (ValueError, MemoryError, OverflowError):
+        raise error(f"range {lo}:{hi}:{step} has too many points") from None
+
+
 @dataclass(frozen=True)
 class LatticeGrid:
     """Axis-aligned lattice over a box, points in C order.
@@ -128,8 +138,7 @@ class LatticeGrid:
         for lo, hi, step in self.axes:
             if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
                 raise LevelSetError(f"bad axis ({lo}, {hi}, {step})")
-            count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-            values.append(lo + step * np.arange(count))
+            values.append(expand_range(lo, hi, step))
         object.__setattr__(self, "_axis_values", tuple(values))
         mesh = np.meshgrid(*values, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)

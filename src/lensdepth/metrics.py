@@ -4,16 +4,17 @@ Concrete spaces: Euclidean R^d, the unit sphere S^{d-1} with geodesic
 distance, Stiefel frame spaces (chordal or Procrustes metric), and the
 tree space of weighted phylogenetic trees.
 
-All distances funnel through the space objects, and the vectorized
-helpers (`dists_to`, `paired_distances`, `cross_matrix`, `pairwise`)
-are written so that they produce bit-identical floats to the scalar
-`distance` call: every sum runs in a fixed order, never in one numpy
-picks by array shape.  Batch operations elsewhere in the package rely
-on this to match per-point recomputation exactly, independent of
-chunking or thread count.  Distance matrices are built on one thread.
-Distances stay accurate near zero: the sphere uses an atan2 arc and
-the Procrustes metric the norm of principal-vector differences, neither
-of which cancels.
+A space is its point check plus its distance: it defines `coerce_points`
+and either a batch `paired_distances` or a scalar `distance`, and
+`MetricSpace` derives the other methods from those.  The batch helpers
+(`dists_to`, `paired_distances`, `cross_matrix`, `pairwise`) produce
+bit-identical floats to the scalar `distance` call: every sum runs in a
+fixed order, never in one numpy picks by array shape.  Batch operations
+elsewhere in the package rely on this to match per-point recomputation
+exactly, independent of chunking or thread count.  Distance matrices are
+built on one thread.  Distances stay accurate near zero: the sphere uses
+an atan2 arc and the Procrustes metric the norm of principal-vector
+differences, neither of which cancels.
 """
 
 from __future__ import annotations
@@ -36,43 +37,80 @@ class PointValidationError(MetricError):
     """A point does not belong to the space it was used with."""
 
 
+def _reject_first(bad, message) -> None:
+    """Raise for the first point flagged in `bad`, with the one-line
+    `message(i)` for its index i."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise PointValidationError(message(int(hits[0])))
+
+
+def _float_stack(points, shape: tuple, what: str) -> np.ndarray:
+    """`points` as a float array of points of `shape`, rejecting any
+    other shape and then the first point with a non-finite entry."""
+    arr = np.asarray(points, dtype=float)
+    if arr.shape[1:] != shape:
+        raise PointValidationError(f"expected {what}, got an array of shape {arr.shape}")
+    _reject_first(~_flat_rows(np.isfinite(arr)).all(axis=1),
+                  lambda i: f"point {i} has a non-finite entry")
+    return arr
+
+
 def _root_sum_sq(diff: np.ndarray) -> np.ndarray:
     """Square root of the sum of squares over the last axis, accumulated
-    column by column from the left, the order of every scalar `distance`
-    loop, so both paths agree bit for bit."""
+    column by column from the left, the order of `_scalar_root_sum_sq`,
+    so both paths agree bit for bit."""
     s = diff[..., 0] * diff[..., 0]
     for j in range(1, diff.shape[-1]):
         s = s + diff[..., j] * diff[..., j]
     return np.sqrt(s)
 
 
+def _scalar_root_sum_sq(p: np.ndarray, q: np.ndarray) -> float:
+    """|p - q| by a left-to-right Python loop over the flattened entries.
+    Kept apart from `_root_sum_sq`: the `empirical_lens_depth` oracle
+    checks the batch path against it."""
+    s = 0.0
+    for a, b in zip(p.ravel().tolist(), q.ravel().tolist()):
+        t = a - b
+        s += t * t
+    return math.sqrt(s)
+
+
 class MetricSpace:
     """A metric space: point validation plus scalar and batch distances.
 
-    `points` containers are numpy arrays whose first axis indexes points:
-    float arrays for the vector spaces, 1-d object arrays of `Tree` for
-    tree space.
+    A subclass defines `coerce_points` and at least one of
+    `paired_distances` (batch) and `distance` (scalar); each defaults to
+    the other, and `coerce_point`, `dists_to`, `cross_matrix` and
+    `pairwise` are derived.  `points` containers are numpy arrays whose
+    first axis indexes points: float arrays for the vector spaces, 1-d
+    object arrays of `Tree` for tree space.
     """
 
     kind = "abstract"
 
     def coerce_points(self, points):
-        """Validate and return the canonical container for a point set."""
+        """Validate and return the canonical container for a point set;
+        a point that does not belong to the space raises
+        `PointValidationError` naming its index."""
         raise NotImplementedError
 
     def coerce_point(self, p):
-        raise NotImplementedError
+        """Validate one point, exactly as a set holding only it."""
+        return self.coerce_points([p])[0]
 
     def distance(self, p, q) -> float:
-        raise NotImplementedError
-
-    def dists_to(self, points, q) -> np.ndarray:
-        """Distances from every point of `points` to the single point `q`."""
-        raise NotImplementedError
+        """Distance between two points: one row of `paired_distances`."""
+        return float(self.paired_distances(p[None], q[None])[0])
 
     def paired_distances(self, ps, qs) -> np.ndarray:
         """Elementwise distances between two equally long point sets."""
-        return np.array([self.distance(p, q) for p, q in zip(ps, qs)])
+        return np.array([self.distance(p, q) for p, q in zip(ps, qs)], dtype=float)
+
+    def dists_to(self, points, q) -> np.ndarray:
+        """Distances from every point of `points` to the single point `q`."""
+        return self.paired_distances(points, np.broadcast_to(q, np.shape(points)))
 
     def cross_matrix(self, ps, qs) -> np.ndarray:
         """Matrix of distances, rows indexed by `ps`, columns by `qs`."""
@@ -107,37 +145,16 @@ class EuclideanSpace(MetricSpace):
     def __repr__(self):
         return f"EuclideanSpace(dim={self.dim})"
 
-    def coerce_point(self, p):
-        arr = np.asarray(p, dtype=float)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
-        if arr.shape != (self.dim,):
-            raise PointValidationError(
-                f"expected a real vector of length {self.dim}, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise PointValidationError(f"non-finite coordinates in {arr!r}")
-        return arr
-
     def coerce_points(self, points):
         arr = np.asarray(points, dtype=float)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        if arr.ndim != 2 or arr.shape[1] != self.dim:
-            raise PointValidationError(
-                f"expected an (n, {self.dim}) array of points, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise PointValidationError("non-finite coordinates in point set")
-        return arr
+        return _float_stack(arr.reshape(-1, 1) if arr.ndim == 1 else arr, (self.dim,),
+                            f"real vectors of length {self.dim}")
 
     def distance(self, p, q) -> float:
-        # The same left-to-right sum as `_root_sum_sq`, kept apart from it:
-        # the `empirical_lens_depth` oracle checks the batch path against it.
-        s = 0.0
-        for a, b in zip(p.tolist(), q.tolist()):
-            t = a - b
-            s += t * t
-        return math.sqrt(s)
+        return _scalar_root_sum_sq(p, q)
 
+    # Native broadcasting of q: the base rule's `np.broadcast_to` would
+    # more than double the cost of this hot path (so also on the sphere).
     def dists_to(self, points, q) -> np.ndarray:
         return _root_sum_sq(points - q)
 
@@ -157,31 +174,11 @@ class SphereSpace(MetricSpace):
     def __repr__(self):
         return f"SphereSpace(dim={self.dim})"
 
-    def coerce_point(self, p):
-        arr = np.asarray(p, dtype=float)
-        if arr.shape != (self.dim,):
-            raise PointValidationError(
-                f"expected a unit vector of length {self.dim}, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise PointValidationError(f"non-finite coordinates in {arr!r}")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > UNIT_TOL:
-            raise PointValidationError(
-                f"vector norm {norm!r} deviates from 1 by more than {UNIT_TOL}")
-        return arr
-
     def coerce_points(self, points):
-        arr = np.asarray(points, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != self.dim:
-            raise PointValidationError(
-                f"expected an (n, {self.dim}) array of unit vectors, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise PointValidationError("non-finite coordinates in point set")
+        arr = _float_stack(points, (self.dim,), f"unit vectors of length {self.dim}")
         norms = np.linalg.norm(arr, axis=1)
-        bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_TOL)
-        if bad.size:
-            raise PointValidationError(
-                f"point {bad[0]} has norm {norms[bad[0]]!r}, not unit within {UNIT_TOL}")
+        _reject_first(np.abs(norms - 1.0) > UNIT_TOL, lambda i: (
+            f"point {i} has norm {float(norms[i])!r}, not 1 within {UNIT_TOL}"))
         return arr
 
     def dists_to(self, points, q) -> np.ndarray:
@@ -191,9 +188,6 @@ class SphereSpace(MetricSpace):
         return 2.0 * np.arctan2(_root_sum_sq(points - q), _root_sum_sq(points + q))
 
     paired_distances = dists_to
-
-    def distance(self, p, q) -> float:
-        return float(self.dists_to(p[None, :], q)[0])
 
 
 class StiefelSpace(MetricSpace):
@@ -221,32 +215,13 @@ class StiefelSpace(MetricSpace):
     def __repr__(self):
         return f"StiefelSpace(rows={self.rows}, cols={self.cols}, mode={self.mode!r})"
 
-    def coerce_point(self, p):
-        arr = np.asarray(p, dtype=float)
-        if arr.shape != (self.rows, self.cols):
-            raise PointValidationError(
-                f"expected a ({self.rows}, {self.cols}) frame, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise PointValidationError(f"non-finite entries in frame {arr!r}")
-        gram = arr.T @ arr
-        dev = float(np.max(np.abs(gram - np.eye(self.cols))))
-        if dev > ORTHONORMAL_TOL:
-            raise PointValidationError(
-                f"frame columns deviate from orthonormality by {dev!r} "
-                f"(> {ORTHONORMAL_TOL})")
-        return arr
-
     def coerce_points(self, points):
-        arr = np.asarray(points, dtype=float)
-        if arr.ndim != 3 or arr.shape[1:] != (self.rows, self.cols):
-            raise PointValidationError(
-                f"expected an (n, {self.rows}, {self.cols}) array of frames, "
-                f"got shape {arr.shape}")
-        for i in range(arr.shape[0]):
-            try:
-                self.coerce_point(arr[i])
-            except PointValidationError as exc:
-                raise PointValidationError(f"frame {i}: {exc}") from None
+        arr = _float_stack(points, (self.rows, self.cols),
+                           f"({self.rows}, {self.cols}) frames")
+        dev = np.abs(arr.swapaxes(1, 2) @ arr - np.eye(self.cols)).max(axis=(1, 2))
+        _reject_first(dev > ORTHONORMAL_TOL, lambda i: (
+            f"point {i} is not orthonormal: its Gram matrix is {float(dev[i])!r} "
+            f"from the identity (> {ORTHONORMAL_TOL})"))
         return arr
 
     def paired_distances(self, ps, qs) -> np.ndarray:
@@ -254,17 +229,10 @@ class StiefelSpace(MetricSpace):
             return _root_sum_sq(_flat_rows(ps - qs))
         return _procrustes_rows(ps, qs)
 
-    def dists_to(self, points, q) -> np.ndarray:
-        return self.paired_distances(points, np.broadcast_to(q, points.shape))
-
     def distance(self, p, q) -> float:
         if self.mode == "chordal":
-            s = 0.0
-            for a, b in zip(p.ravel().tolist(), q.ravel().tolist()):
-                t = a - b
-                s += t * t
-            return math.sqrt(s)
-        return float(_procrustes_rows(p[None], q[None])[0])
+            return _scalar_root_sum_sq(p, q)
+        return super().distance(p, q)
 
 
 def _flat_rows(x: np.ndarray) -> np.ndarray:
@@ -331,16 +299,12 @@ class BHVSpace(MetricSpace):
     def __repr__(self):
         return f"BHVSpace(labels={self.labels!r})"
 
-    def coerce_point(self, p):
-        if not isinstance(p, treespace.Tree):
-            raise PointValidationError(f"expected a Tree, got {type(p).__name__}")
-        if p.labels != self.labels:
-            raise PointValidationError(
-                f"tree leaf universe {p.labels!r} does not match space {self.labels!r}")
-        return p
-
     def coerce_points(self, points):
-        trees = [self.coerce_point(p) for p in points]
+        trees = list(points)
+        _reject_first([not isinstance(p, treespace.Tree) for p in trees], lambda i: (
+            f"point {i} is a {type(trees[i]).__name__}, not a Tree"))
+        _reject_first([p.labels != self.labels for p in trees], lambda i: (
+            f"point {i} has leaf universe {trees[i].labels!r}, not {self.labels!r}"))
         out = np.empty(len(trees), dtype=object)    # numpy treats a Tree as a scalar
         out[:] = trees
         return out
@@ -349,7 +313,3 @@ class BHVSpace(MetricSpace):
         if p.sort_key() > q.sort_key():
             p, q = q, p
         return treespace.bhv_distance(p, q).distance
-
-    def dists_to(self, points, q) -> np.ndarray:
-        return np.array([self.distance(p, q) for p in points])
-

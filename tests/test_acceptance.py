@@ -188,7 +188,7 @@ def test_criterion_6_gamma_properties():
     worst = 0.0
     checks = [(v, s) for v in range(1, 6) for s in sigmas]
     for (v, s) in checks[:: 5]:          # every 5th pair, still 100 pairs
-        b = gamma_t_vs_normal(v, s, method="bisection").gamma
+        b = gamma_t_vs_normal(v, s)
         q = quad[v - 1, np.searchsorted(sigmas, s)]
         worst = max(worst, abs(q - b))
     agreement = worst <= 1e-4
@@ -366,7 +366,7 @@ def test_criterion_9_figure_grid_range_and_method_agreement(tmp_path):
     for _ in range(40):
         v = int(rng.integers(1, 6))
         sigma = round(float(rng.choice(np.arange(0.05, 5.0001, 0.05))), 4)
-        b = gamma_t_vs_normal(v, sigma, method="bisection").two_gamma
+        b = 2.0 * gamma_t_vs_normal(v, sigma)
         worst = max(worst, abs(table[(v, sigma)] - b))
     ok = code == 0 and len(data) == 500 and in_range and worst <= 2e-4
     report(9, ok, f"(rows={len(data)}, range ok={in_range}, "

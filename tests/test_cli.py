@@ -10,7 +10,7 @@ import pytest
 from lensdepth import __version__
 from lensdepth.cli import run
 from lensdepth.dataio import fmt
-from lensdepth.dispersion import gamma_t_vs_normal
+from lensdepth.dispersion import gamma_t_vs_normal_grid
 from lensdepth.treespace import random_tree, to_newick
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -81,7 +81,7 @@ def test_gamma_tn_single_row_matches_module(workdir):
     assert rows[0] == "v,sigma,two_gamma"
     v, sigma, two_gamma = rows[1].split(",")
     assert (int(v), float(sigma)) == (3, 1.0)
-    assert float(two_gamma) == gamma_t_vs_normal(3, 1.0).two_gamma
+    assert float(two_gamma) == 2.0 * gamma_t_vs_normal_grid([3], [1.0])[0, 0]
 
 
 def test_gamma_tn_range_filters_nonpositive_sigma(workdir):
@@ -287,6 +287,17 @@ HOSTILE = {
     "config-sigma-nan": dict(_NORMAL_1D, sampler={"dist": "normal", "sigma": float("nan")}),
     "config-v-nan": dict(_NORMAL_1D, sampler={"dist": "student_t", "v": float("nan")}),
     "config-lambda-nan": dict(_NORMAL_1D, experiment="levelset", **{"lambda": float("nan")}),
+    # Sizes numpy refuses before allocating anything.
+    "grid-too-many-points": [*_LEVELSET, "--grid=0:1:1e-30"],
+    "grid-out-of-memory": [*_LEVELSET, "--grid=0:1:1e-15"],
+    "grid-count-overflows": [*_LEVELSET, "--grid=-1e308:1e308:1e-300"],
+    "lambdas-too-many-points": ["psi", *_SAMPLE, "--psi", "diam", "--lambdas=0:1:1e-30"],
+    "psi-levels-out-of-memory": ["psi", *_SAMPLE, "--psi", "diam",
+                                 "--levels", "1000000000000000000"],
+    "points-out-of-memory": ["gamma-tn", "--v", "3", "--sigma", "1",
+                             "--points", "1000000000000000000"],
+    "frame-nan": ["outliers", "--sample", "frames.csv", "--metric", "stiefel-procrustes",
+                  "--shape", "3x2"],
 }
 
 # Rows whose one error line must name the field they break.
@@ -300,6 +311,9 @@ def test_hostile_input_is_one_error_line(workdir, capsys, case):
     write_points(workdir / "s.csv", rng.standard_normal((12, 2)))
     (workdir / "groups").mkdir()
     write_points(workdir / "groups" / "a.csv", rng.standard_normal((12, 2)))
+    frames = np.tile(np.eye(3)[:, :2].ravel(), (5, 1))
+    frames[3, 4] = np.nan
+    write_points(workdir / "frames.csv", frames)
     row = HOSTILE[case]
     if isinstance(row, dict):
         (workdir / "exp.json").write_text(json.dumps(row))

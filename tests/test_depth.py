@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from lensdepth import depth
 from lensdepth.depth import (
     DepthError,
     Sample,
@@ -16,7 +17,7 @@ from lensdepth.depth import (
     self_depth_field,
 )
 from lensdepth.analysis import loo_depth_against
-from lensdepth.asymptotics import make_sampler
+from lensdepth.asymptotics import make_sampler, run_config
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
 from lensdepth.treespace import Tree, random_tree
 
@@ -153,6 +154,46 @@ def test_count_path_matches_naive_on_ties(threads, rng):
     loo = loo_depth_against(queries, sample, threads=threads)
     assert loo.tolist() == [empirical_lens_depth(q, sample, exclude=_first_equal(q, pts))
                             for q in queries]
+
+
+class SerialExecutor:
+    """Stands in for ThreadPoolExecutor: records the worker count asked
+    for and runs the tasks in order on the calling thread."""
+
+    requested: list = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cores", [3, None])
+def test_thread_pool_never_exceeds_the_core_count(cores, monkeypatch, rng):
+    monkeypatch.setattr(depth, "ThreadPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(depth.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(SerialExecutor, "requested", [])
+    workers = [] if cores is None else [cores]       # unknown core count: serial
+    assert depth.thread_map(lambda x: x * x, range(50), threads=100_000) == \
+        [x * x for x in range(50)]
+    assert SerialExecutor.requested == workers
+    sample = Sample(rng.standard_normal((30, 2)), E2)
+    queries = rng.standard_normal((40, 2))
+    want = batch_depth(queries, sample, threads=1).counts
+    assert np.array_equal(batch_depth(queries, sample, threads=100_000).counts, want)
+    assert SerialExecutor.requested == 2 * workers
+    config = {"experiment": "supnorm", "sampler": {"dist": "normal"}, "n_schedule": [10],
+              "replications": 6, "grid": [[-1.0, 1.0, 0.5]], "seed": 2}
+    want = run_config(dict(config, threads=1))
+    assert run_config(dict(config, threads=100_000)) == want
+    assert SerialExecutor.requested == 3 * workers
 
 
 def test_count_path_single_query_more_threads(rng):

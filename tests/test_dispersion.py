@@ -350,7 +350,7 @@ def test_gamma_closed_form_oracle_with_refinement():
     cx = curve(fx(lam), lam)
     cy = curve(fy(lam), lam)
     got = gamma(cx, cy)
-    expected = gamma_t_vs_normal(v, sigma, method="bisection").gamma
+    expected = gamma_t_vs_normal(v, sigma)
     assert got == pytest.approx(expected, abs=1e-3)
 
 
@@ -359,16 +359,14 @@ def test_gamma_closed_form_oracle_with_refinement():
 
 
 def test_tn_gamma_degenerate_sigma():
-    assert gamma_t_vs_normal(3, 1e-12).gamma == 1.0
+    assert gamma_t_vs_normal_grid([3], [1e-12])[0, 0] == 1.0
 
 
 def test_tn_gamma_two_methods_agree_spotchecks():
     for v in (1, 2, 5):
         for sigma in (0.3, 1.0, 1.7, 4.0):
-            q = gamma_t_vs_normal(v, sigma, method="quadrature")
-            b = gamma_t_vs_normal(v, sigma, method="bisection")
-            assert q.gamma == pytest.approx(b.gamma, abs=1e-4)
-            assert q.two_gamma == 2 * q.gamma
+            q = gamma_t_vs_normal_grid([v], [sigma])[0, 0]
+            assert q == pytest.approx(gamma_t_vs_normal(v, sigma), abs=1e-4)
 
 
 def test_tn_gamma_grid_matches_pointwise():
@@ -377,7 +375,7 @@ def test_tn_gamma_grid_matches_pointwise():
     table = gamma_t_vs_normal_grid(vs, sigmas, points=20_000)
     for i, v in enumerate(vs):
         for j, s in enumerate(sigmas):
-            single = gamma_t_vs_normal(v, s, points=20_000).gamma
+            single = gamma_t_vs_normal_grid([v], [s], 20_000)[0, 0]
             assert table[i, j] == pytest.approx(single, abs=1e-12)
 
 

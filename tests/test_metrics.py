@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lensdepth.analysis import loo_depth_against
+from lensdepth.depth import Sample, batch_depth, empirical_lens_depth, self_depth_field
 from lensdepth.metrics import (
     BHVSpace,
     EuclideanSpace,
+    MetricSpace,
     PointValidationError,
     SphereSpace,
     StiefelSpace,
 )
-from lensdepth.treespace import random_tree
+from lensdepth.treespace import parse_newick, random_tree
 
 from conftest import random_frames, random_unit_vectors, space_with_points
 
@@ -410,3 +413,121 @@ def test_vector_space_batches_are_bit_identical(kind, data):
         assert bits(space.pairwise(pts[:m])) == bits(dmat[:m, :m])
         assert bits(space.cross_matrix(pts[:m], others)) == \
             bits([[space.distance(p, q) for q in others] for p in pts[:m]])
+
+
+# ---------------------------------------------------------------------------
+# The space contract: a point check plus a distance, the rest derived
+
+
+class DiscreteSpace(MetricSpace):
+    """The discrete metric on integer labels, defined by nothing but its
+    point check and a scalar distance; every lens question is a tie."""
+
+    kind = "discrete"
+
+    def coerce_points(self, points):
+        arr = np.asarray(points)
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise PointValidationError(f"expected integer labels, got {arr.dtype} {arr.shape}")
+        return arr
+
+    def distance(self, p, q) -> float:
+        return 0.0 if p == q else 1.0
+
+
+def test_scalar_distance_space_derives_the_batch_methods(rng):
+    space = DiscreteSpace()
+    pts = space.coerce_points(rng.integers(0, 4, 25))
+    others = pts[::-1]
+    scalar = [[space.distance(p, q) for q in pts] for p in pts]
+    assert space.coerce_point(pts[3]) == pts[3]
+    with pytest.raises(PointValidationError):
+        space.coerce_point(0.5)
+    assert space.pairwise(pts).tolist() == scalar
+    assert space.cross_matrix(pts[:7], pts).tolist() == scalar[:7]
+    for j, q in enumerate(pts):
+        assert space.dists_to(pts, q).tolist() == [row[j] for row in scalar]
+    assert space.paired_distances(pts, others).tolist() == \
+        [space.distance(p, q) for p, q in zip(pts, others)]
+    assert space.dists_to(pts[:0], pts[0]).shape == (0,)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_scalar_distance_space_depths_match_the_double_loop(threads, rng):
+    sample = Sample(rng.integers(0, 4, 20), DiscreteSpace())
+    queries = np.array([0, 1, 2, 3, 4, 7, 2])
+    field = batch_depth(queries, sample, threads=threads)
+    assert field.values.tolist() == [empirical_lens_depth(q, sample) for q in queries]
+    loo = self_depth_field(sample, threads=threads)
+    assert loo.values.tolist() == [empirical_lens_depth(p, sample, exclude=e)
+                                   for e, p in enumerate(sample.points)]
+    first = {int(p): e for e, p in reversed(list(enumerate(sample.points)))}
+    assert loo_depth_against(queries, sample, threads=threads).tolist() == \
+        [empirical_lens_depth(q, sample, exclude=first.get(int(q))) for q in queries]
+
+
+def _contract_cases():
+    """(space, valid point, point, point is valid) rows: each space with
+    valid points and each way a point can fail to belong to it."""
+    frame = np.eye(3)[:, :2]
+    nan_frame = frame.copy()
+    nan_frame[2, 1] = math.nan
+    skew = frame.copy()
+    skew[0, 1] = 0.5
+    tree = parse_newick("((a:1,b:1):1,c:1);")
+    rows = [("euclidean", EuclideanSpace(2), [
+        ("valid", np.array([1.0, -2.0]), True),
+        ("wrong-shape", np.array([1.0]), False),
+        ("wrong-rank", np.array([[1.0, 2.0]]), False),
+        ("nan", np.array([math.nan, 0.0]), False),
+        ("inf", np.array([0.0, -math.inf]), False)]),
+            ("line", EuclideanSpace(1), [
+        ("valid-scalar", 2.5, True),
+        ("wrong-shape", np.array([1.0, 2.0]), False),
+        ("nan", math.nan, False)]),
+            ("sphere", SphereSpace(3), [
+        ("valid", np.array([0.0, 0.0, 1.0]), True),
+        ("valid-within-tol", np.array([1.0 + 5e-10, 0.0, 0.0]), True),
+        ("wrong-shape", np.array([0.0, 1.0]), False),
+        ("nan", np.array([math.nan, 0.0, 1.0]), False),
+        ("non-unit", np.array([1.0, 1.0, 1.0]), False)])]
+    for mode in ("chordal", "procrustes"):
+        rows.append((f"stiefel-{mode}", StiefelSpace(3, 2, mode), [
+            ("valid", frame, True),
+            ("wrong-shape", np.eye(3), False),
+            ("nan", nan_frame, False),
+            ("non-orthonormal", skew, False),
+            ("ones", np.ones((3, 2)), False)]))
+    rows.append(("bhv", BHVSpace(tree.labels), [
+        ("valid", tree, True),
+        ("wrong-universe", parse_newick("((a:1,b:1):1,d:1);"), False),
+        ("not-a-tree", np.zeros(3), False)]))
+    return [pytest.param(space, cases[0][1], point, valid, id=f"{name}-{case}")
+            for name, space, cases in rows for case, point, valid in cases]
+
+
+def _rejection(fn):
+    try:
+        fn()
+    except PointValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("space, good, point, valid", _contract_cases())
+def test_coerce_point_raises_exactly_when_coerce_points_does(space, good, point, valid):
+    one = _rejection(lambda: space.coerce_point(point))
+    many = _rejection(lambda: space.coerce_points([point]))
+    assert (one is None) == (many is None) == valid
+    if valid:
+        return
+    assert one == many
+    assert "\n" not in one and "np." not in one and "array(" not in one
+
+
+@pytest.mark.parametrize("space, good, point, valid", [
+    case for case in _contract_cases()
+    if not case.values[3] and "shape" not in case.id and "rank" not in case.id])
+def test_rejection_names_the_first_bad_point(space, good, point, valid):
+    message = _rejection(lambda: space.coerce_points([good, good, point, point]))
+    assert message is not None and message.startswith("point 2 ")
