@@ -46,8 +46,9 @@ def loo_depth_against(points, sample: Sample, threads: int = 1) -> np.ndarray:
     loo_pairs = _pair_count(sample.n - 1)
     space, pts = sample.space, sample.points
     if dq is None:
-        # On the line no distance matrix was built: rows are made only for
-        # queries equal to a sample value.
+        # On the line and on a lattice no distance matrix was built: rows
+        # are made only for queries whose first coordinate a sample point
+        # shares.
         candidates = np.flatnonzero(np.isin(points[:, 0], pts[:, 0]))
     else:
         candidates = np.flatnonzero((dq == 0.0).any(axis=1))

@@ -282,7 +282,7 @@ def supnorm_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     def task(k, r):
         rng = _rng_for(cfg.seed, k, r)
         pts = sampler.draw(rng, cfg.n_schedule[k])
-        field = batch_depth(grid.points, Sample(pts, sampler.space))
+        field = batch_depth(grid, Sample(pts, sampler.space))
         return float(np.max(np.abs(field.values - truth)))
 
     results = _run_grid(cfg, task)
@@ -319,7 +319,7 @@ def levelset_experiment(cfg: ExperimentConfig, lam: float) -> ConvergenceReport:
     def task(k, r):
         rng = _rng_for(cfg.seed, k, r)
         pts = sampler.draw(rng, cfg.n_schedule[k])
-        field = batch_depth(grid.points, Sample(pts, space))
+        field = batch_depth(grid, Sample(pts, space))
         ls = level_set(field, lam)
         if len(ls.members) == 0:
             return math.inf, math.inf

@@ -239,11 +239,10 @@ def cmd_levelset(args) -> int:
     sample = _load_sample(args.sample, args.metric, args.shape)
     if args.grid is not None:
         grid = dataio.parse_grid_spec(args.grid)
-        eval_points = grid.points
-        field = batch_depth(eval_points, sample, threads=args.threads)
+        field = batch_depth(grid, sample, threads=args.threads)
     else:
         field = self_depth_field(sample, threads=args.threads)
-        eval_points = field.points
+    eval_points = field.points
     if args.boundary_out and args.grid is None:
         # Off the line, the depth field has already cached the sample's
         # distance matrix, which the kNN graph reads.  Built before any
@@ -277,7 +276,7 @@ def cmd_psi(args) -> int:
     sample = _load_sample(args.sample, args.metric, args.shape)
     grid = dataio.parse_grid_spec(args.grid) if args.grid else None
     if grid is not None:
-        field = batch_depth(grid.points, sample, threads=args.threads)
+        field = batch_depth(grid, sample, threads=args.threads)
     else:
         field = self_depth_field(sample, threads=args.threads)
     reference = None
@@ -298,13 +297,12 @@ def _two_sample_curves(args):
     sx = _load_sample(args.x, args.metric, args.shape)
     sy = _load_sample(args.y, args.metric, args.shape)
     if args.grid is not None:
-        grid = dataio.parse_grid_spec(args.grid)
-        eval_points = grid.points
+        grid = queries = dataio.parse_grid_spec(args.grid)
     else:
         grid = None
-        eval_points = np.concatenate([sx.points, sy.points])
-    fx = batch_depth(eval_points, sx, threads=args.threads)
-    fy = batch_depth(eval_points, sy, threads=args.threads)
+        queries = np.concatenate([sx.points, sy.points])
+    fx = batch_depth(queries, sx, threads=args.threads)
+    fy = batch_depth(queries, sy, threads=args.threads)
     lambdas = _lambda_grid(args, fx, fy)
     cx = dispersion.psi_curve(fx, args.psi, lambdas, grid=grid)
     cy = dispersion.psi_curve(fy, args.psi, lambdas, grid=grid)

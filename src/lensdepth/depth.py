@@ -16,6 +16,11 @@ double loop bit for bit at any thread count:
   go subnormal or overflow) and counts only those pairwise, against one
   distance row per distinct sample value, so no n x n matrix is built.
   `threads` has nothing to split there.
+- On a `LatticeGrid` in R^d, d >= 2, `_lattice_counts` rasterizes each
+  lens row by row along the lattice's longest axis: the points of a row
+  inside a lens form one index range, estimated from the chord and
+  confirmed (or recounted) by the float predicate, so no query matrix
+  is built.
 - Elsewhere `_counts` splits the query rows into one contiguous block
   per thread and runs the vectorized `_count_block` on each.
 
@@ -210,6 +215,166 @@ def _line_counts(x: np.ndarray, sample: Sample):
     return counts, np.flatnonzero(guard)
 
 
+# Lens-row incidences handled per block of the lattice count; bounds its
+# temporaries at a few dozen arrays of this length per thread.
+_LATTICE_BLOCK = 1 << 14
+
+
+def _axis_ranges(values: np.ndarray, coords: np.ndarray, dmat: np.ndarray):
+    """Index ranges [lo, hi) of the sorted lattice axis `values` outside
+    which ball (i, dmat[i, j]) misses every row, for every ordered pair.
+
+    The distance to a lattice point is at least the root of its term on
+    this axis alone (a float sum of squares never falls below one of its
+    terms), and that root is nonincreasing and then nondecreasing along
+    the axis, so the indices where it is within the radius are one range,
+    found by two binary searches per centre.
+    """
+    root = np.sqrt(np.square(coords[:, None] - values))
+    mid = np.searchsorted(values, coords)
+    lo = np.empty(dmat.shape, dtype=np.intp)
+    hi = np.empty(dmat.shape, dtype=np.intp)
+    for i, p in enumerate(mid):
+        lo[i] = p - np.searchsorted(root[i, :p][::-1], dmat[i], "right")
+        hi[i] = p + np.searchsorted(root[i, p:], dmat[i], "right")
+    return lo, hi
+
+
+def _lattice_counts(grid, sample: Sample, threads: int):
+    """Covering-pair counts of every point of the lattice `grid` against a
+    sample in R^d, d >= 2, and the number of (ball, row) ranges the guard
+    recounted.
+
+    A row is one line of the lattice along its longest axis (the last of
+    equally long ones).  `_root_sum_sq` adds the squared coordinate
+    differences from the left, each addition monotone in the running
+    sum, and along a row only the term of the row's axis changes, which
+    falls and then rises as the sorted axis values pass the sample
+    point's coordinate; so the points of a row inside the ball (a, r)
+    form one index range, and so do those inside a lens.  Each range is
+    estimated from the chord c +- sqrt(r^2 - S), S the other axes'
+    terms, and then checked by the float predicate at its ends and just
+    outside them (at the two points nearest the centre when it is
+    empty).  A range that fails the check is recounted by the float
+    predicate along the whole row.  Each lens range adds +1 and -1 to a
+    per-row difference array whose cumulative sum is the count, so every
+    count equals `_count_block`'s on the full query matrix, in
+    O(n^2 N / n_row) time with no N x n matrix.  Rows a lens cannot meet
+    are skipped by `_axis_ranges`.
+
+    Squares may overflow to inf, as in `cross_matrix`; the estimates may
+    then be inf or nan, which only sends their ranges to the recount.
+    """
+    pts = sample.points
+    n = len(pts)
+    dmat = sample.distance_matrix
+    values, shape = grid._axis_values, grid.shape
+    axis = len(shape) - 1 - int(np.argmax(shape[::-1]))
+    line, m, step = values[axis], shape[axis], grid.axes[axis][2]
+    others = [k for k in range(len(shape)) if k != axis]
+    row_shape = tuple(shape[k] for k in others)
+    row_index = np.indices(row_shape).reshape(len(others), -1)
+    i, j = np.triu_indices(n, 1)
+    r = dmat[i, j]
+    with np.errstate(all="ignore"):
+        # The other axes' terms for every row and sample point: their sum
+        # from the left up to the row's axis, and each one after it.
+        terms = [np.square(pts[:, k] - values[k][at, None]).ravel()
+                 for k, at in zip(others, row_index)]
+        before = np.zeros(len(terms[0]))
+        for term in terms[:axis]:
+            before = before + term
+        after = terms[axis:]
+        # The row's axis terms, padded by +inf so indices -1 and m are outside.
+        tail = np.full((n, m + 2), np.inf)
+        tail[:, 1:-1] = np.square(pts[:, axis, None] - line)
+        tail_flat = tail.ravel()
+        # Per pair and other axis, the rows its lens can meet: a box.
+        starts, sizes = [], []
+        for k in others:
+            lo, hi = _axis_ranges(values[k], pts[:, k], dmat)
+            starts.append(np.maximum(lo[i, j], lo[j, i]))
+            sizes.append(np.maximum(np.minimum(hi[i, j], hi[j, i]) - starts[-1], 0))
+        # The chord estimate in units of the row's step.
+        centre = (pts[:, axis] - line[0]) / step
+        reach = r * r / (step * step)
+        scaled = sum(after, before) / (step * step)
+    nearest = np.searchsorted(line, pts[:, axis])
+    strides = np.cumprod((1,) + row_shape[:0:-1])[::-1]
+    span = np.prod(sizes, axis=0)
+    width = row_index.shape[1] * (m + 1)
+
+    def ball_ranges(pair, row, centre_idx):
+        at = row * n + centre_idx
+        half = np.sqrt(np.fmax(reach[pair] - scaled[at], 0.0))
+        c = centre[centre_idx]
+        lo = np.fmin(np.fmax(np.ceil(c - half), 0.0), m).astype(np.intp)
+        hi = np.fmin(np.fmax(np.floor(c + half) + 1.0, 0.0), m).astype(np.intp)
+        radius = r[pair]
+        s_before = before[at]
+        s_after = [t[at] for t in after]
+        base = centre_idx * (m + 2) + 1
+
+        def within(terms, pick=slice(None)):
+            s = s_before[pick] + terms
+            for t in s_after:
+                s = s + t[pick]
+            return np.sqrt(s) <= radius[pick]
+
+        def inside(k):
+            return within(tail_flat[base + k])
+
+        empty = lo >= hi
+        lo_out = np.where(empty, nearest[centre_idx], lo) - 1
+        hi_out = np.where(empty, nearest[centre_idx], hi)
+        bad = inside(lo_out) | inside(hi_out) | ~(empty | inside(lo) & inside(hi - 1))
+        bad = np.flatnonzero(bad)
+        if bad.size:
+            pick = (bad, None)
+            hits = within(tail[centre_idx[bad], 1:-1], pick)
+            lo[bad] = hits.argmax(axis=1)
+            hi[bad] = lo[bad] + hits.sum(axis=1)
+        return lo, hi, bad.size
+
+    def block(first, stop):
+        pairs = np.arange(first, stop)
+        counts = span[pairs]
+        pair = np.repeat(pairs, counts)
+        local = np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts)
+        row = np.zeros(len(pair), dtype=np.intp)
+        for k in reversed(range(len(others))):
+            size = sizes[k][pair]
+            row += (starts[k][pair] + local % size) * strides[k]
+            local //= size
+        with np.errstate(all="ignore"):
+            lo_a, hi_a, bad_a = ball_ranges(pair, row, i[pair])
+            lo_b, hi_b, bad_b = ball_ranges(pair, row, j[pair])
+        lo = np.maximum(lo_a, lo_b)
+        hi = np.maximum(np.minimum(hi_a, hi_b), lo)
+        offset = row * (m + 1)
+        diff = (np.bincount(offset + lo, minlength=width)
+                - np.bincount(offset + hi, minlength=width))
+        return diff, bad_a + bad_b
+
+    def run(bounds):
+        diff, recounted = np.zeros(width, dtype=np.int64), 0
+        for first, stop in bounds:
+            part, bad = block(first, stop)
+            diff += part
+            recounted += bad
+        return diff, recounted
+
+    # Blocks of pairs with about _LATTICE_BLOCK incidences each, one
+    # contiguous run of blocks per thread, each summed into one array.
+    ends = np.searchsorted(np.cumsum(span), np.arange(_LATTICE_BLOCK, span.sum(), _LATTICE_BLOCK))
+    bounds = [(a, b) for a, b in zip(np.r_[0, ends], np.r_[ends, len(r)]) if b > a]
+    runs = np.array_split(np.array(bounds), min(max(threads, 1), len(bounds)))
+    parts = thread_map(run, runs, threads)
+    diff = sum(p[0] for p in parts).reshape(-1, m + 1)
+    counts = np.cumsum(diff, axis=1)[:, :m].reshape(row_shape + (m,))
+    return np.moveaxis(counts, -1, axis).ravel(), sum(p[1] for p in parts)
+
+
 def _sample_counts(sample: Sample, queries, threads: int):
     """The query-to-sample distance matrix behind the covering-pair counts
     of `queries` against `sample`, and those counts; `queries=None` counts
@@ -250,9 +415,17 @@ def _distinct_row_counts(x: np.ndarray, sample: Sample) -> np.ndarray:
 
 def _query_counts(queries, sample: Sample, threads: int):
     """Validated queries, their distances to the sample points (None on
-    the line), and their covering-pair counts."""
+    the line and on a Euclidean lattice), and their covering-pair counts;
+    `queries` may be a `LatticeGrid`."""
     if sample.n < 2:
         raise DepthError(f"need at least 2 sample points, have {sample.n}")
+    from .levelsets import LatticeGrid          # levelsets imports this module
+
+    if isinstance(queries, LatticeGrid):
+        space = sample.space
+        if isinstance(space, EuclideanSpace) and space.dim == len(queries.axes) >= 2:
+            return queries.points, None, _lattice_counts(queries, sample, threads)[0]
+        queries = queries.points
     queries = sample.space.coerce_points(queries)
     if len(queries) == 0:
         raise DepthError("empty query set")
@@ -261,11 +434,13 @@ def _query_counts(queries, sample: Sample, threads: int):
 
 
 def batch_depth(queries, sample: Sample, threads: int = 1) -> DepthField:
-    """Empirical lens depth of every query point against `sample`.
+    """Empirical lens depth of every query point against `sample`;
+    `queries` is a point set or a `LatticeGrid`, whose points are then the
+    field's points.
 
     Equals `empirical_lens_depth` per point exactly; the result is
-    independent of `threads` (queries are partitioned, each computed in
-    isolation).
+    independent of `threads` (work is partitioned, each part computed in
+    isolation, and counts are integers).
     """
     queries, _, counts = _query_counts(queries, sample, threads)
     return DepthField(points=queries, values=counts / _pair_count(sample.n),

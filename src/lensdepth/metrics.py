@@ -45,10 +45,28 @@ def _reject_first(bad, message) -> None:
         raise PointValidationError(message(int(hits[0])))
 
 
+def _float_array(points, what: str, shapes: tuple) -> np.ndarray:
+    """`points` as a float array; a ragged list or a non-number raises
+    for the first point whose shape is not one of `shapes`, or that is
+    not made of numbers."""
+    try:
+        return np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        for i, p in enumerate(points):
+            try:
+                shape = np.shape(np.asarray(p, dtype=float))
+            except (TypeError, ValueError):
+                raise PointValidationError(f"point {i} is not made of numbers") from None
+            if shape not in shapes:
+                raise PointValidationError(
+                    f"point {i} has shape {shape}, expected {what}") from None
+        raise PointValidationError(f"expected {what}") from None
+
+
 def _float_stack(points, shape: tuple, what: str) -> np.ndarray:
     """`points` as a float array of points of `shape`, rejecting any
     other shape and then the first point with a non-finite entry."""
-    arr = np.asarray(points, dtype=float)
+    arr = _float_array(points, what, (shape,))
     if arr.shape[1:] != shape:
         raise PointValidationError(f"expected {what}, got an array of shape {arr.shape}")
     _reject_first(~_flat_rows(np.isfinite(arr)).all(axis=1),
@@ -146,9 +164,9 @@ class EuclideanSpace(MetricSpace):
         return f"EuclideanSpace(dim={self.dim})"
 
     def coerce_points(self, points):
-        arr = np.asarray(points, dtype=float)
-        return _float_stack(arr.reshape(-1, 1) if arr.ndim == 1 else arr, (self.dim,),
-                            f"real vectors of length {self.dim}")
+        what = f"real vectors of length {self.dim}"
+        arr = _float_array(points, what, ((1,), ()) if self.dim == 1 else ((self.dim,),))
+        return _float_stack(arr.reshape(-1, 1) if arr.ndim == 1 else arr, (self.dim,), what)
 
     def distance(self, p, q) -> float:
         return _scalar_root_sum_sq(p, q)

@@ -17,8 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 ZERO_LENGTH_TOL = 1e-12
 _COVER_SLACK = 1e-12
 _EXHAUSTIVE_MAX_LEAVES = 7
@@ -29,10 +27,12 @@ class TreeError(ValueError):
 
 
 class NewickError(ValueError):
-    """Newick syntax or semantic error; `offset` is the failing byte offset."""
+    """Newick syntax or semantic error; `offset` is the failing byte offset
+    and `message` the text without it."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -360,7 +360,7 @@ def parse_newick_lines(lines) -> tuple[list[Tree], list[int]]:
         try:
             tree = parse_newick(stripped, universe=universe)
         except NewickError as exc:
-            raise NewickError(f"line {lineno}: {exc}", exc.offset) from None
+            raise NewickError(f"line {lineno}: {exc.message}", exc.offset) from None
         if universe is None:
             universe = tree.labels
         trees.append(tree)
@@ -587,24 +587,3 @@ def bhv_distance_exhaustive(t1: Tree, t2: Tree) -> float:
                 if val is not None and val < best:
                     best = val
     return math.sqrt(common_sq + best)
-
-
-def random_tree(labels, rng: np.random.Generator) -> Tree:
-    """Random binary tree via uniform sequential cluster joins, with every
-    edge length uniform on [0.1, 1)."""
-    labels = tuple(labels)
-    L = len(labels)
-    clusters = [1 << i for i in range(L)]
-    umask = (1 << L) - 1
-    masks = []
-    while len(clusters) > 3:
-        i, j = sorted(rng.choice(len(clusters), size=2, replace=False))
-        merged = clusters[i] | clusters[j]
-        masks.append(merged)
-        clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
-        clusters.append(merged)
-    interior = tuple(sorted(
-        (canonical_split(m, umask), float(rng.uniform(0.1, 1.0)))
-        for m in masks))
-    pendant = tuple(float(rng.uniform(0.1, 1.0)) for _ in range(L))
-    return Tree(labels, interior, pendant)

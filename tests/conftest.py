@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lensdepth.metrics import EuclideanSpace, SphereSpace, StiefelSpace
+from lensdepth.treespace import Tree, canonical_split
 
 
 @pytest.fixture
@@ -34,3 +35,24 @@ def space_with_points(kind, rng, n, **kw):
         mode = kind.split("-")[1]
         return StiefelSpace(3, 2, mode=mode), random_frames(rng, n)
     raise ValueError(kind)
+
+
+def random_tree(labels, rng: np.random.Generator) -> Tree:
+    """Random binary tree via uniform sequential cluster joins, with every
+    edge length uniform on [0.1, 1)."""
+    labels = tuple(labels)
+    L = len(labels)
+    clusters = [1 << i for i in range(L)]
+    umask = (1 << L) - 1
+    masks = []
+    while len(clusters) > 3:
+        i, j = sorted(rng.choice(len(clusters), size=2, replace=False))
+        merged = clusters[i] | clusters[j]
+        masks.append(merged)
+        clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
+        clusters.append(merged)
+    interior = tuple(sorted(
+        (canonical_split(m, umask), float(rng.uniform(0.1, 1.0)))
+        for m in masks))
+    pendant = tuple(float(rng.uniform(0.1, 1.0)) for _ in range(L))
+    return Tree(labels, interior, pendant)

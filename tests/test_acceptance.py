@@ -43,11 +43,10 @@ from lensdepth.treespace import (
     bhv_distance,
     bhv_distance_exhaustive,
     parse_newick,
-    random_tree,
     to_newick,
 )
 
-from conftest import random_frames, random_unit_vectors
+from conftest import random_frames, random_tree, random_unit_vectors
 
 
 def report(number, ok, detail=""):

@@ -18,7 +18,8 @@ from lensdepth.depth import (
 )
 from lensdepth.levelsets import LevelSetError, level_set
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
-from lensdepth.treespace import random_tree
+
+from conftest import random_tree
 
 E1 = EuclideanSpace(1)
 E2 = EuclideanSpace(2)

@@ -11,7 +11,9 @@ from lensdepth import __version__
 from lensdepth.cli import run
 from lensdepth.dataio import fmt
 from lensdepth.dispersion import gamma_t_vs_normal_grid
-from lensdepth.treespace import random_tree, to_newick
+from lensdepth.treespace import to_newick
+
+from conftest import random_tree
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -468,6 +470,14 @@ def test_treedist_bytes_do_not_depend_on_hash_seed(workdir):
         assert proc.returncode == 0, proc.stderr
         blobs.append((workdir / f"d{seed}.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_newick_error_prints_its_offset_once(workdir, capsys):
+    (workdir / "t.nwk").write_text("(a:1,b:1,c:1);\n(a:1,b:1,d:1);\n")
+    assert run(["treedist", "--in", "t.nwk", "--out", "d.csv"]) == 1
+    assert capsys.readouterr().err == (
+        "lensdepth: error: t.nwk: line 2: leaf label 'd' absent from universe "
+        "(at offset 9)\n")
 
 
 def test_treedist_runs_without_networkx(workdir):

@@ -19,9 +19,9 @@ from lensdepth.depth import (
 from lensdepth.analysis import loo_depth_against
 from lensdepth.asymptotics import make_sampler, run_config
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
-from lensdepth.treespace import Tree, random_tree
+from lensdepth.treespace import Tree
 
-from conftest import random_unit_vectors, space_with_points
+from conftest import random_tree, random_unit_vectors, space_with_points
 
 E1 = EuclideanSpace(1)
 E2 = EuclideanSpace(2)

@@ -22,9 +22,8 @@ from lensdepth.dispersion import (
 )
 from lensdepth.levelsets import LatticeGrid, LevelSetError, level_set, psi_volume
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
-from lensdepth.treespace import random_tree
 
-from conftest import random_unit_vectors
+from conftest import random_tree, random_unit_vectors
 
 E1 = EuclideanSpace(1)
 E2 = EuclideanSpace(2)

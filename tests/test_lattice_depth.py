@@ -1,0 +1,178 @@
+"""The exact count on Euclidean lattices: each lens is rasterized row by
+row, and a guard recounts every (ball, row) range whose estimated ends
+the float predicate does not confirm.  Every count must equal the
+pairwise kernel on the full query matrix, bit for bit, and the double
+loop on a subsample, without a RuntimeWarning of its own."""
+
+import json
+
+import numpy as np
+import pytest
+from scipy.special import ndtri
+from scipy.stats import qmc
+
+from lensdepth.cli import run
+from lensdepth.dataio import fmt
+from lensdepth.depth import (
+    Sample,
+    _count_block,
+    _lattice_counts,
+    batch_depth,
+    empirical_lens_depth,
+)
+from lensdepth.levelsets import LatticeGrid
+from lensdepth.metrics import EuclideanSpace, PointValidationError
+
+
+def halton_normal(n, dim, seed):
+    u = qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
+    return ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+
+
+def integers(n, dim, lo, hi, seed):
+    return np.random.default_rng(seed).integers(lo, hi + 1, (n, dim)).astype(float)
+
+
+BIG, SMALL = 2.0 ** 500, 2.0 ** -500
+
+# name -> (sample, lattice axes, whether the guard must fire).  Tie-heavy
+# cases put lattice points exactly on lens boundaries, where the chord
+# estimate and the float predicate part.
+CASES = {
+    "halton-normal": (halton_normal(120, 2, 3), [(-4.0, 4.0, 0.1)] * 2, False),
+    "integer-on-integers": (integers(40, 2, -3, 3, 1), [(-4.0, 4.0, 1.0)] * 2, True),
+    "integer-on-halves": (integers(40, 2, -3, 3, 2),
+                          [(-4.0, 4.0, 0.5), (-4.0, 4.0, 0.25)], True),
+    "integer-on-tenths": (integers(30, 2, -3, 3, 3), [(-3.5, 3.5, 0.1)] * 2, True),
+    "duplicates": (np.repeat(halton_normal(12, 2, 4), 3, axis=0), [(-3.0, 3.0, 0.1)] * 2,
+                   False),
+    "all-equal": (np.full((9, 2), 0.5), [(0.0, 2.0, 0.5)] * 2, False),
+    "all-equal-off-lattice": (np.full((9, 2), 0.3), [(0.0, 2.0, 0.5)] * 2, False),
+    "on-lattice-points": (0.25 * integers(40, 2, -8, 8, 5), [(-2.0, 2.0, 0.25)] * 2, True),
+    "odd-steps": (integers(30, 2, -3, 3, 6), [(-4.0, 4.0, 0.3), (-4.0, 4.0, 1 / 3)], True),
+    # Near 2^500 the lattice values are spaced a few ulps apart; squares
+    # stay finite.
+    "offset-2^500": (BIG * (1.0 + 2.0 ** -50 * integers(20, 2, -3, 3, 7)),
+                     [(BIG * (1 - 2.0 ** -48), BIG * (1 + 2.0 ** -48), BIG * 2.0 ** -52)] * 2,
+                     True),
+    # Squares overflow to inf, in the pairwise matrix as on the lattice.
+    "squares-overflow": (2.0 ** 510 * halton_normal(20, 2, 8),
+                         [(-(2.0 ** 512), 2.0 ** 512, 2.0 ** 508)] * 2, False),
+    # Squares of lattice gaps go subnormal.
+    "squares-subnormal": (2.0 ** -540 * integers(20, 2, -3, 3, 9),
+                          [(-4 * 2.0 ** -540, 4 * 2.0 ** -540, 2.0 ** -541)] * 2, True),
+    "offset-2^-500": (SMALL * halton_normal(20, 2, 10),
+                      [(-2 * SMALL, 2 * SMALL, SMALL / 8)] * 2, False),
+    "single-row": (integers(30, 2, -3, 3, 11), [(0.0, 0.0, 1.0), (-4.0, 4.0, 0.5)], True),
+    "single-column": (integers(30, 2, -3, 3, 12), [(-4.0, 4.0, 0.5), (1.0, 1.0, 1.0)], True),
+    "3d-normal": (halton_normal(30, 3, 14), [(-3.0, 3.0, 0.3)] * 3, False),
+    # Rows run along the longest axis, here the last, the first and the
+    # middle one; terms of later axes are added after the row's own.
+    # Tenths make real ties that rounding, and so the order of the sum,
+    # decides.
+    "3d-longest-last": (0.1 * integers(30, 3, -3, 3, 13),
+                        [(-0.3, 0.3, 0.1), (-0.2, 0.2, 0.1), (-0.6, 0.6, 0.05)], True),
+    "3d-longest-first": (0.1 * integers(30, 3, -3, 3, 15),
+                         [(-0.6, 0.6, 0.05), (-0.3, 0.3, 0.1), (-0.2, 0.2, 0.1)], True),
+    "3d-longest-middle": (0.1 * integers(30, 3, -3, 3, 16),
+                          [(-0.3, 0.3, 0.1), (-0.6, 0.6, 0.05), (-0.2, 0.2, 0.1)], True),
+}
+
+
+def case(name):
+    pts, axes, _ = CASES[name]
+    sample = Sample(pts, EuclideanSpace(pts.shape[1]))
+    # The oracle's own matrices overflow where the case says so.
+    with np.errstate(over="ignore"):
+        sample.distance_matrix
+    return sample, LatticeGrid(tuple(axes))
+
+
+def kernel_counts(grid, sample):
+    with np.errstate(over="ignore"):
+        dq = sample.space.cross_matrix(grid.points, sample.points)
+    return _count_block(dq, sample.distance_matrix)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_lattice_counts_equal_the_kernel(name):
+    sample, grid = case(name)
+    field = batch_depth(grid, sample, threads=2)
+    assert field.points is grid.points
+    assert field.counts.tolist() == kernel_counts(grid, sample).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_lattice_values_equal_the_double_loop(name):
+    sample, grid = case(name)
+    field = batch_depth(grid, sample)
+    picks = np.random.default_rng(0).choice(len(grid), size=min(12, len(grid)),
+                                            replace=False)
+    with np.errstate(over="ignore"):
+        naive = [empirical_lens_depth(grid.points[q], sample) for q in picks]
+    assert field.values[picks].tolist() == naive
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][2]))
+def test_tie_heavy_cases_need_the_guard(name):
+    sample, grid = case(name)
+    counts, recounted = _lattice_counts(grid, sample, 1)
+    assert recounted > 0
+    assert counts.tolist() == kernel_counts(grid, sample).tolist()
+
+
+def test_counts_do_not_depend_on_threads():
+    sample, grid = case("integer-on-tenths")
+    runs = [_lattice_counts(grid, sample, threads) for threads in (1, 2, 3)]
+    assert all(c.tolist() == runs[0][0].tolist() and r == runs[0][1] for c, r in runs)
+
+
+def test_the_line_takes_the_grid_points():
+    grid = LatticeGrid(((-2.0, 2.0, 0.5),))
+    sample = Sample(halton_normal(15, 1, 15), EuclideanSpace(1))
+    assert batch_depth(grid, sample).values.tolist() == \
+        batch_depth(grid.points, sample).values.tolist()
+
+
+def test_a_lattice_of_another_dimension_is_rejected():
+    sample = Sample(halton_normal(15, 3, 15), EuclideanSpace(3))
+    with pytest.raises(PointValidationError, match="length 3"):
+        batch_depth(LatticeGrid(((-2.0, 2.0, 0.5),) * 2), sample)
+
+
+# Each row: a command and the config `simulate` reads (or None).  Every run
+# must write the same bytes at any thread count and on a rerun.
+_GRID = "--grid=-3:3:0.2,-3:3:0.2"
+CLI_CONTRACT = {
+    "levelset": (["levelset", "--sample", "x.csv", "--lambda", "0.2", _GRID,
+                  "--boundary-out", "bd.csv"], None),
+    "psi": (["psi", "--sample", "x.csv", "--psi", "inradius", "--levels", "8", _GRID], None),
+    "gamma": (["gamma", "--x", "x.csv", "--y", "y.csv", "--psi", "diam",
+               "--levels", "8", _GRID], None),
+    "simulate-2d": (["simulate", "--config", "exp.json"], {
+        "experiment": "supnorm", "sampler": {"dist": "normal", "dim": 2},
+        "n_schedule": [20, 40], "replications": 2, "seed": 3, "pairs": 400,
+        "grid": [[-1.0, 1.0, 0.5], [-1.0, 1.0, 0.25]]}),
+}
+
+
+def _write_points(path, pts):
+    rows = ["x1,x2"] + [f"{fmt(a)},{fmt(b)}" for a, b in pts]
+    path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CONTRACT))
+def test_grid_commands_write_the_same_bytes_at_any_thread_count(tmp_path, monkeypatch,
+                                                                 name):
+    monkeypatch.chdir(tmp_path)
+    _write_points(tmp_path / "x.csv", halton_normal(60, 2, 16))
+    _write_points(tmp_path / "y.csv", 1.3 * halton_normal(60, 2, 17))
+    argv, config = CLI_CONTRACT[name]
+    if config is not None:
+        (tmp_path / "exp.json").write_text(json.dumps(config))
+    blobs = set()
+    for threads in ("1", "2", "3", "1", "2", "3"):
+        assert run(argv + ["--threads", threads, "--no-timestamp", "--out", "out"]) == 0
+        side = (tmp_path / "bd.csv").read_bytes() if "--boundary-out" in argv else b""
+        blobs.add((tmp_path / "out").read_bytes() + side)
+    assert len(blobs) == 1

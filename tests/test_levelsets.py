@@ -23,9 +23,8 @@ from lensdepth.levelsets import (
 )
 from lensdepth.dispersion import psi_curve
 from lensdepth.metrics import BHVSpace, EuclideanSpace
-from lensdepth.treespace import random_tree
 
-from conftest import space_with_points
+from conftest import random_tree, space_with_points
 
 E1 = EuclideanSpace(1)
 E2 = EuclideanSpace(2)

@@ -18,11 +18,12 @@ from lensdepth.treespace import (
     compatible,
     parse_newick,
     parse_newick_lines,
-    random_tree,
     to_newick,
     _decompose,
     _norm,
 )
+
+from conftest import random_tree
 
 LABELS5 = ("A", "B", "C", "D", "E")
 U5 = 0b11111
