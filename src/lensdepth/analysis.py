@@ -16,9 +16,8 @@ from .depth import (
     DepthError,
     DepthField,
     Sample,
-    _pair_count,
-    _query_counts,
     batch_depth,
+    loo_depth_against,
     self_depth_field,
 )
 from .dispersion import PsiCurve, psi_curve
@@ -33,37 +32,6 @@ class DepthDepthRecord:
     depth0: float
     depth1: float
     group: int | None
-
-
-def loo_depth_against(points, sample: Sample, threads: int = 1) -> np.ndarray:
-    """Depths of explicit points against `sample`, leave-one-out where a
-    point is exactly equal to a sample point (equal coordinates, or an
-    equal tree); a distinct point at distance 0 keeps its plain depth."""
-    if sample.n < 3:
-        raise DepthError(f"leave-one-out depth needs n >= 3, have {sample.n}")
-    points, dq, counts = _query_counts(points, sample, threads)
-    values = counts / _pair_count(sample.n)
-    loo_pairs = _pair_count(sample.n - 1)
-    space, pts = sample.space, sample.points
-    if dq is None:
-        # On the line and on a lattice no distance matrix was built: rows
-        # are made only for queries whose first coordinate a sample point
-        # shares.
-        candidates = np.flatnonzero(np.isin(points[:, 0], pts[:, 0]))
-    else:
-        candidates = np.flatnonzero((dq == 0.0).any(axis=1))
-    for q in candidates:
-        row = space.dists_to(pts, points[q]) if dq is None else dq[q]
-        same = [e for e in np.flatnonzero(row == 0.0) if np.all(points[q] == pts[e])]
-        if not same:
-            continue
-        e = same[0]
-        e_row = space.dists_to(pts, pts[e]) if dq is None else sample.distance_matrix[e]
-        # Pairs involving e: in-lens iff max(dq[q,i], dq[q,e]) <= d(e,i);
-        # equal points have dq[q,e] == 0, so the test is dq[q,i] <= d(e,i).
-        covering_with_e = int((np.delete(row, e) <= np.delete(e_row, e)).sum())
-        values[q] = (counts[q] - covering_with_e) / loo_pairs
-    return values
 
 
 def depth_depth(sample0: Sample, sample1: Sample, points=None,

@@ -17,8 +17,8 @@ from . import treespace
 from .depth import (
     DepthError,
     Sample,
-    _coverage_batches,
     batch_depth,
+    p2_matrix,
     population_ld_1d,
     population_ld_mc,
     population_level_interval_1d,
@@ -238,12 +238,19 @@ def _rng_for(seed: int, n_index: int, replication: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(n_index, replication)))
 
 
-def _run_grid(cfg: ExperimentConfig, task):
-    """Evaluate task(n_index, replication) for the full schedule,
-    threaded over replications with a fixed aggregation order."""
-    jobs = [(k, r) for k in range(len(cfg.n_schedule))
-            for r in range(cfg.replications)]
-    return dict(zip(jobs, thread_map(lambda job: task(*job), jobs, cfg.threads)))
+def _replicate(cfg: ExperimentConfig, sampler: Sampler, n_schedule, statistic) -> np.ndarray:
+    """`statistic(sample)` for replication r of each size n_schedule[k],
+    the sample drawn from the generator seeded by (cfg.seed, k, r), as an
+    array shaped (sizes, replications, ...).  Replications run on
+    cfg.threads threads and come back in a fixed order."""
+    jobs = [(k, r) for k in range(len(n_schedule)) for r in range(cfg.replications)]
+
+    def job(kr):
+        pts = sampler.draw(_rng_for(cfg.seed, *kr), n_schedule[kr[0]])
+        return statistic(Sample(pts, sampler.space))
+
+    out = np.array(thread_map(job, jobs, cfg.threads))
+    return out.reshape((len(n_schedule), cfg.replications) + out.shape[1:])
 
 
 def _summaries(values: np.ndarray) -> dict:
@@ -279,15 +286,10 @@ def supnorm_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     grid = LatticeGrid(cfg.grid)
     truth = _population_depth_on(grid.points, sampler, cfg.pairs, cfg.seed)
 
-    def task(k, r):
-        rng = _rng_for(cfg.seed, k, r)
-        pts = sampler.draw(rng, cfg.n_schedule[k])
-        field = batch_depth(grid, Sample(pts, sampler.space))
-        return float(np.max(np.abs(field.values - truth)))
+    def sup_error(sample):
+        return float(np.max(np.abs(batch_depth(grid, sample).values - truth)))
 
-    results = _run_grid(cfg, task)
-    per_n = [np.array([results[(k, r)] for r in range(cfg.replications)])
-             for k in range(len(cfg.n_schedule))]
+    per_n = _replicate(cfg, sampler, cfg.n_schedule, sup_error)
     return ConvergenceReport("supnorm", cfg.n_schedule, cfg.replications,
                              cfg.seed, {"sup_error": _stat_block(per_n, cfg.n_schedule)})
 
@@ -316,11 +318,8 @@ def levelset_experiment(cfg: ExperimentConfig, lam: float) -> ConvergenceReport:
     true_pts = grid.points[true_members]
     true_bpts = grid.points[true_boundary]
 
-    def task(k, r):
-        rng = _rng_for(cfg.seed, k, r)
-        pts = sampler.draw(rng, cfg.n_schedule[k])
-        field = batch_depth(grid, Sample(pts, space))
-        ls = level_set(field, lam)
+    def distances(sample):
+        ls = level_set(batch_depth(grid, sample), lam)
         if len(ls.members) == 0:
             return math.inf, math.inf
         d_set = hausdorff(grid.points[ls.members], true_pts, space)
@@ -328,12 +327,9 @@ def levelset_experiment(cfg: ExperimentConfig, lam: float) -> ConvergenceReport:
         d_bdry = hausdorff(grid.points[emp_boundary], true_bpts, space)
         return d_set, d_bdry
 
-    results = _run_grid(cfg, task)
-    blocks = {}
-    for name, pick in (("set_hausdorff", 0), ("boundary_hausdorff", 1)):
-        per_n = [np.array([results[(k, r)][pick] for r in range(cfg.replications)])
-                 for k in range(len(cfg.n_schedule))]
-        blocks[name] = _stat_block(per_n, cfg.n_schedule)
+    results = _replicate(cfg, sampler, cfg.n_schedule, distances)
+    blocks = {name: _stat_block(results[..., pick], cfg.n_schedule)
+              for name, pick in (("set_hausdorff", 0), ("boundary_hausdorff", 1))}
     blocks["level"] = lam
     blocks["true_interval"] = [lo, hi]
     return ConvergenceReport("levelset", cfg.n_schedule, cfg.replications,
@@ -378,26 +374,6 @@ class CltReport:
         }
 
 
-def p2_matrix(points, sampler: Sampler, pairs: int, seed: int = 0):
-    """Joint pair-moment estimates from shared draws.
-
-    Returns (p_vec, p_mat): p_vec[i] = P(point i covered by a random
-    lens), p_mat[i, j] = P(points i and j covered by the same lens).
-    Diagonal entries equal p_vec exactly (indicators are idempotent).
-    """
-    if pairs < 1:
-        raise ExperimentError("need at least one Monte Carlo pair")
-    k = len(points)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(2,)))
-    hit_single = np.zeros(k, dtype=np.int64)
-    hit_joint = np.zeros((k, k), dtype=np.int64)
-    for ind in _coverage_batches(points, sampler, pairs, rng):
-        hit_single += ind.sum(axis=1)
-        hit_joint += ind.astype(np.int64) @ ind.T
-    return hit_single / pairs, hit_joint / pairs
-
-
 def projection_cov_1d(points, cdf) -> np.ndarray:
     """Closed-form projection covariance matrix on the line.
 
@@ -436,17 +412,10 @@ def clt_experiment(cfg: ExperimentConfig) -> CltReport:
     k = len(pts)
     root_n = math.sqrt(n)
 
-    def task(_, r):
-        rng = _rng_for(cfg.seed, 0, r)
-        sample_pts = sampler.draw(rng, n)
-        field = batch_depth(pts, Sample(sample_pts, sampler.space))
-        return root_n * (field.values - truth)
+    def scaled_error(sample):
+        return root_n * (batch_depth(pts, sample).values - truth)
 
-    cfg_single = ExperimentConfig(cfg.sampler, (n,), cfg.replications, cfg.seed,
-                                  points=cfg.points, pairs=cfg.pairs,
-                                  threads=cfg.threads)
-    results = _run_grid(cfg_single, task)
-    errors = np.stack([results[(0, r)] for r in range(cfg.replications)])
+    errors = _replicate(cfg, sampler, (n,), scaled_error)[0]
     empirical = np.atleast_2d(np.cov(errors.T, ddof=1))
     p_vec, p_mat = p2_matrix(pts, sampler, cfg.pairs, seed=cfg.seed)
     target = 4.0 * (p_mat - np.outer(p_vec, p_vec))

@@ -5,8 +5,11 @@ The depth of a query point is the fraction of unordered sample pairs
 whose lens (intersection of the two closed balls centred at the pair
 with radius equal to their distance) contains it.  `empirical_lens_depth`
 is the direct double loop over pairs.  `batch_depth`, `self_depth_field`
-and `analysis.loo_depth_against` share one count, which matches the
-double loop bit for bit at any thread count:
+and `loo_depth_against` all read one function, `_counts`, which matches
+the double loop bit for bit at any thread count.  Leave-one-out values
+are read off its counts: a point equal by value to a sample point drops
+the n - 1 pairs containing that point, all of which cover it.  The count
+takes one of three paths:
 
 - In R^1 the lens of (a, b) is the segment between them, so the count
   comes from one sort of the sample and two binary searches per query,
@@ -21,8 +24,9 @@ double loop bit for bit at any thread count:
   inside a lens form one index range, estimated from the chord and
   confirmed (or recounted) by the float predicate, so no query matrix
   is built.
-- Elsewhere `_counts` splits the query rows into one contiguous block
-  per thread and runs the vectorized `_count_block` on each.
+- Elsewhere the sample matrix is built, then the query matrix, and the
+  vectorized `_count_block` runs on one contiguous block of query rows
+  per thread.
 
 `thread_map` is the package's one thread pool.
 """
@@ -168,14 +172,6 @@ def thread_map(fn, items, threads: int = 1) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(workers) as ex:
         return list(ex.map(fn, items))
-
-
-def _counts(dq: np.ndarray, dmat: np.ndarray, threads: int) -> np.ndarray:
-    """Covering-pair counts of every query row of `dq`, one contiguous
-    block of rows per thread."""
-    blocks = np.array_split(dq, min(max(threads, 1), len(dq)))
-    return np.concatenate(thread_map(lambda block: _count_block(block, dmat),
-                                     blocks, threads))
 
 
 # On the line the float predicate max(d(x,a), d(x,b)) <= d(a,b) counts
@@ -375,24 +371,6 @@ def _lattice_counts(grid, sample: Sample, threads: int):
     return np.moveaxis(counts, -1, axis).ravel(), sum(p[1] for p in parts)
 
 
-def _sample_counts(sample: Sample, queries, threads: int):
-    """The query-to-sample distance matrix behind the covering-pair counts
-    of `queries` against `sample`, and those counts; `queries=None` counts
-    the sample points themselves.  On the line the matrix is None: only
-    the rows the guard flags are built."""
-    if _on_line(sample.space):
-        x = (sample.points if queries is None else queries)[:, 0]
-        counts, rows = _line_counts(x, sample)
-        if rows.size:
-            counts[rows] = _distinct_row_counts(x[rows], sample)
-        return None, counts
-    # The sample matrix comes first: its construction's temporaries are then
-    # freed before the query matrix exists, which bounds peak memory.
-    dmat = sample.distance_matrix
-    dq = dmat if queries is None else sample.space.cross_matrix(queries, sample.points)
-    return dq, _counts(dq, dmat, threads)
-
-
 def _distinct_row_counts(x: np.ndarray, sample: Sample) -> np.ndarray:
     """Covering-pair counts of the values `x` by the float predicate
     against a sample on the line without its distance matrix.
@@ -413,24 +391,36 @@ def _distinct_row_counts(x: np.ndarray, sample: Sample) -> np.ndarray:
     return counts
 
 
-def _query_counts(queries, sample: Sample, threads: int):
-    """Validated queries, their distances to the sample points (None on
-    the line and on a Euclidean lattice), and their covering-pair counts;
-    `queries` may be a `LatticeGrid`."""
+def _counts(queries, sample: Sample, threads: int):
+    """Validated queries and the covering-pair counts of each against
+    `sample`; `queries` is a point set, a `LatticeGrid`, or `sample.points`
+    itself, whose distances are the sample matrix."""
     if sample.n < 2:
         raise DepthError(f"need at least 2 sample points, have {sample.n}")
     from .levelsets import LatticeGrid          # levelsets imports this module
 
+    space, own = sample.space, queries is sample.points
     if isinstance(queries, LatticeGrid):
-        space = sample.space
         if isinstance(space, EuclideanSpace) and space.dim == len(queries.axes) >= 2:
-            return queries.points, None, _lattice_counts(queries, sample, threads)[0]
+            return queries.points, _lattice_counts(queries, sample, threads)[0]
         queries = queries.points
-    queries = sample.space.coerce_points(queries)
-    if len(queries) == 0:
-        raise DepthError("empty query set")
-    dq, counts = _sample_counts(sample, queries, threads)
-    return queries, dq, counts
+    if not own:
+        queries = space.coerce_points(queries)
+        if len(queries) == 0:
+            raise DepthError("empty query set")
+    if _on_line(space):
+        x = queries[:, 0]
+        counts, rows = _line_counts(x, sample)
+        if rows.size:
+            counts[rows] = _distinct_row_counts(x[rows], sample)
+        return queries, counts
+    # The sample matrix comes first: its construction's temporaries are then
+    # freed before the query matrix exists, which bounds peak memory.
+    dmat = sample.distance_matrix
+    dq = dmat if own else space.cross_matrix(queries, sample.points)
+    blocks = np.array_split(dq, min(max(threads, 1), len(dq)))
+    return queries, np.concatenate(thread_map(lambda block: _count_block(block, dmat),
+                                              blocks, threads))
 
 
 def batch_depth(queries, sample: Sample, threads: int = 1) -> DepthField:
@@ -442,7 +432,7 @@ def batch_depth(queries, sample: Sample, threads: int = 1) -> DepthField:
     independent of `threads` (work is partitioned, each part computed in
     isolation, and counts are integers).
     """
-    queries, _, counts = _query_counts(queries, sample, threads)
+    queries, counts = _counts(queries, sample, threads)
     return DepthField(points=queries, values=counts / _pair_count(sample.n),
                       n=sample.n, space=sample.space, counts=counts)
 
@@ -457,9 +447,34 @@ def self_depth_field(sample: Sample, threads: int = 1) -> DepthField:
     if n < 3:
         raise DepthError(f"leave-one-out depth needs n >= 3, have {n}")
     # Every pair containing index e covers x_e, so drop those n-1 pairs.
-    counts = _sample_counts(sample, None, threads)[1] - (n - 1)
+    counts = _counts(sample.points, sample, threads)[1] - (n - 1)
     return DepthField(points=sample.points, values=counts / _pair_count(n - 1),
                       n=n, space=sample.space, counts=counts)
+
+
+def loo_depth_against(points, sample: Sample, threads: int = 1) -> np.ndarray:
+    """Depths of explicit points against `sample`, leave-one-out where a
+    point is equal by value to a sample point (equal coordinates, or an
+    equal tree); a distinct point at distance 0 keeps its plain depth.
+
+    As in `self_depth_field`, every pair containing x_e covers a point
+    equal to x_e, whose distances are x_e's bit for bit in any batch and
+    argument order (see `metrics`), so its count drops those n-1 pairs.
+    """
+    n = sample.n
+    if n < 3:
+        raise DepthError(f"leave-one-out depth needs n >= 3, have {n}")
+    points, counts = _counts(points, sample, threads)
+    own = set(_value_keys(sample.points))
+    equal = np.array([key in own for key in _value_keys(points)], dtype=bool)
+    return np.where(equal, (counts - (n - 1)) / _pair_count(n - 1),
+                    counts / _pair_count(n))
+
+
+def _value_keys(points) -> list[tuple]:
+    """One hashable key per point, equal exactly when the points are equal
+    by value: its coordinates (0.0 and -0.0 alike), or its tree."""
+    return [tuple(row) for row in points.reshape(len(points), -1).tolist()]
 
 
 def population_ld_1d(x, cdf):
@@ -527,3 +542,23 @@ def population_ld_mc(x, sampler, pairs: int, seed: int = 0) -> float:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     hits = sum(int(ind.sum()) for ind in _coverage_batches([x], sampler, pairs, rng))
     return hits / pairs
+
+
+def p2_matrix(points, sampler, pairs: int, seed: int = 0):
+    """Joint pair-moment estimates from shared draws.
+
+    Returns (p_vec, p_mat): p_vec[i] = P(point i covered by a random
+    lens), p_mat[i, j] = P(points i and j covered by the same lens).
+    Diagonal entries equal p_vec exactly (indicators are idempotent).
+    """
+    if pairs < 1:
+        raise DepthError(f"need at least one pair, got {pairs}")
+    k = len(points)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(2,)))
+    hit_single = np.zeros(k, dtype=np.int64)
+    hit_joint = np.zeros((k, k), dtype=np.int64)
+    for ind in _coverage_batches(points, sampler, pairs, rng):
+        hit_single += ind.sum(axis=1)
+        hit_joint += ind.astype(np.int64) @ ind.T
+    return hit_single / pairs, hit_joint / pairs

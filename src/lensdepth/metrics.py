@@ -11,10 +11,12 @@ and either a batch `paired_distances` or a scalar `distance`, and
 bit-identical floats to the scalar `distance` call: every sum runs in a
 fixed order, never in one numpy picks by array shape.  Batch operations
 elsewhere in the package rely on this to match per-point recomputation
-exactly, independent of chunking or thread count.  Distance matrices are
-built on one thread.  Distances stay accurate near zero: the sphere uses
-an atan2 arc and the Procrustes metric the norm of principal-vector
-differences, neither of which cancels.
+exactly, independent of chunking or thread count.  A distance depends
+only on the values of its points: 0.0 and -0.0 are one value, so points
+equal by value have bit-identical distances to every other point.
+Distance matrices are built on one thread.  Distances stay accurate
+near zero: the sphere uses an atan2 arc and the Procrustes metric the
+norm of principal-vector differences, neither of which cancels.
 """
 
 from __future__ import annotations
@@ -280,7 +282,10 @@ def _procrustes_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     left-to-right sum, and the operand with the smaller bytes goes first,
     so a row's value does not depend on the batch around it and
     d(a, b) == d(b, a) bit for bit; frames equal by value give 0.0.
+    Adding 0.0 first turns -0.0 into 0.0 and leaves every other value as
+    it is, so neither the byte order nor a product sees a zero's sign.
     """
+    a, b = a + 0.0, b + 0.0
     swap = _bytes_greater(a, b)[:, None, None]
     a, b = np.where(swap, b, a), np.where(swap, a, b)
     terms = a[..., :, None] * b[..., None, :]           # a[r, i] b[r, j]

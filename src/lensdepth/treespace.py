@@ -382,7 +382,6 @@ class GeodesicResult:
 
     distance: float
     support: tuple
-    common_sq: float
 
 
 def _norm(part) -> float:
@@ -517,7 +516,7 @@ def bhv_distance(t1: Tree, t2: Tree) -> GeodesicResult:
     """
     common_sq, a_side, b_side = _decompose(t1, t2)
     if not a_side and not b_side:
-        return GeodesicResult(math.sqrt(common_sq), (), common_sq)
+        return GeodesicResult(math.sqrt(common_sq), ())
     if not (a_side and b_side):
         raise TreeError("incompatible splits found in only one tree; "
                         "split compatibility must be symmetric")
@@ -526,7 +525,7 @@ def bhv_distance(t1: Tree, t2: Tree) -> GeodesicResult:
     for apart, bpart in support:
         term = _norm(apart) + _norm(bpart)
         lsq += term * term
-    return GeodesicResult(math.sqrt(common_sq + lsq), support, common_sq)
+    return GeodesicResult(math.sqrt(common_sq + lsq), support)
 
 
 def _surjections(n, k):

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from lensdepth import __version__
-from lensdepth.cli import run
+from lensdepth.cli import METRIC_NAMES, run
 from lensdepth.dataio import fmt
 from lensdepth.dispersion import gamma_t_vs_normal_grid
 from lensdepth.treespace import to_newick
 
-from conftest import random_tree
+from conftest import negate_zeros, random_tree, zero_rich_points
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -523,3 +523,62 @@ def test_tree_levelset_boundary_reuses_the_sample_geodesics(workdir, monkeypatch
                if r.endswith(",1")}
     boundary = [int(r) for r in data_lines(workdir / "bd.csv")[1:]]
     assert boundary and set(boundary) <= members
+
+
+# ---------------------------------------------------------------------------
+# Leave-one-out outputs on every metric: identical bytes at any thread
+# count and under any hash seed (equal points are found through a set).
+
+LOO_COMMANDS = {
+    "depth": ["depth", "--sample", "g0", "--queries", "q", "--leave-one-out"],
+    "ddplot": ["ddplot", "--group0", "g0", "--group1", "g1", "--points", "q"],
+}
+
+
+def write_loo_inputs(workdir, metric):
+    """Two groups and queries for `metric` with many zero entries, in the
+    directory named after it; the queries hold copies of group points
+    with their zeros negated.  Returns {"g0", "g1", "q": path} and the
+    metric arguments."""
+    space, pts = zero_rich_points(metric, np.random.default_rng(len(metric)), 30)
+    parts = {"g0": pts[:14], "g1": pts[14:26],
+             "q": np.concatenate([negate_zeros(pts[[0, 3, 15, 20]]), pts[[5]], pts[26:]])}
+    (workdir / metric).mkdir()
+    paths = {}
+    for name, points in parts.items():
+        if metric == "bhv":
+            paths[name] = f"{metric}/{name}.nwk"
+            text = "".join(to_newick(t) + "\n" for t in points)
+        else:
+            paths[name] = f"{metric}/{name}.csv"
+            rows = points.reshape(len(points), -1)
+            lines = [",".join(f"x{i + 1}" for i in range(rows.shape[1]))]
+            text = "\n".join(lines + [",".join(fmt(v) for v in row) for row in rows]) + "\n"
+        (workdir / paths[name]).write_text(text)
+    shape = ["--shape", f"{space.rows}x{space.cols}"] if metric.startswith("stiefel") else []
+    return paths, ["--metric", metric] + shape
+
+
+def test_loo_outputs_do_not_depend_on_threads_or_hash_seed(workdir):
+    jobs, want = [], {}
+    for metric in METRIC_NAMES:
+        paths, metric_args = write_loo_inputs(workdir, metric)
+        for command, argv in LOO_COMMANDS.items():
+            argv = [paths.get(a, a) for a in argv] + metric_args + ["--no-timestamp"]
+            blobs = set()
+            for threads in ("1", "2", "3", "1", "2", "3"):
+                assert run(argv + ["--threads", threads, "--out", "out.csv"]) == 0
+                blobs.add((workdir / "out.csv").read_bytes())
+            assert len(blobs) == 1, (metric, command)
+            out = f"{metric}/{command}.csv"
+            jobs.append(argv + ["--out", out])
+            want[out] = blobs.pop()
+    script = ("import json, sys\nfrom lensdepth.cli import run\n"
+              "sys.exit(max(run(argv) for argv in json.loads(sys.argv[1])))")
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(jobs)], cwd=workdir,
+                              capture_output=True, text=True,
+                              env=cli_env(PYTHONHASHSEED=seed), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        for out, blob in want.items():
+            assert (workdir / out).read_bytes() == blob, (seed, out)

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and only the
-von Mises-Fisher sampler imports scipy.stats.
+"""Every module of the package uses each name it imports, imports no
+underscore name from another module of the package, and only the von
+Mises-Fisher sampler imports scipy.stats.
 
 `__init__` is exempt from the first check: its imports are the package's
 public surface."""
@@ -36,6 +37,30 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names imported from the package (dunders such as
+    `__version__` are public)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "lensdepth"):
+            found += [f"line {node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+def test_checker_finds_private_imports():
+    source = ("from . import __version__, _x\nfrom .depth import _counts, batch_depth\n"
+              "from lensdepth.metrics import _flat_rows\nfrom numpy import _globals\n")
+    assert private_imports(source) == [
+        "line 1: _x", "line 2: _counts", "line 3: _flat_rows"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_imports_no_private_name(module):
+    assert private_imports((PACKAGE / module).read_text()) == []
 
 
 def scipy_stats_imports(source: str) -> list[str]:

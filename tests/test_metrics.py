@@ -16,7 +16,14 @@ from lensdepth.metrics import (
 )
 from lensdepth.treespace import parse_newick
 
-from conftest import random_frames, random_tree, random_unit_vectors, space_with_points
+from conftest import (
+    negate_zeros,
+    random_frames,
+    random_tree,
+    random_unit_vectors,
+    space_with_points,
+    zero_rich_points,
+)
 
 VECTOR_KINDS = ("euclidean", "sphere", "stiefel-chordal", "stiefel-procrustes")
 
@@ -171,6 +178,38 @@ def test_stiefel_signed_zeros_are_one_frame(mode):
     dmat = space.cross_matrix(frames, frames)
     assert np.all(dmat[np.arange(0, 6, 2), np.arange(1, 6, 2)] == 0.0)
     assert np.array_equal(dmat, dmat.T)
+
+
+def assert_zero_signs_do_not_matter(space, pts):
+    """Negating the zero entries of either point leaves every distance
+    bit-identical, in the batch and the scalar paths."""
+    flipped = space.coerce_points(negate_zeros(pts))
+    want = space.cross_matrix(pts, pts).tobytes()
+    assert space.cross_matrix(flipped, pts).tobytes() == want
+    assert space.cross_matrix(pts, flipped).tobytes() == want
+    assert space.pairwise(flipped).tobytes() == space.pairwise(pts).tobytes()
+    for p, f in zip(pts, flipped):
+        for q in pts:
+            assert np.float64(space.distance(f, q)).tobytes() == \
+                np.float64(space.distance(p, q)).tobytes()
+
+
+@pytest.mark.parametrize("kind", VECTOR_KINDS + ("bhv",))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_distances_ignore_the_sign_of_zero_entries(kind, seed):
+    space, pts = zero_rich_points(kind, np.random.default_rng(seed), 5)
+    assert_zero_signs_do_not_matter(space, space.coerce_points(pts))
+
+
+@pytest.mark.parametrize("mode", ["chordal", "procrustes"])
+def test_frames_with_signed_zeros_keep_their_distances(mode):
+    # A kernel that sees the sign of x_e's zeros (in ordering its operands
+    # by bytes, or in their products) gives 2.48e-16 here, not 1.11e-16.
+    space = StiefelSpace(3, 2, mode)
+    x_e = [[0.0, 0.0], [0.0, -1.0], [1.0, 0.0]]
+    o = [[-0.0, 0.0], [-0.8, -0.6], [0.6, -0.8]]
+    assert_zero_signs_do_not_matter(space, space.coerce_points([x_e, o]))
 
 
 @pytest.mark.parametrize("kind", VECTOR_KINDS)
