@@ -16,8 +16,12 @@ import numpy as np
 
 from .depth import DepthField, Sample
 from .levelsets import LatticeGrid, nearest_indices, nested_diameters, nested_inradii
+from .metrics import EuclideanSpace
 
 PSI_KINDS = ("diam", "inradius", "volume")
+
+# Cross-matrix blocks of the lattice curves hold about this many entries.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class DispersionError(ValueError):
@@ -90,12 +94,15 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
               pair_matrix: np.ndarray | None = None) -> PsiCurve:
     """Summary of the field's level sets at every grid level.
 
-    The level sets are nested, so diam and inradius each take one pass
-    over the N evaluation points in depth order, with O(N) temporaries
-    and no N x N matrix; diam reads `pair_matrix` when a caller has one
-    cached.  inradius measures against the non-member evaluation points,
-    plus the virtual exterior of a bounded lattice; volume needs a
-    reference sample of known total mass.
+    inradius measures against the non-member evaluation points, plus the
+    virtual exterior of a bounded lattice; volume needs a reference
+    sample of known total mass.  On a Euclidean field over the points of
+    the lattice `grid`, diam and inradius read each level set's boundary
+    (`_lattice_diameters`, `_lattice_inradii`).  Elsewhere the level sets
+    are nested, so each takes one pass over the N evaluation points in
+    depth order, with O(N) temporaries and no N x N matrix; diam reads
+    `pair_matrix` when a caller has one cached.  Both ways give the same
+    floats.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if np.any(np.diff(lambdas) <= 0):
@@ -104,9 +111,15 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
         raise DispersionError(f"unknown psi kind {kind!r}")
     depths = field.values
     counts = len(depths) - np.searchsorted(np.sort(depths), lambdas, side="left")
-    if kind == "diam":
+    lattice = (grid is not None and field.points is grid.points
+               and isinstance(field.space, EuclideanSpace))
+    if kind == "diam" and lattice:
+        values = _lattice_diameters(field, grid, lambdas)
+    elif kind == "diam":
         values = nested_diameters(field.points, field.space, counts,
                                   np.argsort(-depths), pair_matrix)
+    elif kind == "inradius" and lattice:
+        values = _lattice_inradii(field, grid, lambdas)
     elif kind == "inradius":
         values = nested_inradii(field.points, field.space, counts,
                                 np.argsort(depths), grid)
@@ -122,6 +135,73 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
     empty_from = float(lambdas[counts == 0][0]) if (counts == 0).any() else None
     region = grid.describe() if grid is not None else f"eval-set[{len(field.values)}]"
     return PsiCurve(lambdas, values, kind, region, empty_from)
+
+
+# The lattice curves.  Coordinates along each lattice axis are
+# nondecreasing in the index, and `_root_sum_sq` builds a distance from
+# subtraction, squaring, left-to-right addition and a square root, each
+# rounding monotonically; so one lattice step away from a point never
+# lowers its float distance, and one step toward it never raises it.
+
+
+def _row_blocks(rows: np.ndarray, width: int):
+    """`rows` in runs of about _BLOCK_ENTRIES / `width` indices."""
+    size = max(1, _BLOCK_ENTRIES // max(width, 1))
+    return (rows[lo:lo + size] for lo in range(0, len(rows), size))
+
+
+def _lattice_diameters(field: DepthField, grid: LatticeGrid, lambdas) -> np.ndarray:
+    """Diameter of each level set {depth >= lam} of a field on `grid`.
+
+    The level sets are taken from the highest level down, so each holds
+    the one before.  The ends of a longest pair can each step apart
+    until they reach the inner boundary; if neither end is new there,
+    the pair is no longer than the last diameter.  So each diameter is
+    the last one or the longest distance from a new inner-boundary point
+    to the inner boundary.
+    """
+    out = np.zeros(len(lambdas))
+    space, points = field.space, grid.points
+    best, before = 0.0, np.zeros(len(points), dtype=bool)
+    for j in range(len(lambdas) - 1, -1, -1):
+        mask = field.values >= lambdas[j]
+        inner = grid.boundaries(mask)[0]
+        ends = points[inner]
+        for rows in _row_blocks(inner[~before[inner]], len(ends)):
+            best = max(best, space.cross_matrix(points[rows], ends).max())
+        out[j], before = best, mask
+    return out
+
+
+def _lattice_inradii(field: DepthField, grid: LatticeGrid, lambdas) -> np.ndarray:
+    """Inradius of each level set {depth >= lam} of a field on `grid`,
+    against the non-members and the lattice's virtual exterior.
+
+    The level sets are taken from the lowest level up, so each holds the
+    next.  A member's nearest non-member can step toward it until it
+    reaches the outer boundary, and a point joins the outer boundary
+    only as it leaves the level set.  So each member keeps a running
+    minimum, from its exterior distance, over the distances to the
+    points that have been on an outer boundary.
+    """
+    out = np.zeros(len(lambdas))
+    space, points = field.space, grid.points
+    nearest = grid.exterior_distance(points)
+    seen = np.zeros(len(points), dtype=bool)
+    for j, lam in enumerate(lambdas):
+        mask = field.values >= lam
+        if not mask.any():
+            break
+        outer = grid.boundaries(mask)[1]
+        new = outer[~seen[outer]]
+        if len(new):
+            members, near = points[mask], nearest[mask]
+            for rows in _row_blocks(new, len(members)):
+                np.minimum(near, space.cross_matrix(points[rows], members).min(axis=0),
+                           out=near)
+            nearest[mask], seen[new] = near, True
+        out[j] = nearest[mask].max()
+    return out
 
 
 def _check_pair(cx: PsiCurve, cy: PsiCurve):

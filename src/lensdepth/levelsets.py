@@ -5,7 +5,12 @@ Level sets are extensional: membership of the evaluation points, never
 an analytic region.  The evaluation geometry is either an axis-aligned
 lattice over a box (with spacing-aware neighbor structure and a virtual
 exterior one step outside the box) or the sample itself with a
-symmetrized k-nearest-neighbor graph.
+symmetrized k-nearest-neighbor graph.  A lattice finds the inner and
+outer boundaries of a member mask by shifting the mask one step along
+each axis (`LatticeGrid.boundaries`); the kNN graph walks each member's
+neighbor list.  The one-pass ψ sweeps `nested_diameters` and
+`nested_inradii` work on any evaluation set; `dispersion` reads the
+curves of a Euclidean lattice off these boundaries instead.
 """
 
 from __future__ import annotations
@@ -172,12 +177,32 @@ class LatticeGrid:
                 out.append(int(np.ravel_multi_index(nb, shape)))
         return out
 
-    def exterior_distance(self, x) -> float:
-        """Distance from `x` to the nearest virtual exterior lattice point."""
-        best = math.inf
-        for d, (lo, hi, step) in enumerate(self.axes):
+    def boundaries(self, mask) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending flat indices of the inner boundary of the member
+        `mask` (members with a non-member or out-of-lattice neighbor) and
+        of its outer boundary (non-members with a member neighbor)."""
+        shape = self.shape
+        core = (slice(1, -1),) * len(shape)
+        padded = np.zeros(tuple(size + 2 for size in shape), dtype=bool)
+        padded[core] = np.reshape(mask, shape)
+        inside = padded[core]
+        all_in, any_in = np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)
+        for d, size in enumerate(shape):
+            for delta in (-1, 1):
+                at = list(core)
+                at[d] = slice(1 + delta, size + 1 + delta)
+                all_in &= padded[tuple(at)]
+                any_in |= padded[tuple(at)]
+        return np.flatnonzero(inside & ~all_in), np.flatnonzero(~inside & any_in)
+
+    def exterior_distance(self, x) -> np.ndarray:
+        """Distance from each point of the (m, d) array `x` to the
+        nearest virtual exterior lattice point."""
+        best = np.full(len(x), np.inf)
+        for d, (lo, _, step) in enumerate(self.axes):
             last = self._axis_values[d][-1]
-            best = min(best, x[d] - (lo - step), (last + step) - x[d])
+            best = np.minimum(best, x[:, d] - (lo - step))
+            best = np.minimum(best, (last + step) - x[:, d])
         return best
 
     def describe(self) -> str:
@@ -219,6 +244,8 @@ class KnnGrid:
 def inner_boundary(mask: np.ndarray, grid) -> np.ndarray:
     """Ascending indices of the points in `mask` with at least one
     neighbor outside it (or outside the lattice)."""
+    if isinstance(grid, LatticeGrid):
+        return grid.boundaries(mask)[0]
     out = [int(i) for i in np.flatnonzero(mask)
            if any(j is None or not mask[j] for j in grid.neighbor_indices(int(i)))]
     return np.array(out, dtype=np.int64)
@@ -286,8 +313,7 @@ def nested_inradii(points, space: MetricSpace, counts, order,
     the lattice's exterior or +inf, so temporaries are O(N)."""
     pts = points[order]
     n = len(pts)
-    nearest = (np.full(n, np.inf) if grid is None
-               else np.array([grid.exterior_distance(p) for p in pts]))
+    nearest = np.full(n, np.inf) if grid is None else grid.exterior_distance(pts)
     out, moved = np.zeros(len(counts)), 0
     for j, c in enumerate(c for c in counts if c):
         if c == n and grid is None:

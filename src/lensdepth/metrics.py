@@ -323,6 +323,9 @@ class BHVSpace(MetricSpace):
         return f"BHVSpace(labels={self.labels!r})"
 
     def coerce_points(self, points):
+        if not np.iterable(points):
+            raise PointValidationError(
+                f"expected a sequence of trees, got a {type(points).__name__}")
         trees = list(points)
         _reject_first([not isinstance(p, treespace.Tree) for p in trees], lambda i: (
             f"point {i} is a {type(trees[i]).__name__}, not a Tree"))

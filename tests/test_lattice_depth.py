@@ -8,8 +8,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from lensdepth.cli import run
 from lensdepth.dataio import fmt
@@ -23,60 +21,7 @@ from lensdepth.depth import (
 from lensdepth.levelsets import LatticeGrid
 from lensdepth.metrics import EuclideanSpace, PointValidationError
 
-
-def halton_normal(n, dim, seed):
-    u = qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
-    return ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-
-
-def integers(n, dim, lo, hi, seed):
-    return np.random.default_rng(seed).integers(lo, hi + 1, (n, dim)).astype(float)
-
-
-BIG, SMALL = 2.0 ** 500, 2.0 ** -500
-
-# name -> (sample, lattice axes, whether the guard must fire).  Tie-heavy
-# cases put lattice points exactly on lens boundaries, where the chord
-# estimate and the float predicate part.
-CASES = {
-    "halton-normal": (halton_normal(120, 2, 3), [(-4.0, 4.0, 0.1)] * 2, False),
-    "integer-on-integers": (integers(40, 2, -3, 3, 1), [(-4.0, 4.0, 1.0)] * 2, True),
-    "integer-on-halves": (integers(40, 2, -3, 3, 2),
-                          [(-4.0, 4.0, 0.5), (-4.0, 4.0, 0.25)], True),
-    "integer-on-tenths": (integers(30, 2, -3, 3, 3), [(-3.5, 3.5, 0.1)] * 2, True),
-    "duplicates": (np.repeat(halton_normal(12, 2, 4), 3, axis=0), [(-3.0, 3.0, 0.1)] * 2,
-                   False),
-    "all-equal": (np.full((9, 2), 0.5), [(0.0, 2.0, 0.5)] * 2, False),
-    "all-equal-off-lattice": (np.full((9, 2), 0.3), [(0.0, 2.0, 0.5)] * 2, False),
-    "on-lattice-points": (0.25 * integers(40, 2, -8, 8, 5), [(-2.0, 2.0, 0.25)] * 2, True),
-    "odd-steps": (integers(30, 2, -3, 3, 6), [(-4.0, 4.0, 0.3), (-4.0, 4.0, 1 / 3)], True),
-    # Near 2^500 the lattice values are spaced a few ulps apart; squares
-    # stay finite.
-    "offset-2^500": (BIG * (1.0 + 2.0 ** -50 * integers(20, 2, -3, 3, 7)),
-                     [(BIG * (1 - 2.0 ** -48), BIG * (1 + 2.0 ** -48), BIG * 2.0 ** -52)] * 2,
-                     True),
-    # Squares overflow to inf, in the pairwise matrix as on the lattice.
-    "squares-overflow": (2.0 ** 510 * halton_normal(20, 2, 8),
-                         [(-(2.0 ** 512), 2.0 ** 512, 2.0 ** 508)] * 2, False),
-    # Squares of lattice gaps go subnormal.
-    "squares-subnormal": (2.0 ** -540 * integers(20, 2, -3, 3, 9),
-                          [(-4 * 2.0 ** -540, 4 * 2.0 ** -540, 2.0 ** -541)] * 2, True),
-    "offset-2^-500": (SMALL * halton_normal(20, 2, 10),
-                      [(-2 * SMALL, 2 * SMALL, SMALL / 8)] * 2, False),
-    "single-row": (integers(30, 2, -3, 3, 11), [(0.0, 0.0, 1.0), (-4.0, 4.0, 0.5)], True),
-    "single-column": (integers(30, 2, -3, 3, 12), [(-4.0, 4.0, 0.5), (1.0, 1.0, 1.0)], True),
-    "3d-normal": (halton_normal(30, 3, 14), [(-3.0, 3.0, 0.3)] * 3, False),
-    # Rows run along the longest axis, here the last, the first and the
-    # middle one; terms of later axes are added after the row's own.
-    # Tenths make real ties that rounding, and so the order of the sum,
-    # decides.
-    "3d-longest-last": (0.1 * integers(30, 3, -3, 3, 13),
-                        [(-0.3, 0.3, 0.1), (-0.2, 0.2, 0.1), (-0.6, 0.6, 0.05)], True),
-    "3d-longest-first": (0.1 * integers(30, 3, -3, 3, 15),
-                         [(-0.6, 0.6, 0.05), (-0.3, 0.3, 0.1), (-0.2, 0.2, 0.1)], True),
-    "3d-longest-middle": (0.1 * integers(30, 3, -3, 3, 16),
-                          [(-0.3, 0.3, 0.1), (-0.6, 0.6, 0.05), (-0.2, 0.2, 0.1)], True),
-}
+from conftest import CASES, halton_normal
 
 
 def case(name):
@@ -147,8 +92,12 @@ CLI_CONTRACT = {
     "levelset": (["levelset", "--sample", "x.csv", "--lambda", "0.2", _GRID,
                   "--boundary-out", "bd.csv"], None),
     "psi": (["psi", "--sample", "x.csv", "--psi", "inradius", "--levels", "8", _GRID], None),
+    "psi-diam": (["psi", "--sample", "x.csv", "--psi", "diam", "--levels", "8", _GRID],
+                 None),
     "gamma": (["gamma", "--x", "x.csv", "--y", "y.csv", "--psi", "diam",
                "--levels", "8", _GRID], None),
+    "order": (["order", "--x", "x.csv", "--y", "y.csv", "--relation", "spread",
+               "--psi", "inradius", "--levels", "8", _GRID], None),
     "simulate-2d": (["simulate", "--config", "exp.json"], {
         "experiment": "supnorm", "sampler": {"dist": "normal", "dim": 2},
         "n_schedule": [20, 40], "replications": 2, "seed": 3, "pairs": 400,

@@ -580,3 +580,12 @@ def test_ragged_list_is_one_validation_error():
     assert str(err.value) == "point 1 has shape (1,), expected real vectors of length 2"
     with pytest.raises(PointValidationError, match="^point 1 is not made of numbers$"):
         EuclideanSpace(1).coerce_points([1.0, "x"])
+
+
+def test_tree_sample_rejects_points_that_are_not_a_sequence(rng):
+    trees = [random_tree(tuple("ABCDE"), rng) for _ in range(3)]
+    sample = Sample(trees, BHVSpace(tuple("ABCDE")))
+    for points, name in ((None, "NoneType"), (5, "int"), (trees[0], "Tree")):
+        with pytest.raises(PointValidationError,
+                           match=f"^expected a sequence of trees, got a {name}$"):
+            batch_depth(points, sample)
