@@ -160,23 +160,6 @@ class LatticeGrid:
     def __len__(self):
         return len(self._points)
 
-    def neighbor_indices(self, i: int):
-        """Flat indices of the 2d axis neighbors; None marks a position
-        outside the lattice."""
-        shape = self.shape
-        coords = np.unravel_index(i, shape)
-        out = []
-        for d, size in enumerate(shape):
-            for delta in (-1, 1):
-                c = coords[d] + delta
-                if c < 0 or c >= size:
-                    out.append(None)
-                    continue
-                nb = list(coords)
-                nb[d] = c
-                out.append(int(np.ravel_multi_index(nb, shape)))
-        return out
-
     def boundaries(self, mask) -> tuple[np.ndarray, np.ndarray]:
         """Ascending flat indices of the inner boundary of the member
         `mask` (members with a non-member or out-of-lattice neighbor) and
@@ -247,7 +230,7 @@ def inner_boundary(mask: np.ndarray, grid) -> np.ndarray:
     if isinstance(grid, LatticeGrid):
         return grid.boundaries(mask)[0]
     out = [int(i) for i in np.flatnonzero(mask)
-           if any(j is None or not mask[j] for j in grid.neighbor_indices(int(i)))]
+           if any(not mask[j] for j in grid.neighbor_indices(int(i)))]
     return np.array(out, dtype=np.int64)
 
 

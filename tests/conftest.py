@@ -114,6 +114,24 @@ def negate_zeros(points):
 # Hostile lattice cases, shared by the lattice depth and lattice psi tests
 
 
+def lattice_neighbors(grid, i):
+    """Flat indices of the 2d axis neighbors of lattice point `i`; None
+    marks a position outside the lattice."""
+    shape = grid.shape
+    coords = np.unravel_index(i, shape)
+    out = []
+    for d, size in enumerate(shape):
+        for delta in (-1, 1):
+            c = coords[d] + delta
+            if c < 0 or c >= size:
+                out.append(None)
+                continue
+            nb = list(coords)
+            nb[d] = c
+            out.append(int(np.ravel_multi_index(nb, shape)))
+    return out
+
+
 def halton_normal(n, dim, seed):
     u = qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
     return ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
@@ -167,3 +185,112 @@ CASES = {
     "3d-longest-middle": (0.1 * integers(30, 3, -3, 3, 16),
                           [(-0.3, 0.3, 0.1), (-0.6, 0.6, 0.05), (-0.2, 0.2, 0.1)], True),
 }
+
+
+# ---------------------------------------------------------------------------
+# Hostile tree pairs, for the geodesic solver's differential test
+
+
+def tree_labels(n_leaves):
+    return tuple(f"t{i:02d}" for i in range(n_leaves))
+
+
+def tree_from_sides(labels, sides, rng=None):
+    """Binary tree with the given clades as splits; every length is 1.0,
+    or uniform on [0.1, 1) when `rng` is given."""
+    umask = (1 << len(labels)) - 1
+    splits = sorted({canonical_split(m, umask) for m in sides} - {0})
+    splits = [m for m in splits if 2 <= m.bit_count() <= len(labels) - 2]
+
+    def length():
+        return 1.0 if rng is None else float(rng.uniform(0.1, 1.0))
+
+    return Tree(labels, tuple((m, length()) for m in splits),
+                tuple(length() for _ in labels))
+
+
+def caterpillar_sides(order):
+    """Clades of the caterpillar that joins the leaves in `order`."""
+    sides, clade = [], 1 << order[0]
+    for leaf in order[1:]:
+        clade |= 1 << leaf
+        sides.append(clade)
+    return sides
+
+
+def balanced_sides(lo, hi):
+    """Clades of the balanced tree on the leaves lo, ..., hi - 1."""
+    if hi - lo < 2:
+        return []
+    mid = (lo + hi) // 2
+    return [(1 << hi) - (1 << lo)] + balanced_sides(lo, mid) + balanced_sides(mid, hi)
+
+
+def nni_neighbor(tree, rng):
+    """`tree` after one nearest-neighbor interchange: a random split with
+    side S = X | Y, whose parent node also holds S's sibling W, becomes
+    X | W with S's length."""
+    sides = [m for m, _ in tree.interior]
+    s = sides[int(rng.integers(len(sides)))]
+    # The smallest strict superset of S, or every leaf but leaf 0.
+    parent = min((m for m in sides if m != s and not s & ~m),
+                 key=int.bit_count, default=tree.universe_mask & ~1)
+    inner = [m for m in sides if m != s and not m & ~s]
+    children = [m for m in inner if not any(m != o and not m & ~o for o in inner)]
+    covered = 0
+    for m in children:
+        covered |= m
+    children += [1 << b for b in range(tree.n_leaves) if (s & ~covered) >> b & 1]
+    moved = min(children) | (parent & ~s)
+    lengths = tree.interior_map
+    lengths[moved] = lengths.pop(s)
+    return Tree(tree.labels, tuple(sorted(lengths.items())), tree.pendant)
+
+
+def _tree_pairs():
+    rng = np.random.default_rng(31)
+
+    def random_pairs(n_leaves, count):
+        labels = tree_labels(n_leaves)
+        return [(random_tree(labels, rng), random_tree(labels, rng)) for _ in range(count)]
+
+    def relength(pairs, draw):
+        return [tuple(t.with_lengths([draw() for _ in t.interior], t.pendant) for t in pair)
+                for pair in pairs]
+
+    def power_of_two():
+        return 2.0 ** int(rng.integers(-3, 4))
+
+    def nni_walk(tree, steps):
+        for _ in range(steps):
+            tree = nni_neighbor(tree, rng)
+        return tree
+
+    labels16 = tree_labels(16)
+    cat, bal = caterpillar_sides(range(16)), balanced_sides(0, 16)
+    shuffled = caterpillar_sides(rng.permutation(16).tolist())
+    same = [random_tree(tree_labels(n), rng) for n in (12, 24)]
+    starts = [random_tree(tree_labels(n), rng) for n in (12, 12, 24, 48)]
+    return {
+        "identical": [(t, t) for t in same],
+        "one-nni": [(t, nni_walk(t, 1)) for t in starts],
+        "nni-walk": [(t, nni_walk(t, steps)) for t in starts for steps in (3, 8)],
+        "caterpillar-balanced": [(tree_from_sides(labels16, cat), tree_from_sides(labels16, bal)),
+                                 (tree_from_sides(labels16, cat, rng),
+                                  tree_from_sides(labels16, bal, rng))],
+        "caterpillar-shuffled": [(tree_from_sides(labels16, cat), tree_from_sides(labels16, shuffled)),
+                                 (tree_from_sides(labels16, cat, rng),
+                                  tree_from_sides(labels16, shuffled, rng))],
+        "unit-interior": relength(random_pairs(12, 20) + random_pairs(24, 6), lambda: 1.0),
+        "powers-of-two": relength(random_pairs(12, 20) + random_pairs(24, 6), power_of_two),
+        "pendant-only": [(t, t.with_lengths([length for _, length in t.interior],
+                                            rng.uniform(0.0, 1.0, t.n_leaves)))
+                         for t in same],
+        "random-12": random_pairs(12, 30),
+        "random-24": random_pairs(24, 10),
+        "random-48": random_pairs(48, 5),
+    }
+
+
+# name -> list of tree pairs on one leaf universe each.
+TREE_PAIRS = _tree_pairs()

@@ -14,7 +14,7 @@ from lensdepth.dispersion import default_lambda_grid, psi_curve
 from lensdepth.levelsets import LatticeGrid, nested_diameters, nested_inradii
 from lensdepth.metrics import EuclideanSpace
 
-from conftest import CASES, halton_normal
+from conftest import CASES, halton_normal, lattice_neighbors
 
 
 def quiet(name):
@@ -68,7 +68,7 @@ def test_lattice_boundaries_match_the_neighbor_lists(axes, rng):
     for _ in range(20):
         mask = rng.random(len(grid)) < 0.5
         inner, outer = grid.boundaries(mask)
-        nbrs = [grid.neighbor_indices(i) for i in range(len(grid))]
+        nbrs = [lattice_neighbors(grid, i) for i in range(len(grid))]
         assert inner.tolist() == [i for i in range(len(grid)) if mask[i] and any(
             j is None or not mask[j] for j in nbrs[i])]
         assert outer.tolist() == [i for i in range(len(grid)) if not mask[i] and any(

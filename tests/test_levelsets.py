@@ -24,7 +24,7 @@ from lensdepth.levelsets import (
 from lensdepth.dispersion import psi_curve
 from lensdepth.metrics import BHVSpace, EuclideanSpace
 
-from conftest import random_tree, space_with_points
+from conftest import lattice_neighbors, random_tree, space_with_points
 
 E1 = EuclideanSpace(1)
 E2 = EuclideanSpace(2)
@@ -183,7 +183,7 @@ def test_lattice_points_and_neighbors():
     assert g.shape == (3, 2)
     assert len(g) == 6
     # corner has two in-grid neighbors and two virtual ones
-    nbrs = g.neighbor_indices(0)
+    nbrs = lattice_neighbors(g, 0)
     assert nbrs.count(None) == 2
 
 

@@ -191,6 +191,16 @@ def test_compatible_examples():
     assert compatible(mask("CD"), mask("CD"), U5)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 2 ** n - 1), st.integers(0, 2 ** n - 1))))
+def test_crossing_check_is_incompatibility_of_canonical_sides(case):
+    n, s, t = case
+    s, t = s & ~1, t & ~1                 # canonical: the side without leaf 0
+    crosses = treespace._crossing_mask(s, [(t, 1.0)]) == 1
+    assert crosses == (not compatible(s, t, 2 ** n - 1))
+
+
 # ---------------------------------------------------------------------------
 # Tree validation
 
