@@ -261,12 +261,16 @@ def gamma(cx: PsiCurve, cy: PsiCurve) -> float:
     """Fraction of the level range on which psi_X >= psi_Y, under
     piecewise-linear interpolation of both curves between grid levels.
 
-    Identical curves give exactly 1.
+    Identical curves give exactly 1.  Equal values tie, infinite ones
+    included, and a crossing from psi_X - psi_Y = +inf is at the far end
+    of its segment.
     """
     _check_pair(cx, cy)
-    if np.isnan(cx.values).any() or np.isnan(cy.values).any():
+    x, y = cx.values, cy.values
+    if np.isnan(x).any() or np.isnan(y).any():
         raise DispersionError("curves contain undefined (NaN) psi values")
-    d = cx.values - cy.values
+    with np.errstate(invalid="ignore"):         # inf - inf where x == y
+        d = np.where(x == y, 0.0, x - y)
     seg = np.diff(cx.lambdas)
     d0, d1 = d[:-1], d[1:]
     frac = np.empty(len(seg))
@@ -276,7 +280,9 @@ def gamma(cx: PsiCurve, cy: PsiCurve) -> float:
     frac[both_lt] = 0.0
     cross_down = (d0 >= 0) & (d1 < 0)
     cross_up = (d0 < 0) & (d1 >= 0)
-    frac[cross_down] = d0[cross_down] / (d0[cross_down] - d1[cross_down])
+    with np.errstate(invalid="ignore"):         # inf / inf from d0 = +inf
+        frac[cross_down] = d0[cross_down] / (d0[cross_down] - d1[cross_down])
+    frac[cross_down & np.isinf(d0)] = 1.0
     frac[cross_up] = d1[cross_up] / (d1[cross_up] - d0[cross_up])
     # When every interval is fully covered the two sums are term-for-term
     # identical floats, so the ratio is exactly 1.

@@ -79,10 +79,12 @@ def _float_stack(points, shape: tuple, what: str) -> np.ndarray:
 def _root_sum_sq(diff: np.ndarray) -> np.ndarray:
     """Square root of the sum of squares over the last axis, accumulated
     column by column from the left, the order of `_scalar_root_sum_sq`,
-    so both paths agree bit for bit."""
-    s = diff[..., 0] * diff[..., 0]
-    for j in range(1, diff.shape[-1]):
-        s = s + diff[..., j] * diff[..., j]
+    so both paths agree bit for bit.  Squares past the double range are
+    inf, as in the scalar loop, and numpy is not asked to warn of them."""
+    with np.errstate(over="ignore"):
+        s = diff[..., 0] * diff[..., 0]
+        for j in range(1, diff.shape[-1]):
+            s = s + diff[..., j] * diff[..., j]
     return np.sqrt(s)
 
 

@@ -110,6 +110,29 @@ def negate_zeros(points):
     return out
 
 
+def neighbours(values, steps=3):
+    """`values` and the floats 1..`steps` representable steps away on
+    either side of each."""
+    values = np.asarray(values, dtype=float)
+    out = [values]
+    for direction in (-np.inf, np.inf):
+        cur = values
+        for _ in range(steps):
+            cur = np.nextafter(cur, direction)
+            out.append(cur)
+    return np.concatenate(out)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    # array_equal treats 0.0 and -0.0 as equal; the sign bit must match
+    # too (a NaN's sign bit carries nothing and is not compared)
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+
 # ---------------------------------------------------------------------------
 # Hostile lattice cases, shared by the lattice depth and lattice psi tests
 

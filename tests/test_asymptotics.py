@@ -18,6 +18,8 @@ from lensdepth.asymptotics import (
 from lensdepth.depth import population_level_interval_1d
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
 
+from conftest import assert_same_bits
+
 
 def test_config_validation():
     with pytest.raises(ExperimentError):
@@ -80,16 +82,6 @@ XS = np.concatenate([np.linspace(-40.0, 40.0, 40_001),
                      [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e-300, -1e300]])
 QS = np.concatenate([np.linspace(0.0, 1.0, 40_001),
                      [0.0, 1.0, -0.0, np.nan, -0.1, 1.1, 5e-324, 1.0 - 2.0 ** -53]])
-
-
-def assert_same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want, equal_nan=True)
-    # array_equal treats 0.0 and -0.0 as equal; the sign bit must match
-    # too (a NaN's sign bit carries nothing and is not compared)
-    number = ~np.isnan(want)
-    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
 
 
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (0.3, 1.7), (-2.0, 0.05), (1e3, 30.0)])

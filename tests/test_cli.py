@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -408,48 +409,94 @@ def test_module_entry_point_runs():
 
 _SIMULATE = {"n_schedule": [20, 40], "replications": 2, "seed": 5,
              "grid": [[-3.0, 3.0, 0.25]]}
-# Each row: a command, the config `simulate` reads (or None), and whether
-# scipy.stats may be loaded.  Only the von Mises-Fisher sampler needs it;
-# that row also shows the probe sees the import when it happens.
+# Each row: a command, the config `simulate` reads (or None), and the
+# scipy modules it may load.  The normal law loads no scipy at all; the
+# Student-t law and gamma-tn load scipy.special; only the von Mises-Fisher
+# sampler loads scipy.stats, and that row also shows the probe sees an
+# import when it happens.
+NO_SCIPY = {"scipy": False, "scipy.special": False, "scipy.stats": False}
+SPECIAL = {"scipy": True, "scipy.special": True, "scipy.stats": False}
 SCIPY_STATS_CASES = {
-    "version": (["--version"], None, False),
+    "version": (["--version"], None, NO_SCIPY),
     "simulate-normal-supnorm": (["simulate"], dict(
         _SIMULATE, experiment="supnorm",
-        sampler={"dist": "normal", "mu": 0.3, "sigma": 1.7}), False),
+        sampler={"dist": "normal", "mu": 0.3, "sigma": 1.7}), NO_SCIPY),
     "simulate-normal-levelset": (["simulate"], dict(
         _SIMULATE, experiment="levelset", sampler={"dist": "normal"},
-        **{"lambda": 0.3}), False),
+        **{"lambda": 0.3}), NO_SCIPY),
+    "simulate-normal-clt": (["simulate"], {
+        "experiment": "clt", "sampler": {"dist": "normal", "mu": 0.3, "sigma": 1.7},
+        "n_schedule": [10], "replications": 500, "seed": 5,
+        "points": [[0.0], [1.0]]}, NO_SCIPY),
     "simulate-student-t": (["simulate"], dict(
         _SIMULATE, experiment="levelset", sampler={"dist": "student_t", "v": 3},
-        **{"lambda": 0.0}), False),
+        **{"lambda": 0.0}), SPECIAL),
     "gamma-tn": (["gamma-tn", "--v", "1..3", "--sigma", "0.5:1.5:0.5",
-                  "--points", "2000"], None, False),
+                  "--points", "2000"], None, SPECIAL),
     "simulate-sphere-vmf": (["simulate"], {
         "experiment": "clt", "sampler": {"dist": "sphere_vmf", "mu": [0, 0, 1], "kappa": 4.0},
         "n_schedule": [10], "replications": 500, "seed": 5, "pairs": 2000,
-        "points": [[0, 0, 1], [0, 1, 0]]}, True),
+        "points": [[0, 0, 1], [0, 1, 0]]},
+        {"scipy": True, "scipy.special": True, "scipy.stats": True}),
 }
 
 
 @pytest.mark.parametrize("case", list(SCIPY_STATS_CASES))
 def test_scipy_stats_is_loaded_only_for_vmf(workdir, case):
-    argv, config, loads_stats = SCIPY_STATS_CASES[case]
+    argv, config, loads = SCIPY_STATS_CASES[case]
     if config is not None:
         (workdir / "exp.json").write_text(json.dumps(config))
         argv = argv + ["--config", "exp.json"]
     if argv != ["--version"]:
         argv = argv + ["--out", "out.csv", "--no-timestamp"]
-    code = ("import sys; from lensdepth.cli import main; sys.argv[0] = 'lensdepth'\n"
+    code = ("import json, sys; from lensdepth.cli import main; sys.argv[0] = 'lensdepth'\n"
             "try:\n    main()\nexcept SystemExit as exc:\n    status = exc.code\n"
-            "print(status, 'scipy.stats' in sys.modules)")
+            f"print(status, json.dumps({{m: m in sys.modules for m in {list(loads)!r}}}))")
     proc = subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, env=cli_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["0", str(loads_stats)], proc.stderr
+    status, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert (status, json.loads(loaded)) == ("0", loads), proc.stderr
     if argv == ["--version"]:
         assert proc.stdout.split()[:2] == ["lensdepth", __version__]
     else:
         assert (workdir / "out.csv").exists()
+
+
+# Two points 2e300 apart: their squared distance overflows to inf.
+FAR_SAMPLE = "x1,x2\n1e300,1e300\n-1e300,1e300\n0,0\n1,0\n0,1\n"
+NEAR_SAMPLE = "x1,x2\n0.5,0.5\n-1,0.2\n0.3,-0.7\n2,1\n-0.4,-1.5\n"
+# sha256 of each output.  The distances between the far points are inf,
+# as the scalar oracle gives them.
+FAR_OUTPUTS = {
+    "depth": (["--sample", "big.csv", "--queries", "big.csv"], "depth.csv",
+              "860f28d0aec89d463466a5f25817b071e6eb1ffc89b4bf49230130d712073969"),
+    "levelset": (["--sample", "big.csv", "--lambda", "0.3"], "levelset.csv",
+                 "c5d9c729b2f8e7050b856bca77bdb09fdc7e6a22bd46b97a60d1aa08af467e2f"),
+    "psi": (["--sample", "big.csv", "--psi", "diam"], "psi.csv",
+            "cfa5054172a1962945dedab6d29d430abb5678a53b8d5a54498fa931d29b2b08"),
+    "ddplot": (["--group0", "big.csv", "--group1", "small.csv"], "ddplot.csv",
+               "9468ed59ea532fbb117eded12c270f3e61a5be5c55f54ddd82b2518b05a06a0a"),
+    "gamma": (["--x", "big.csv", "--y", "big.csv", "--psi", "diam"], "gamma.json", None),
+}
+
+
+@pytest.mark.parametrize("command", list(FAR_OUTPUTS))
+def test_distances_past_the_double_range_write_nothing_to_stderr(workdir, command):
+    (workdir / "big.csv").write_text(FAR_SAMPLE)
+    (workdir / "small.csv").write_text(NEAR_SAMPLE)
+    args, out, digest = FAR_OUTPUTS[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lensdepth.cli", command, *args, "--out", out, "--no-timestamp"],
+        capture_output=True, text=True, env=cli_env(), timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if digest is not None:
+        assert hashlib.sha256((workdir / out).read_bytes()).hexdigest() == digest
+    else:
+        # identical curves, infinite at the lowest levels, give exactly 1
+        result = json.loads((workdir / out).read_text())
+        assert result["psi_x"] == result["psi_y"] and result["psi_x"][0] == np.inf
+        assert result["gamma"] == 1.0
 
 
 def write_twelve_leaf_trees(path, count):

@@ -341,6 +341,18 @@ def test_gamma_in_unit_interval(rng):
         assert 0.0 <= gamma(a, b) <= 1.0
 
 
+def test_gamma_with_infinite_psi_values():
+    # A level set holding points whose distance overflows has psi = inf.
+    # Equal infinities tie, and a crossing from psi_X - psi_Y = +inf sits
+    # at the far end of its segment; no step may meet inf - inf or inf / inf.
+    lam = np.linspace(0.0, 0.3, 4)
+    a = curve([np.inf, np.inf, 1.0, 1.0], lam)
+    b = curve([np.inf, 3.0, 2.0, 0.5], lam)
+    assert gamma(a, a) == gamma(b, b) == 1.0
+    assert gamma(a, b) == pytest.approx(7 / 9, rel=1e-12)
+    assert gamma(b, a) == pytest.approx(2 / 9, rel=1e-12)
+
+
 def test_gamma_closed_form_oracle_with_refinement():
     v, sigma = 2, 1.1
     fx = lambda lam: t_diam(lam, v)

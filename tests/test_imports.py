@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, imports no
-underscore name from another module of the package, and only the von
-Mises-Fisher sampler imports scipy.stats.
+underscore name from another module of the package, only the von
+Mises-Fisher sampler imports scipy.stats, and only the Student-t sampler
+and the two gamma-tn functions import scipy.special.
 
 `__init__` is exempt from the first check: its imports are the package's
 public surface."""
@@ -63,20 +64,43 @@ def test_module_imports_no_private_name(module):
     assert private_imports((PACKAGE / module).read_text()) == []
 
 
+def scipy_imports(source: str, sub: str) -> list[tuple[str, str]]:
+    """(scope, statement) for every import of scipy.<sub> or of a name
+    from it, at any depth.  The scope lists the enclosing functions and
+    the `if` tests whose branch holds the import, outermost first."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    module = f"scipy.{sub}"
+
+    def scope(node):
+        path = []
+        while node in parents:
+            node, child = parents[node], node
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                path.append(f"def {node.name}")
+            elif isinstance(node, ast.If):
+                test = ast.unparse(node.test)
+                path.append(f"if {test}" if child in node.body else f"if not {test}")
+        return " / ".join(reversed(path))
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(scope(node), f"import {a.name}") for a in node.names
+                      if a.name == module or a.name.startswith(module + ".")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module == module or node.module.startswith(module + "."):
+                names = ", ".join(a.name for a in node.names)
+                found.append((scope(node), f"from {node.module} import {names}"))
+            elif node.module == "scipy":
+                found += [(scope(node), f"from scipy import {a.name}") for a in node.names
+                          if a.name == sub]
+    return found
+
+
 def scipy_stats_imports(source: str) -> list[str]:
     """Every import of scipy.stats or of a name from it, at any depth."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found += [f"import {a.name}" for a in node.names
-                      if a.name == "scipy.stats" or a.name.startswith("scipy.stats.")]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module == "scipy.stats" or node.module.startswith("scipy.stats."):
-                found += [f"from {node.module} import {a.name}" for a in node.names]
-            elif node.module == "scipy":
-                found += [f"from scipy import {a.name}" for a in node.names
-                          if a.name == "stats"]
-    return found
+    return [statement for _, statement in scipy_imports(source, "stats")]
 
 
 def test_checker_finds_scipy_stats_imports():
@@ -88,10 +112,34 @@ def test_checker_finds_scipy_stats_imports():
         "from scipy.stats._distn_infrastructure import rv_continuous"]
 
 
+def test_checker_finds_the_scope_of_scipy_special_imports():
+    source = ("from scipy import special\n"
+              "def f(x):\n    if x == 'a':\n        import scipy.special.cython_special\n"
+              "    elif x > 1:\n        pass\n    else:\n"
+              "        from scipy.special import ndtr\n")
+    assert scipy_imports(source, "special") == [
+        ("", "from scipy import special"),
+        ("def f / if x == 'a'", "import scipy.special.cython_special"),
+        ("def f / if not x == 'a' / if not x > 1", "from scipy.special import ndtr")]
+
+
 def test_scipy_stats_is_imported_only_for_vonmises_fisher():
     # scipy.stats takes about three times as long to import as
-    # scipy.special, which the normal and Student-t laws use instead.
+    # scipy.special, which the Student-t law uses instead.
     found = {p.name: scipy_stats_imports(p.read_text())
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: imports for name, imports in found.items() if imports} == {
         "asymptotics.py": ["from scipy.stats import vonmises_fisher"]}
+
+
+def test_scipy_special_is_imported_only_for_student_t_and_gamma_tn():
+    # The normal law's cdf and ppf are ports of Cephes (asymptotics._ndtr
+    # and _ndtri), so simulating it loads no scipy module.
+    found = {p.name: scipy_imports(p.read_text(), "special")
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: imports for name, imports in found.items() if imports} == {
+        "asymptotics.py": [("def make_sampler / if dist == 'student_t'",
+                            "from scipy.special import stdtr, stdtrit")],
+        "dispersion.py": [("def _tn_dominates", "from scipy.special import ndtri, stdtrit"),
+                          ("def gamma_t_vs_normal_grid",
+                           "from scipy.special import ndtri, stdtrit")]}

@@ -18,20 +18,9 @@ from lensdepth.depth import (
 )
 from lensdepth.metrics import EuclideanSpace
 
+from conftest import neighbours
+
 LINE = EuclideanSpace(1)
-
-
-def neighbours(values, steps=3):
-    """`values` and the floats 1..`steps` representable steps away on
-    either side of each."""
-    values = np.asarray(values, dtype=float)
-    out = [values]
-    for direction in (-np.inf, np.inf):
-        cur = values
-        for _ in range(steps):
-            cur = np.nextafter(cur, direction)
-            out.append(cur)
-    return np.concatenate(out)
 
 
 def kernel_counts(queries, sample):
