@@ -34,7 +34,6 @@ from .depth import (
     Sample,
     batch_depth,
     empirical_lens_depth,
-    in_lens,
     population_ld_1d,
     population_ld_mc,
     population_level_interval_1d,
@@ -48,16 +47,11 @@ from .levelsets import (
     boundary_points,
     hausdorff,
     level_set,
-    measure_distance,
-    psi_diameter,
-    psi_inradius,
-    psi_volume,
 )
 from .dispersion import (
     OrderVerdict,
     PsiCurve,
     gamma,
-    gamma_t_vs_normal,
     giovagnoli_order,
     psi_curve,
     spread_out_ge,

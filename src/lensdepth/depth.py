@@ -1,5 +1,5 @@
-"""Empirical lens depth: lens membership, the pairwise-count estimator,
-batch evaluation, and population oracles.
+"""Empirical lens depth: the pairwise-count estimator, batch
+evaluation, and population oracles.
 
 The depth of a query point is the fraction of unordered sample pairs
 whose lens (intersection of the two closed balls centred at the pair
@@ -99,19 +99,6 @@ class DepthField:
     @property
     def max_value(self) -> float:
         return float(self.values.max())
-
-
-def in_lens(x, y1, y2, space: MetricSpace) -> bool:
-    """True iff `x` lies in the lens of (`y1`, `y2`): both closed balls of
-    radius d(y1, y2) centred at y1 and y2 contain it.
-
-    A degenerate pair y1 == y2 has the singleton lens {y1}.
-    """
-    x = space.coerce_point(x)
-    y1 = space.coerce_point(y1)
-    y2 = space.coerce_point(y2)
-    r = space.distance(y1, y2)
-    return space.distance(x, y1) <= r and space.distance(x, y2) <= r
 
 
 def empirical_lens_depth(x, sample: Sample, exclude: int | None = None) -> float:

@@ -4,8 +4,7 @@ A `PsiCurve` tabulates a set summary (diameter, inradius, or measure) of
 the depth level sets along a grid of levels.  Curves are compared by the
 spread-out relation, strong/weak dominance, and the gamma coefficient
 (the fraction of levels at which one curve dominates the other).  The
-closed-form Student-t versus normal gamma is provided with two
-independent numerical methods that cross-check each other.
+closed-form Student-t versus normal gamma is tabulated by quadrature.
 """
 
 from __future__ import annotations
@@ -15,13 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depth import DepthField, Sample
-from .levelsets import LatticeGrid, nearest_indices, nested_diameters, nested_inradii
+from .levelsets import (LatticeGrid, nearest_indices, nested_diameters, nested_inradii,
+                        row_blocks)
 from .metrics import EuclideanSpace
 
 PSI_KINDS = ("diam", "inradius", "volume")
-
-# Cross-matrix blocks of the lattice curves hold about this many entries.
-_BLOCK_ENTRIES = 1 << 16
 
 
 class DispersionError(ValueError):
@@ -124,14 +121,14 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
         values = nested_inradii(field.points, field.space, counts,
                                 np.argsort(depths), grid)
     else:
-        if reference is None:
-            raise DispersionError("volume curves need a reference sample")
+        if reference is None or reference.n == 0:
+            raise DispersionError("volume curves need a nonempty reference sample")
         if not (np.isfinite(reference_mass) and reference_mass > 0):
             raise DispersionError(
                 f"reference mass must be finite and positive, got {reference_mass}")
         ref = depths[nearest_indices(reference.points, field.points, reference.space)]
-        values = np.array([reference_mass * float(np.mean(ref >= lam)) if c else 0.0
-                           for lam, c in zip(lambdas, counts)])
+        inside = len(ref) - np.searchsorted(np.sort(ref), lambdas, side="left")
+        values = reference_mass * (inside / len(ref))
     empty_from = float(lambdas[counts == 0][0]) if (counts == 0).any() else None
     region = grid.describe() if grid is not None else f"eval-set[{len(field.values)}]"
     return PsiCurve(lambdas, values, kind, region, empty_from)
@@ -142,12 +139,6 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
 # subtraction, squaring, left-to-right addition and a square root, each
 # rounding monotonically; so one lattice step away from a point never
 # lowers its float distance, and one step toward it never raises it.
-
-
-def _row_blocks(rows: np.ndarray, width: int):
-    """`rows` in runs of about _BLOCK_ENTRIES / `width` indices."""
-    size = max(1, _BLOCK_ENTRIES // max(width, 1))
-    return (rows[lo:lo + size] for lo in range(0, len(rows), size))
 
 
 def _lattice_diameters(field: DepthField, grid: LatticeGrid, lambdas) -> np.ndarray:
@@ -166,9 +157,9 @@ def _lattice_diameters(field: DepthField, grid: LatticeGrid, lambdas) -> np.ndar
     for j in range(len(lambdas) - 1, -1, -1):
         mask = field.values >= lambdas[j]
         inner = grid.boundaries(mask)[0]
-        ends = points[inner]
-        for rows in _row_blocks(inner[~before[inner]], len(ends)):
-            best = max(best, space.cross_matrix(points[rows], ends).max())
+        ends, new = points[inner], inner[~before[inner]]
+        for rows in row_blocks(len(new), len(ends)):
+            best = max(best, space.cross_matrix(points[new[rows]], ends).max())
         out[j], before = best, mask
     return out
 
@@ -196,8 +187,8 @@ def _lattice_inradii(field: DepthField, grid: LatticeGrid, lambdas) -> np.ndarra
         new = outer[~seen[outer]]
         if len(new):
             members, near = points[mask], nearest[mask]
-            for rows in _row_blocks(new, len(members)):
-                np.minimum(near, space.cross_matrix(points[rows], members).min(axis=0),
+            for rows in row_blocks(len(new), len(members)):
+                np.minimum(near, space.cross_matrix(points[new[rows]], members).min(axis=0),
                            out=near)
             nearest[mask], seen[new] = near, True
         out[j] = nearest[mask].max()
@@ -291,70 +282,14 @@ def gamma(cx: PsiCurve, cy: PsiCurve) -> float:
     return covered / total
 
 
-def _tn_dominates(lam: np.ndarray, v: float, sigma: float) -> np.ndarray:
-    """Indicator that the t(v) level-set width beats the N(0, sigma^2) one.
-
-    Both level sets are central quantile intervals; by symmetry the
-    comparison reduces to the upper quantiles at (1 + sqrt(1-2*lam))/2.
-    """
-    from scipy.special import ndtri, stdtrit   # deferred: slow to import
-
-    # u lies in [1/2, 1], where stdtrit and ndtri are the t and normal
-    # quantiles (stdtrit's +inf at q = 0 is never reached).
-    u = (1.0 + np.sqrt(np.maximum(1.0 - 2.0 * lam, 0.0))) / 2.0
-    return stdtrit(v, u) >= sigma * ndtri(u)
-
-
-def gamma_t_vs_normal(v: float, sigma: float) -> float:
-    """Gamma for X ~ t(v) against Y ~ N(0, sigma^2) on the line.
-
-    Population level sets are closed-form quantile intervals, and the
-    level range is (0, 1/2].  Every dominance crossing is located by sign
-    scanning plus bisection and the dominated interval lengths summed: an
-    independent check of the quadrature in `gamma_t_vs_normal_grid`,
-    which it matches to ~1/points.
-    """
-    if v < 1:
-        raise DispersionError(f"degrees of freedom must be >= 1, got {v}")
-    if sigma <= 0:
-        raise DispersionError(f"sigma must be positive, got {sigma}")
-    coarse = 2048
-    lam = (np.arange(coarse) + 0.5) * (0.5 / coarse)
-    # The dominance region can pinch arbitrarily close to either endpoint
-    # (heavy t tails always win as the level approaches 0), so pad the
-    # scan with geometric sentinels near both ends.
-    edges = 0.5 * np.power(10.0, -np.arange(1, 14, dtype=float))
-    lam = np.unique(np.concatenate([lam, edges, 0.5 - edges]))
-    dom = _tn_dominates(lam, v, sigma)
-    bounds = [0.0]
-    for i in range(len(lam) - 1):
-        if dom[i] != dom[i + 1]:
-            lo, hi = lam[i], lam[i + 1]
-            flo = dom[i]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if bool(_tn_dominates(np.array([mid]), v, sigma)[0]) == flo:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-13:
-                    break
-            bounds.append(0.5 * (lo + hi))
-    bounds.append(0.5)
-    total = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid = np.array([0.5 * (lo + hi)])
-        if bool(_tn_dominates(mid, v, sigma)[0]):
-            total += hi - lo
-    return total / 0.5
-
-
 def gamma_t_vs_normal_grid(vs, sigmas, points: int = 100_000) -> np.ndarray:
     """Quadrature gamma over a (v, sigma) grid, shaped (len(vs), len(sigmas)).
 
     The dominance indicator, integrated on a midpoint grid of `points`
     levels, compares the quantile ratio t/normal against sigma, so each
-    v needs a single pair of quantile evaluations.
+    v needs a single pair of quantile evaluations.  `gamma_t_vs_normal`
+    in `tests/conftest.py` cross-checks it by bisection of every
+    dominance crossing.
     """
     from scipy.special import ndtri, stdtrit   # deferred: slow to import
 

@@ -1,5 +1,5 @@
-"""Depth level sets on evaluation geometries, set distances, and the
-set summaries used for dispersion comparison.
+"""Depth level sets on evaluation geometries, Hausdorff distances, and
+the one-pass set summaries used for dispersion comparison.
 
 Level sets are extensional: membership of the evaluation points, never
 an analytic region.  The evaluation geometry is either an axis-aligned
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +24,9 @@ from .depth import DepthField, Sample
 from .metrics import MetricSpace
 
 
-_BLOCK_ENTRIES = 1 << 20
+# Cross-matrix entries per block of `row_blocks`: bounds the temporaries
+# of the Hausdorff distance, nearest indices and the lattice psi curves.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class LevelSetError(ValueError):
@@ -58,18 +59,24 @@ def level_set(field: DepthField, lam: float) -> LevelSet:
     return LevelSet(float(lam), members, field)
 
 
+def row_blocks(count: int, width: int):
+    """Consecutive slices of `count` rows, each small enough that its
+    cross matrix against `width` columns holds about _BLOCK_ENTRIES
+    entries (one row at least)."""
+    size = max(1, _BLOCK_ENTRIES // max(width, 1))
+    return (slice(lo, lo + size) for lo in range(0, count, size))
+
+
 def hausdorff(a, b, space: MetricSpace) -> float:
     """Hausdorff distance between two nonempty finite point sets:
     the larger of the two directed farthest-nearest distances."""
     if len(a) == 0 or len(b) == 0:
         raise LevelSetError("Hausdorff distance is undefined for empty sets")
-    # Row blocks of the cross matrix keep temporaries near _BLOCK_ENTRIES;
     # min and max are exact, so the value does not depend on the blocking.
-    rows = max(1, _BLOCK_ENTRIES // len(b))
     a_to_b = 0.0
     b_to_a = np.full(len(b), np.inf)
-    for lo in range(0, len(a), rows):
-        cross = space.cross_matrix(a[lo:lo + rows], b)
+    for rows in row_blocks(len(a), len(b)):
+        cross = space.cross_matrix(a[rows], b)
         a_to_b = max(a_to_b, float(cross.min(axis=1).max()))
         np.minimum(b_to_a, cross.min(axis=0), out=b_to_a)
     return float(max(a_to_b, b_to_a.max()))
@@ -77,38 +84,11 @@ def hausdorff(a, b, space: MetricSpace) -> float:
 
 def nearest_indices(points, targets, space: MetricSpace) -> np.ndarray:
     """Index of the nearest point of `targets` for each of `points`
-    (ties resolved to the lowest index), over row blocks of about
-    _BLOCK_ENTRIES cross-matrix entries."""
-    rows = max(1, _BLOCK_ENTRIES // len(targets))
+    (ties resolved to the lowest index), over `row_blocks`."""
     out = np.empty(len(points), dtype=np.int64)
-    for lo in range(0, len(points), rows):
-        out[lo:lo + rows] = space.cross_matrix(points[lo:lo + rows], targets).argmin(axis=1)
+    for rows in row_blocks(len(points), len(targets)):
+        out[rows] = space.cross_matrix(points[rows], targets).argmin(axis=1)
     return out
-
-
-def contains(ls: LevelSet, points, space: MetricSpace | None = None) -> np.ndarray:
-    """Membership of arbitrary points, decided at the nearest evaluation
-    point of the level set's field."""
-    space = space or ls.field.space
-    idx = nearest_indices(points, ls.field.points, space)
-    return ls.field.values[idx] >= ls.lam
-
-
-def measure_distance(a: LevelSet, b: LevelSet, reference: Sample) -> float:
-    """Fraction of reference points falling in exactly one of the two sets.
-
-    Both level sets must share the evaluation geometry; membership of a
-    reference point is decided by thresholding each field at the
-    reference point's nearest evaluation point.
-    """
-    if reference.n == 0:
-        raise LevelSetError("empty reference sample")
-    if len(a.field.values) != len(b.field.values):
-        raise LevelSetError("level sets live on different evaluation geometries")
-    idx = nearest_indices(reference.points, a.field.points, reference.space)
-    in_a = a.field.values[idx] >= a.lam
-    in_b = b.field.values[idx] >= b.lam
-    return float(np.mean(in_a != in_b))
 
 
 # ---------------------------------------------------------------------------
@@ -246,33 +226,6 @@ def boundary_points(ls: LevelSet, grid) -> np.ndarray:
 # Set summaries
 
 
-class PsiVolume(NamedTuple):
-    value: float
-    stderr: float
-
-
-def psi_diameter(points, space: MetricSpace) -> float:
-    """Largest pairwise distance; 0 for a singleton."""
-    if len(points) == 0:
-        raise LevelSetError("diameter of an empty set")
-    points = space.coerce_points(points)
-    return float(nested_diameters(points, space, [len(points)], np.arange(len(points)))[0])
-
-
-def psi_inradius(members, complement, space: MetricSpace,
-                 grid: LatticeGrid | None = None) -> float:
-    """Largest distance from a member to its nearest non-member point.
-
-    When `grid` is a `LatticeGrid`, its virtual exterior points count as
-    non-members too, so `complement` may be empty.  On a discrete
-    evaluation set this approximates the inradius with bias at most the
-    point spacing.
-    """
-    points = np.concatenate([complement, members])
-    order = np.arange(len(points))
-    return float(nested_inradii(points, space, [len(members)], order, grid)[0])
-
-
 def nested_diameters(points, space: MetricSpace, counts, order,
                      pair_matrix: np.ndarray | None = None) -> np.ndarray:
     """Diameters of the prefixes `points[order[:c]]`, c in `counts`.
@@ -309,17 +262,3 @@ def nested_inradii(points, space: MetricSpace, counts, order,
         moved = n - c
         out[j] = nearest[n - c:].max()
     return out
-
-
-def psi_volume(ls: LevelSet, reference: Sample, reference_mass: float) -> PsiVolume:
-    """Estimated measure of the set: `reference_mass` times the fraction
-    of reference points in it, with the binomial standard error."""
-    if reference.n == 0:
-        raise LevelSetError("empty reference sample")
-    if not (math.isfinite(reference_mass) and reference_mass > 0):
-        raise LevelSetError(
-            f"reference mass must be finite and positive, got {reference_mass}")
-    inside = contains(ls, reference.points, reference.space)
-    frac = float(inside.mean())
-    se = reference_mass * math.sqrt(frac * (1.0 - frac) / reference.n)
-    return PsiVolume(reference_mass * frac, se)

@@ -76,12 +76,14 @@ def _float_stack(points, shape: tuple, what: str) -> np.ndarray:
     return arr
 
 
-def _root_sum_sq(diff: np.ndarray) -> np.ndarray:
-    """Square root of the sum of squares over the last axis, accumulated
-    column by column from the left, the order of `_scalar_root_sum_sq`,
-    so both paths agree bit for bit.  Squares past the double range are
-    inf, as in the scalar loop, and numpy is not asked to warn of them."""
+def _root_sum_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| over the last axis: the sum of squares accumulated column
+    by column from the left, the order of `_scalar_root_sum_sq`, so both
+    paths agree bit for bit.  Differences and squares past the double
+    range are inf, as in the scalar loop, and numpy is not asked to warn
+    of them."""
     with np.errstate(over="ignore"):
+        diff = a - b
         s = diff[..., 0] * diff[..., 0]
         for j in range(1, diff.shape[-1]):
             s = s + diff[..., j] * diff[..., j]
@@ -178,7 +180,7 @@ class EuclideanSpace(MetricSpace):
     # Native broadcasting of q: the base rule's `np.broadcast_to` would
     # more than double the cost of this hot path (so also on the sphere).
     def dists_to(self, points, q) -> np.ndarray:
-        return _root_sum_sq(points - q)
+        return _root_sum_sq(points, q)
 
     paired_distances = dists_to
 
@@ -207,7 +209,7 @@ class SphereSpace(MetricSpace):
         # 2 atan2(|p - q|, |p + q|) keeps full relative accuracy at every
         # angle, where arccos of the inner product loses arcs below ~1e-8;
         # it is symmetric in p and q and exactly 0 for identical points.
-        return 2.0 * np.arctan2(_root_sum_sq(points - q), _root_sum_sq(points + q))
+        return 2.0 * np.arctan2(_root_sum_sq(points, q), _root_sum_sq(points, -q))
 
     paired_distances = dists_to
 
@@ -248,7 +250,7 @@ class StiefelSpace(MetricSpace):
 
     def paired_distances(self, ps, qs) -> np.ndarray:
         if self.mode == "chordal":
-            return _root_sum_sq(_flat_rows(ps - qs))
+            return _root_sum_sq(_flat_rows(ps), _flat_rows(qs))
         return _procrustes_rows(ps, qs)
 
     def distance(self, p, q) -> float:
@@ -300,7 +302,7 @@ def _procrustes_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sa, sb = au[:, :, 0], bv[:, :, 0]
     for i in range(1, a.shape[2]):
         sa, sb = sa + au[:, :, i], sb + bv[:, :, i]
-    out = _root_sum_sq(_flat_rows(sa - sb))
+    out = _root_sum_sq(_flat_rows(sa), _flat_rows(sb))
     out[np.all(a == b, axis=(1, 2))] = 0.0
     return out
 

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import qmc
 
+from lensdepth.dispersion import DispersionError
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace, StiefelSpace
 from lensdepth.treespace import Tree, canonical_split
 
@@ -317,3 +318,66 @@ def _tree_pairs():
 
 # name -> list of tree pairs on one leaf universe each.
 TREE_PAIRS = _tree_pairs()
+
+
+# ---------------------------------------------------------------------------
+# The Student-t versus normal gamma by bisection: the oracle of
+# `dispersion.gamma_t_vs_normal_grid`, which `gamma-tn` runs.
+
+
+def _tn_dominates(lam: np.ndarray, v: float, sigma: float) -> np.ndarray:
+    """Indicator that the t(v) level-set width beats the N(0, sigma^2) one.
+
+    Both level sets are central quantile intervals; by symmetry the
+    comparison reduces to the upper quantiles at (1 + sqrt(1-2*lam))/2.
+    """
+    from scipy.special import ndtri, stdtrit   # deferred: slow to import
+
+    # u lies in [1/2, 1], where stdtrit and ndtri are the t and normal
+    # quantiles (stdtrit's +inf at q = 0 is never reached).
+    u = (1.0 + np.sqrt(np.maximum(1.0 - 2.0 * lam, 0.0))) / 2.0
+    return stdtrit(v, u) >= sigma * ndtri(u)
+
+
+def gamma_t_vs_normal(v: float, sigma: float) -> float:
+    """Gamma for X ~ t(v) against Y ~ N(0, sigma^2) on the line.
+
+    Population level sets are closed-form quantile intervals, and the
+    level range is (0, 1/2].  Every dominance crossing is located by sign
+    scanning plus bisection and the dominated interval lengths summed: an
+    independent check of the quadrature in `gamma_t_vs_normal_grid`,
+    which it matches to ~1/points.
+    """
+    if v < 1:
+        raise DispersionError(f"degrees of freedom must be >= 1, got {v}")
+    if sigma <= 0:
+        raise DispersionError(f"sigma must be positive, got {sigma}")
+    coarse = 2048
+    lam = (np.arange(coarse) + 0.5) * (0.5 / coarse)
+    # The dominance region can pinch arbitrarily close to either endpoint
+    # (heavy t tails always win as the level approaches 0), so pad the
+    # scan with geometric sentinels near both ends.
+    edges = 0.5 * np.power(10.0, -np.arange(1, 14, dtype=float))
+    lam = np.unique(np.concatenate([lam, edges, 0.5 - edges]))
+    dom = _tn_dominates(lam, v, sigma)
+    bounds = [0.0]
+    for i in range(len(lam) - 1):
+        if dom[i] != dom[i + 1]:
+            lo, hi = lam[i], lam[i + 1]
+            flo = dom[i]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if bool(_tn_dominates(np.array([mid]), v, sigma)[0]) == flo:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo < 1e-13:
+                    break
+            bounds.append(0.5 * (lo + hi))
+    bounds.append(0.5)
+    total = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mid = np.array([0.5 * (lo + hi)])
+        if bool(_tn_dominates(mid, v, sigma)[0]):
+            total += hi - lo
+    return total / 0.5

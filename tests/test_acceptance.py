@@ -28,7 +28,6 @@ from lensdepth.depth import Sample, batch_depth, empirical_lens_depth
 from lensdepth.dispersion import (
     PsiCurve,
     gamma,
-    gamma_t_vs_normal,
     gamma_t_vs_normal_grid,
     strong_order,
     weak_order,
@@ -46,7 +45,7 @@ from lensdepth.treespace import (
     to_newick,
 )
 
-from conftest import random_frames, random_tree, random_unit_vectors
+from conftest import gamma_t_vs_normal, random_frames, random_tree, random_unit_vectors
 
 
 def report(number, ok, detail=""):

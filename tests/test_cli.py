@@ -465,38 +465,46 @@ def test_scipy_stats_is_loaded_only_for_vmf(workdir, case):
 
 # Two points 2e300 apart: their squared distance overflows to inf.
 FAR_SAMPLE = "x1,x2\n1e300,1e300\n-1e300,1e300\n0,0\n1,0\n0,1\n"
+# Two points 2e308 apart: their coordinate difference overflows to inf.
+HUGE_SAMPLE = "x1,x2\n1e308,0\n-1e308,0\n0,1\n0,2\n"
 NEAR_SAMPLE = "x1,x2\n0.5,0.5\n-1,0.2\n0.3,-0.7\n2,1\n-0.4,-1.5\n"
-# sha256 of each output.  The distances between the far points are inf,
-# as the scalar oracle gives them.
+# sha256 of each output, for FAR_SAMPLE and HUGE_SAMPLE.  The distances
+# between the far points are inf, as the scalar oracle gives them.
 FAR_OUTPUTS = {
-    "depth": (["--sample", "big.csv", "--queries", "big.csv"], "depth.csv",
-              "860f28d0aec89d463466a5f25817b071e6eb1ffc89b4bf49230130d712073969"),
-    "levelset": (["--sample", "big.csv", "--lambda", "0.3"], "levelset.csv",
-                 "c5d9c729b2f8e7050b856bca77bdb09fdc7e6a22bd46b97a60d1aa08af467e2f"),
-    "psi": (["--sample", "big.csv", "--psi", "diam"], "psi.csv",
-            "cfa5054172a1962945dedab6d29d430abb5678a53b8d5a54498fa931d29b2b08"),
-    "ddplot": (["--group0", "big.csv", "--group1", "small.csv"], "ddplot.csv",
-               "9468ed59ea532fbb117eded12c270f3e61a5be5c55f54ddd82b2518b05a06a0a"),
-    "gamma": (["--x", "big.csv", "--y", "big.csv", "--psi", "diam"], "gamma.json", None),
+    "depth": (["--sample", "big.csv", "--queries", "big.csv"], "depth.csv", (
+        "860f28d0aec89d463466a5f25817b071e6eb1ffc89b4bf49230130d712073969",
+        "b051038a9d98ead572fac9f83b12d7fc521fbd9bb2ed6cba951c7cf03a9262ca")),
+    "levelset": (["--sample", "big.csv", "--lambda", "0.3"], "levelset.csv", (
+        "c5d9c729b2f8e7050b856bca77bdb09fdc7e6a22bd46b97a60d1aa08af467e2f",
+        "7068271cc409d8632de7dcafd9ebb177856dacec1bbcf38263acd16333f015de")),
+    "psi": (["--sample", "big.csv", "--psi", "diam"], "psi.csv", (
+        "cfa5054172a1962945dedab6d29d430abb5678a53b8d5a54498fa931d29b2b08",
+        "c6484e6364c30426e664bdf3580326ade05c5862a0dffb4ca1882de771fe705b")),
+    "ddplot": (["--group0", "big.csv", "--group1", "small.csv"], "ddplot.csv", (
+        "9468ed59ea532fbb117eded12c270f3e61a5be5c55f54ddd82b2518b05a06a0a",
+        "48880059444a9beac6ff54173aca156a5c4b7b767a2f2d850a1e4d4d795a7a40")),
+    "gamma": (["--x", "big.csv", "--y", "big.csv", "--psi", "diam"], "gamma.json",
+              (None, None)),
 }
 
 
 @pytest.mark.parametrize("command", list(FAR_OUTPUTS))
 def test_distances_past_the_double_range_write_nothing_to_stderr(workdir, command):
-    (workdir / "big.csv").write_text(FAR_SAMPLE)
     (workdir / "small.csv").write_text(NEAR_SAMPLE)
-    args, out, digest = FAR_OUTPUTS[command]
-    proc = subprocess.run(
-        [sys.executable, "-m", "lensdepth.cli", command, *args, "--out", out, "--no-timestamp"],
-        capture_output=True, text=True, env=cli_env(), timeout=300)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    if digest is not None:
-        assert hashlib.sha256((workdir / out).read_bytes()).hexdigest() == digest
-    else:
-        # identical curves, infinite at the lowest levels, give exactly 1
-        result = json.loads((workdir / out).read_text())
-        assert result["psi_x"] == result["psi_y"] and result["psi_x"][0] == np.inf
-        assert result["gamma"] == 1.0
+    args, out, digests = FAR_OUTPUTS[command]
+    for sample, digest in zip((FAR_SAMPLE, HUGE_SAMPLE), digests):
+        (workdir / "big.csv").write_text(sample)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lensdepth.cli", command, *args, "--out", out,
+             "--no-timestamp"], capture_output=True, text=True, env=cli_env(), timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if digest is not None:
+            assert hashlib.sha256((workdir / out).read_bytes()).hexdigest() == digest
+        else:
+            # identical curves, infinite at the lowest levels, give exactly 1
+            result = json.loads((workdir / out).read_text())
+            assert result["psi_x"] == result["psi_y"] and result["psi_x"][0] == np.inf
+            assert result["gamma"] == 1.0
 
 
 def write_twelve_leaf_trees(path, count):

@@ -10,7 +10,6 @@ from lensdepth.depth import (
     Sample,
     batch_depth,
     empirical_lens_depth,
-    in_lens,
     population_ld_1d,
     population_ld_mc,
     population_level_interval_1d,
@@ -32,7 +31,12 @@ def s1d(values):
 
 
 # ---------------------------------------------------------------------------
-# Lens membership
+# Lens membership: the depth against the two-point sample {y1, y2} is 1.0
+# exactly when x lies in their lens.
+
+
+def in_lens(x, y1, y2, space):
+    return empirical_lens_depth(x, Sample([y1, y2], space)) == 1.0
 
 
 def test_in_lens_at_center_point():

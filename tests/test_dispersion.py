@@ -9,10 +9,8 @@ from lensdepth.dispersion import (
     DispersionError,
     OrderVerdict,
     PsiCurve,
-    _tn_dominates,
     default_lambda_grid,
     gamma,
-    gamma_t_vs_normal,
     gamma_t_vs_normal_grid,
     giovagnoli_order,
     psi_curve,
@@ -20,10 +18,10 @@ from lensdepth.dispersion import (
     strong_order,
     weak_order,
 )
-from lensdepth.levelsets import LatticeGrid, LevelSetError, level_set, psi_volume
+from lensdepth.levelsets import LatticeGrid, LevelSetError
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
 
-from conftest import random_tree, random_unit_vectors
+from conftest import _tn_dominates, gamma_t_vs_normal, random_tree, random_unit_vectors
 
 E1 = EuclideanSpace(1)
 E2 = EuclideanSpace(2)
@@ -187,7 +185,8 @@ def test_psi_volume_curve_matches_psi_volume(rng):
     reference = Sample(rng.uniform(-3, 3, 400), E1)
     lambdas = tie_levels(field.values)
     got = psi_curve(field, "volume", lambdas, reference=reference, reference_mass=6.0)
-    want = [psi_volume(level_set(field, lam), reference, 6.0).value for lam in lambdas]
+    ref = field.values[E1.cross_matrix(reference.points, field.points).argmin(axis=1)]
+    want = [6.0 * float(np.mean(ref >= lam)) for lam in lambdas]
     assert got.values.tolist() == want
     assert got.empty_from == lambdas[-2]
 
@@ -198,6 +197,13 @@ def test_psi_volume_curve_rejects_bad_reference_mass(rng, mass):
     field = self_depth_field(sample)
     with pytest.raises(DispersionError, match="reference mass"):
         psi_curve(field, "volume", [0.0, 0.2], reference=sample, reference_mass=mass)
+
+
+def test_psi_volume_curve_needs_a_nonempty_reference(rng):
+    field = self_depth_field(Sample(rng.standard_normal(20), E1))
+    for reference in (None, Sample(np.empty((0, 1)), E1)):
+        with pytest.raises(DispersionError, match="nonempty reference sample"):
+            psi_curve(field, "volume", [0.0, 0.2], reference=reference)
 
 
 def test_psi_inradius_needs_a_complement_without_exterior(rng):

@@ -1,17 +1,20 @@
 """Every module of the package uses each name it imports, imports no
 underscore name from another module of the package, only the von
-Mises-Fisher sampler imports scipy.stats, and only the Student-t sampler
-and the two gamma-tn functions import scipy.special.
+Mises-Fisher sampler imports scipy.stats, only the Student-t sampler
+and the gamma-tn table import scipy.special, and every name the package
+exports is used by its modules or named in the README.
 
 `__init__` is exempt from the first check: its imports are the package's
 public surface."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "lensdepth"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lensdepth"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -140,6 +143,36 @@ def test_scipy_special_is_imported_only_for_student_t_and_gamma_tn():
     assert {name: imports for name, imports in found.items() if imports} == {
         "asymptotics.py": [("def make_sampler / if dist == 'student_t'",
                             "from scipy.special import stdtr, stdtrit")],
-        "dispersion.py": [("def _tn_dominates", "from scipy.special import ndtri, stdtrit"),
-                          ("def gamma_t_vs_normal_grid",
+        "dispersion.py": [("def gamma_t_vs_normal_grid",
                            "from scipy.special import ndtri, stdtrit")]}
+
+
+def unused_exports(init: str, modules: list[str], readme: str) -> list[str]:
+    """Names `init` imports from the package that no module in `modules`
+    refers to (a definition is not a reference) and `readme` does not
+    name."""
+    exported = [alias.asname or alias.name for node in ast.parse(init).body
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names]
+    used = set()
+    for source in modules:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(name for name in exported if name not in used
+                  and not re.search(rf"\b{re.escape(name)}\b", readme))
+
+
+def test_checker_finds_unused_exports():
+    init = "from .a import f, g, h as k\nfrom .b import C, D\nfrom os import path\n"
+    modules = ["def f():\n    return C()\n",
+               "import x\ndef g():\n    return x.k\nclass D:\n    pass\n"]
+    assert unused_exports(init, modules, "Call `g` first.") == ["D", "f"]
+
+
+def test_every_export_is_used_or_documented():
+    modules = [(PACKAGE / name).read_text() for name in MODULES]
+    assert unused_exports((PACKAGE / "__init__.py").read_text(), modules,
+                          (ROOT / "README.md").read_text()) == []

@@ -86,7 +86,8 @@ def test_a_lattice_of_another_dimension_is_rejected():
 
 
 # Each row: a command and the config `simulate` reads (or None).  Every run
-# must write the same bytes at any thread count and on a rerun.
+# must write the same bytes at any thread count and on a rerun.  The rows
+# without --grid evaluate on the samples' own points.
 _GRID = "--grid=-3:3:0.2,-3:3:0.2"
 CLI_CONTRACT = {
     "levelset": (["levelset", "--sample", "x.csv", "--lambda", "0.2", _GRID,
@@ -98,6 +99,15 @@ CLI_CONTRACT = {
                "--levels", "8", _GRID], None),
     "order": (["order", "--x", "x.csv", "--y", "y.csv", "--relation", "spread",
                "--psi", "inradius", "--levels", "8", _GRID], None),
+    "psi-volume-knn": (["psi", "--sample", "x.csv", "--psi", "volume", "--reference", "y.csv",
+                        "--levels", "8"], None),
+    "psi-diam-knn": (["psi", "--sample", "x.csv", "--psi", "diam", "--levels", "8"], None),
+    "psi-inradius-knn": (["psi", "--sample", "x.csv", "--psi", "inradius",
+                          "--lambdas", "0.05:0.45:0.05"], None),
+    "gamma-knn": (["gamma", "--x", "x.csv", "--y", "y.csv", "--psi", "diam", "--levels", "8"],
+                  None),
+    "order-knn": (["order", "--x", "x.csv", "--y", "y.csv", "--relation", "spread",
+                   "--psi", "diam", "--levels", "8"], None),
     "simulate-2d": (["simulate", "--config", "exp.json"], {
         "experiment": "supnorm", "sampler": {"dist": "normal", "dim": 2},
         "n_schedule": [20, 40], "replications": 2, "seed": 3, "pairs": 400,

@@ -12,16 +12,13 @@ from lensdepth.levelsets import (
     LatticeGrid,
     LevelSetError,
     boundary_points,
-    contains,
     hausdorff,
     level_set,
-    measure_distance,
     nearest_indices,
-    psi_diameter,
-    psi_inradius,
-    psi_volume,
+    nested_diameters,
+    nested_inradii,
 )
-from lensdepth.dispersion import psi_curve
+from lensdepth.dispersion import DispersionError, psi_curve
 from lensdepth.metrics import BHVSpace, EuclideanSpace
 
 from conftest import lattice_neighbors, random_tree, space_with_points
@@ -120,51 +117,6 @@ def test_hausdorff_blocks_match_full_matrix(rng, monkeypatch, block):
         cross = E2.pairwise(np.concatenate([x, y]))[:len(x), len(x):]
         want = max(cross.min(axis=1).max(), cross.min(axis=0).max())
         assert hausdorff(x, y, E2) == want
-
-
-# ---------------------------------------------------------------------------
-# Measure distance
-
-
-def _two_fields(values_a, values_b, points):
-    pts = np.asarray(points, dtype=float).reshape(-1, 1)
-    fa = DepthField(points=pts, values=np.asarray(values_a, float), n=9, space=E1)
-    fb = DepthField(points=pts, values=np.asarray(values_b, float), n=9, space=E1)
-    return fa, fb
-
-
-def test_measure_distance_identical_zero(rng):
-    fa, fb = _two_fields([0.1, 0.5, 0.9], [0.1, 0.5, 0.9], [0, 1, 2])
-    ref = Sample(rng.uniform(-0.5, 2.5, 100), E1)
-    assert measure_distance(level_set(fa, 0.4), level_set(fb, 0.4), ref) == 0.0
-
-
-def test_measure_distance_complementary_sets():
-    fa, fb = _two_fields([1.0, 0.0], [0.0, 1.0], [0, 10])
-    ref = Sample(np.array([0.1, 0.2, 9.8, 9.9]), E1)
-    assert measure_distance(level_set(fa, 0.5), level_set(fb, 0.5), ref) == 1.0
-
-
-def test_measure_distance_nested_annulus(rng):
-    # members of a: |x| <= 2; members of b: |x| <= 1 on a grid
-    pts = np.linspace(-3, 3, 61)
-    va = (np.abs(pts) <= 2).astype(float)
-    vb = (np.abs(pts) <= 1).astype(float)
-    fa, fb = _two_fields(va, vb, pts)
-    ref_pts = rng.uniform(-3, 3, 4000)
-    got = measure_distance(level_set(fa, 0.5), level_set(fb, 0.5),
-                           Sample(ref_pts, E1))
-    # direct count oracle on the annulus 1 < |x| <= 2 (grid snapping at cells)
-    direct = np.mean((np.abs(ref_pts) > 1.05) & (np.abs(ref_pts) <= 2.05))
-    assert got == pytest.approx(direct, abs=0.02)
-
-
-def test_measure_distance_symmetry(rng):
-    pts = np.linspace(0, 1, 21)
-    fa, fb = _two_fields(rng.uniform(0, 1, 21), rng.uniform(0, 1, 21), pts)
-    ref = Sample(rng.uniform(0, 1, 500), E1)
-    a, b = level_set(fa, 0.5), level_set(fb, 0.5)
-    assert measure_distance(a, b, ref) == measure_distance(b, a, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +236,8 @@ def test_tree_points_as_list_or_object_array_agree(rng):
     assert nearest_indices(a, b, space).tolist() == \
         nearest_indices(arr[:9], arr[9:], space).tolist()
     assert hausdorff(a, b, space) == hausdorff(arr[:9], arr[9:], space) > 0.0
-    assert psi_inradius(a, b, space) == psi_inradius(arr[:9], arr[9:], space) > 0.0
-    assert psi_diameter(a, space) == psi_diameter(arr[:9], space) > 0.0
+    assert inradius(a, b, space) == inradius(arr[:9], arr[9:], space) > 0.0
+    assert diameter(space.coerce_points(a), space) == diameter(arr[:9], space) > 0.0
     assert np.array_equal(loo_depth_against(a, by_list), loo_depth_against(arr[:9], by_array))
 
 
@@ -298,56 +250,64 @@ def test_nearest_index_blocks_match_full_argmin(rng, monkeypatch, block):
     targets = np.concatenate([lattice.points, lattice.points[::7]])
     reference = rng.integers(-10, 11, size=(60, 2)) / 4.0
     nearest = E2.cross_matrix(reference, targets).argmin(axis=1)
-    fields = [DepthField(points=targets, values=rng.uniform(0, 1, len(targets)),
-                         n=10, space=E2) for _ in range(2)]
-    values = [f.values[nearest] for f in fields]
-    for lam in (0.0, 0.3, 0.7):
-        assert contains(level_set(fields[0], lam), reference).tolist() == \
-            (values[0] >= lam).tolist()
-        assert measure_distance(level_set(fields[0], lam), level_set(fields[1], 0.5),
-                                Sample(reference, E2)) == \
-            float(np.mean((values[0] >= lam) != (values[1] >= 0.5)))
+    assert nearest_indices(reference, targets, E2).tolist() == nearest.tolist()
+    field = DepthField(points=targets, values=rng.uniform(0, 1, len(targets)), n=10, space=E2)
+    values = field.values[nearest]
     lambdas = np.linspace(0.0, 1.0, 11)
-    curve = psi_curve(fields[0], "volume", lambdas, reference=Sample(reference, E2),
+    curve = psi_curve(field, "volume", lambdas, reference=Sample(reference, E2),
                       reference_mass=2.0)
     assert curve.values.tolist() == [
-        2.0 * float(np.mean(values[0] >= lam)) if (fields[0].values >= lam).any()
+        2.0 * float(np.mean(values >= lam)) if (field.values >= lam).any()
         else 0.0 for lam in lambdas]
 
 
 # ---------------------------------------------------------------------------
-# Set summaries
+# Set summaries: the one-pass sweeps at a single count, and the volume curve
+
+
+def diameter(points, space):
+    return nested_diameters(points, space, [len(points)], np.arange(len(points)))[0]
+
+
+def inradius(members, complement, space):
+    points = np.concatenate([complement, members])
+    return nested_inradii(points, space, [len(members)], np.arange(len(points)))[0]
+
+
+def binomial_stderr(value, reference_mass, n):
+    frac = value / reference_mass
+    return reference_mass * math.sqrt(frac * (1.0 - frac) / n)
 
 
 def test_diameter_trivials(rng):
-    assert psi_diameter(np.array([[5.0]]), E1) == 0.0
-    assert psi_diameter(np.array([[0.0], [1.0], [5.0]]), E1) == 5.0
-    with pytest.raises(LevelSetError):
-        psi_diameter(np.empty((0, 1)), E1)
+    assert diameter(np.array([[5.0]]), E1) == 0.0
+    assert diameter(np.array([[0.0], [1.0], [5.0]]), E1) == 5.0
+    # An empty set has diameter 0, the value psi curves give empty level sets.
+    assert diameter(np.empty((0, 1)), E1) == 0.0
 
 
 def test_diameter_matches_matrix_oracle(rng):
     pts = rng.standard_normal((25, 3))
     dmat = Sample(pts, EuclideanSpace(3)).distance_matrix
-    assert psi_diameter(pts, EuclideanSpace(3)) == dmat.max()
+    assert diameter(pts, EuclideanSpace(3)) == dmat.max()
 
 
 def test_inradius_1d_lattice_example():
     members = np.array([[4.0], [5.0], [6.0]])
     complement = np.array([[c] for c in (0, 1, 2, 3, 7, 8, 9, 10)], dtype=float)
-    assert psi_inradius(members, complement, E1) == 2.0
+    assert inradius(members, complement, E1) == 2.0
 
 
 def test_inradius_adjacent_everywhere():
     members = np.array([[3.0]])
     complement = np.array([[2.0], [4.0]])
-    assert psi_inradius(members, complement, E1) == 1.0
+    assert inradius(members, complement, E1) == 1.0
 
 
 def test_inradius_conventions():
-    assert psi_inradius(np.empty((0, 1)), np.array([[1.0]]), E1) == 0.0
+    assert inradius(np.empty((0, 1)), np.array([[1.0]]), E1) == 0.0
     with pytest.raises(LevelSetError):
-        psi_inradius(np.array([[1.0]]), np.empty((0, 1)), E1)
+        inradius(np.array([[1.0]]), np.empty((0, 1)), E1)
 
 
 def test_inradius_matches_double_loop_oracle(rng):
@@ -356,7 +316,7 @@ def test_inradius_matches_double_loop_oracle(rng):
     member_mask = np.linalg.norm(g.points - center, axis=1) <= 3.0
     members = g.points[member_mask]
     complement = g.points[~member_mask]
-    got = psi_inradius(members, complement, E2)
+    got = inradius(members, complement, E2)
     brute = max(min(float(np.linalg.norm(m - c)) for c in complement)
                 for m in members)
     assert got == pytest.approx(brute, abs=1e-12)
@@ -366,18 +326,18 @@ def test_volume_trivial_bounds(rng):
     pts = np.linspace(0, 1, 11)
     f = field_1d(np.ones(11), points=pts)
     ref = Sample(rng.uniform(0, 1, 200), E1)
-    full = psi_volume(level_set(f, 0.5), ref, reference_mass=2.5)
-    assert full.value == 2.5 and full.stderr == 0.0
-    empty = psi_volume(level_set(f, 2.0), ref, reference_mass=2.5)
-    assert empty.value == 0.0
+    full, empty = psi_curve(f, "volume", [0.5, 2.0], reference=ref,
+                            reference_mass=2.5).values
+    assert full == 2.5 and binomial_stderr(full, 2.5, ref.n) == 0.0
+    assert empty == 0.0
 
 
 @pytest.mark.parametrize("mass", [np.nan, np.inf, 0.0, -2.5])
 def test_volume_rejects_bad_reference_mass(rng, mass):
     f = field_1d(np.ones(11), points=np.linspace(0, 1, 11))
     ref = Sample(rng.uniform(0, 1, 20), E1)
-    with pytest.raises(LevelSetError, match="reference mass"):
-        psi_volume(level_set(f, 0.5), ref, reference_mass=mass)
+    with pytest.raises(DispersionError, match="reference mass"):
+        psi_curve(f, "volume", [0.5, 1.0], reference=ref, reference_mass=mass)
 
 
 def test_volume_normal_interval(rng):
@@ -386,23 +346,22 @@ def test_volume_normal_interval(rng):
     sample = Sample(rng.standard_normal(1500), E1)
     grid = np.linspace(-5, 5, 501).reshape(-1, 1)
     f = batch_depth(grid, sample, threads=2)
-    ls = level_set(f, 0.375)
     ref = Sample(rng.uniform(-5, 5, 40_000), E1)
-    got = psi_volume(ls, ref, reference_mass=10.0)
+    got = psi_curve(f, "volume", [0.375, 1.0], reference=ref, reference_mass=10.0).values[0]
     expected = 2 * (norm.ppf(0.75) - 0.0)
-    assert got.value == pytest.approx(expected, abs=5 * got.stderr + 0.08)
+    assert got == pytest.approx(expected, abs=5 * binomial_stderr(got, 10.0, ref.n) + 0.08)
 
 
-def test_measure_distance_triangle_inequality(rng):
-    pts = np.linspace(0, 1, 31)
-    fields = [DepthField(points=pts.reshape(-1, 1),
-                         values=rng.uniform(0, 1, 31), n=9, space=E1)
-              for _ in range(3)]
-    ref = Sample(rng.uniform(0, 1, 2000), E1)
-    a, b, c = (level_set(f, 0.5) for f in fields)
-    dab = measure_distance(a, b, ref)
-    dbc = measure_distance(b, c, ref)
-    dac = measure_distance(a, c, ref)
-    # symmetric-difference measure: triangle inequality holds exactly on
-    # a shared reference sample
-    assert dac <= dab + dbc + 1e-12
+def test_volume_nested_annulus(rng):
+    # members of a: |x| <= 2; members of b: |x| <= 1 on a grid.  b lies in
+    # a, so their symmetric difference has the volume of a less that of b.
+    pts = np.linspace(-3, 3, 61).reshape(-1, 1)
+    fa, fb = (DepthField(points=pts, values=(np.abs(pts[:, 0]) <= r).astype(float),
+                         n=9, space=E1) for r in (2, 1))
+    ref_pts = rng.uniform(-3, 3, 4000)
+    ref = Sample(ref_pts, E1)
+    va, vb = (psi_curve(f, "volume", [0.5, 1.0], reference=ref).values[0] for f in (fa, fb))
+    got = va - vb
+    # direct count oracle on the annulus 1 < |x| <= 2 (grid snapping at cells)
+    direct = np.mean((np.abs(ref_pts) > 1.05) & (np.abs(ref_pts) <= 2.05))
+    assert got == pytest.approx(direct, abs=0.02)
