@@ -275,10 +275,15 @@ def _lambda_grid(args, *fields):
 def cmd_psi(args) -> int:
     sample = _load_sample(args.sample, args.metric, args.shape)
     grid = dataio.parse_grid_spec(args.grid) if args.grid else None
+    pair_matrix = None
     if grid is not None:
         field = batch_depth(grid, sample, threads=args.threads)
     else:
         field = self_depth_field(sample, threads=args.threads)
+        # Off the line the depth count has cached the sample's matrix; on
+        # the line it builds none, and one would cost n^2 floats.
+        if not (isinstance(sample.space, EuclideanSpace) and sample.space.dim == 1):
+            pair_matrix = sample.distance_matrix
     reference = None
     if args.psi == "volume":
         if args.reference is None:
@@ -288,7 +293,8 @@ def cmd_psi(args) -> int:
     lambdas = _lambda_grid(args, field)
     curve = dispersion.psi_curve(field, args.psi, lambdas, grid=grid,
                                  reference=reference,
-                                 reference_mass=args.reference_mass)
+                                 reference_mass=args.reference_mass,
+                                 pair_matrix=pair_matrix)
     _write_rows(args, ["lambda", "psi"], list(zip(curve.lambdas, curve.values)))
     return 0
 

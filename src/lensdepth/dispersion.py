@@ -1,10 +1,13 @@
 """Dispersion comparison of random elements through their depth level sets.
 
 A `PsiCurve` tabulates a set summary (diameter, inradius, or measure) of
-the depth level sets along a grid of levels.  Curves are compared by the
-spread-out relation, strong/weak dominance, and the gamma coefficient
-(the fraction of levels at which one curve dominates the other).  The
-closed-form Student-t versus normal gamma is tabulated by quadrature.
+the depth level sets along a grid of levels.  The diameter and the
+inradius are each one walk over the evaluation points in depth order; a
+lattice only decides which points the walk measures.  Curves are
+compared by the spread-out relation, strong/weak dominance, and the
+gamma coefficient (the fraction of levels at which one curve dominates
+the other).  The closed-form Student-t versus normal gamma is tabulated
+by quadrature.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depth import DepthField, Sample
-from .levelsets import (LatticeGrid, nearest_indices, nested_diameters, nested_inradii,
-                        row_blocks)
+from .levelsets import LatticeGrid, LevelSetError, nearest_indices
 from .metrics import EuclideanSpace
 
 PSI_KINDS = ("diam", "inradius", "volume")
@@ -92,14 +94,14 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
     """Summary of the field's level sets at every grid level.
 
     inradius measures against the non-member evaluation points, plus the
-    virtual exterior of a bounded lattice; volume needs a reference
-    sample of known total mass.  On a Euclidean field over the points of
-    the lattice `grid`, diam and inradius read each level set's boundary
-    (`_lattice_diameters`, `_lattice_inradii`).  Elsewhere the level sets
-    are nested, so each takes one pass over the N evaluation points in
-    depth order, with O(N) temporaries and no N x N matrix; diam reads
-    `pair_matrix` when a caller has one cached.  Both ways give the same
-    floats.
+    virtual exterior of the lattice `grid`; volume needs a reference
+    sample of known total mass.  The level sets are nested, so diam and
+    inradius each take one walk over the N evaluation points in depth
+    order, with O(N) temporaries and no N x N matrix; distances are read
+    from `pair_matrix` when a caller has one cached.  On a Euclidean
+    field over the points of `grid`, the lattice decides which points the
+    walk measures (`_diameters`, `_inradii`); elsewhere it measures them
+    all.  Either way the floats are the same.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if np.any(np.diff(lambdas) <= 0):
@@ -107,20 +109,11 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
     if kind not in PSI_KINDS:
         raise DispersionError(f"unknown psi kind {kind!r}")
     depths = field.values
-    counts = len(depths) - np.searchsorted(np.sort(depths), lambdas, side="left")
-    lattice = (grid is not None and field.points is grid.points
-               and isinstance(field.space, EuclideanSpace))
-    if kind == "diam" and lattice:
-        values = _lattice_diameters(field, grid, lambdas)
-    elif kind == "diam":
-        values = nested_diameters(field.points, field.space, counts,
-                                  np.argsort(-depths), pair_matrix)
-    elif kind == "inradius" and lattice:
-        values = _lattice_inradii(field, grid, lambdas)
-    elif kind == "inradius":
-        values = nested_inradii(field.points, field.space, counts,
-                                np.argsort(depths), grid)
-    else:
+    n = len(depths)
+    order = np.argsort(depths, kind="stable")
+    # The members of level j are the depth-order positions >= starts[j].
+    starts = np.searchsorted(depths[order], lambdas, side="left")
+    if kind == "volume":
         if reference is None or reference.n == 0:
             raise DispersionError("volume curves need a nonempty reference sample")
         if not (np.isfinite(reference_mass) and reference_mass > 0):
@@ -129,69 +122,101 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
         ref = depths[nearest_indices(reference.points, field.points, reference.space)]
         inside = len(ref) - np.searchsorted(np.sort(ref), lambdas, side="left")
         values = reference_mass * (inside / len(ref))
+    else:
+        # Each point's lowest and highest neighbor position in depth order.
+        # Off the lattice, -1 and n let the walks measure every point.
+        low, high = np.full(n, -1), np.full(n, n)
+        if (grid is not None and field.points is grid.points
+                and isinstance(field.space, EuclideanSpace)):
+            rank = np.argsort(order)             # each point's depth-order position
+            low, high = (ext[order] for ext in grid.neighbor_extremes(rank))
+        rows = _distance_rows(field, order, pair_matrix)
+        if kind == "diam":
+            values = _diameters(rows, starts, low)
+        elif grid is None and n and starts[0] == 0:
+            raise LevelSetError(
+                "inradius is undefined with an empty complement outside a "
+                "lattice; start the level grid above 0")
+        else:
+            exterior = (np.full(n, np.inf) if grid is None
+                        else grid.exterior_distance(field.points)[order])
+            values = _inradii(rows, starts, high, exterior)
+    counts = n - starts
     empty_from = float(lambdas[counts == 0][0]) if (counts == 0).any() else None
-    region = grid.describe() if grid is not None else f"eval-set[{len(field.values)}]"
+    region = grid.describe() if grid is not None else f"eval-set[{n}]"
     return PsiCurve(lambdas, values, kind, region, empty_from)
 
 
-# The lattice curves.  Coordinates along each lattice axis are
+# The walks in depth order.  On a lattice, coordinates along each axis are
 # nondecreasing in the index, and `_root_sum_sq` builds a distance from
 # subtraction, squaring, left-to-right addition and a square root, each
 # rounding monotonically; so one lattice step away from a point never
 # lowers its float distance, and one step toward it never raises it.
+# Min and max are exact, and distances are symmetric bit for bit, so
+# neither the order nor the source of the distances changes a value.
 
 
-def _lattice_diameters(field: DepthField, grid: LatticeGrid, lambdas) -> np.ndarray:
-    """Diameter of each level set {depth >= lam} of a field on `grid`.
+def _distance_rows(field: DepthField, order, pair_matrix):
+    """`rows(ks, cols)`: for each depth-order position k in `ks`, its
+    distances to the positions in `cols` (a slice or an ascending array)
+    after k, read from `pair_matrix` when given."""
+    positions = np.arange(len(order))
+    if pair_matrix is None:
+        points, dists = field.points[order], field.space.dists_to
+    else:
+        points, dists = order, lambda ids, i: pair_matrix[i, ids]
 
-    The level sets are taken from the highest level down, so each holds
-    the one before.  The ends of a longest pair can each step apart
-    until they reach the inner boundary; if neither end is new there,
-    the pair is no longer than the last diameter.  So each diameter is
-    the last one or the longest distance from a new inner-boundary point
-    to the inner boundary.
+    def rows(ks, cols):
+        ends, after = points[cols], np.searchsorted(positions[cols], ks, side="right")
+        return (dists(ends[a:], q) for q, a in zip(points[ks], after.tolist()))
+    return rows
+
+
+def _diameters(rows, starts, low) -> np.ndarray:
+    """Diameter of each level set, from the highest level down, so each
+    holds the one before.
+
+    The inner boundary of a level is its members with a neighbor below
+    its start.  The ends of a longest pair can each step apart until they
+    reach the inner boundary; if neither end is new there, the pair is
+    no longer than the last diameter.  So each diameter is the last one
+    or the longest distance from a new inner-boundary point to the inner
+    boundary.  The new points come first in depth order, so each is
+    measured against the inner boundary after it: every pair once.
     """
-    out = np.zeros(len(lambdas))
-    space, points = field.space, grid.points
-    best, before = 0.0, np.zeros(len(points), dtype=bool)
-    for j in range(len(lambdas) - 1, -1, -1):
-        mask = field.values >= lambdas[j]
-        inner = grid.boundaries(mask)[0]
-        ends, new = points[inner], inner[~before[inner]]
-        for rows in row_blocks(len(new), len(ends)):
-            best = max(best, space.cross_matrix(points[new[rows]], ends).max())
-        out[j], before = best, mask
+    out = np.zeros(len(starts))
+    best, top = 0.0, len(low)
+    for j in range(len(starts) - 1, -1, -1):
+        s = starts[j]
+        inner = s + np.flatnonzero(low[s:] < s)
+        far = np.zeros(len(inner))
+        for i, row in enumerate(rows(inner[:np.searchsorted(inner, top)], inner), 1):
+            tail = far[i:]
+            np.maximum(tail, row, out=tail)
+        best = max(best, far.max(initial=0.0))
+        out[j], top = best, s
     return out
 
 
-def _lattice_inradii(field: DepthField, grid: LatticeGrid, lambdas) -> np.ndarray:
-    """Inradius of each level set {depth >= lam} of a field on `grid`,
-    against the non-members and the lattice's virtual exterior.
+def _inradii(rows, starts, high, nearest) -> np.ndarray:
+    """Inradius of each level set against the non-members and the
+    distances `nearest` to the outside of the evaluation set, from the
+    lowest level up, so each holds the next.
 
-    The level sets are taken from the lowest level up, so each holds the
-    next.  A member's nearest non-member can step toward it until it
-    reaches the outer boundary, and a point joins the outer boundary
-    only as it leaves the level set.  So each member keeps a running
-    minimum, from its exterior distance, over the distances to the
-    points that have been on an outer boundary.
+    A member's nearest non-member can step toward it until it reaches
+    the outer boundary, the non-members with a neighbor at or above the
+    level's start.  A point joins the outer boundary only as it leaves
+    the level set, so each member keeps a running minimum of `nearest`
+    and its distances to the points measured as they left.
     """
-    out = np.zeros(len(lambdas))
-    space, points = field.space, grid.points
-    nearest = grid.exterior_distance(points)
-    seen = np.zeros(len(points), dtype=bool)
-    for j, lam in enumerate(lambdas):
-        mask = field.values >= lam
-        if not mask.any():
+    out, left, high = np.zeros(len(starts)), 0, high.tolist()
+    for j, s in enumerate(starts):
+        if s == len(high):
             break
-        outer = grid.boundaries(mask)[1]
-        new = outer[~seen[outer]]
-        if len(new):
-            members, near = points[mask], nearest[mask]
-            for rows in row_blocks(len(new), len(members)):
-                np.minimum(near, space.cross_matrix(points[new[rows]], members).min(axis=0),
-                           out=near)
-            nearest[mask], seen[new] = near, True
-        out[j] = nearest[mask].max()
+        near = nearest[s:]
+        for row in rows([k for k in range(left, s) if high[k] >= s], slice(s, None)):
+            np.minimum(near, row, out=near)
+        out[j], left = near.max(), s
     return out
 
 

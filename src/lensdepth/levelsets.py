@@ -1,16 +1,14 @@
-"""Depth level sets on evaluation geometries, Hausdorff distances, and
-the one-pass set summaries used for dispersion comparison.
+"""Depth level sets on evaluation geometries and Hausdorff distances.
 
 Level sets are extensional: membership of the evaluation points, never
 an analytic region.  The evaluation geometry is either an axis-aligned
 lattice over a box (with spacing-aware neighbor structure and a virtual
 exterior one step outside the box) or the sample itself with a
-symmetrized k-nearest-neighbor graph.  A lattice finds the inner and
-outer boundaries of a member mask by shifting the mask one step along
-each axis (`LatticeGrid.boundaries`); the kNN graph walks each member's
-neighbor list.  The one-pass ψ sweeps `nested_diameters` and
-`nested_inradii` work on any evaluation set; `dispersion` reads the
-curves of a Euclidean lattice off these boundaries instead.
+symmetrized k-nearest-neighbor graph.  A lattice reads each point's
+lowest and highest neighbor value off one pass of shifted copies
+(`LatticeGrid.neighbor_extremes`): of a member mask for its inner
+boundary, of the depth-order ranks for the ψ walks of `dispersion`.
+The kNN graph walks each member's neighbor list.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from .depth import DepthField, Sample
 from .metrics import MetricSpace
 
 
-# Cross-matrix entries per block of `row_blocks`: bounds the temporaries
-# of the Hausdorff distance, nearest indices and the lattice psi curves.
+# Cross-matrix entries per block of `_row_blocks`: bounds the temporaries
+# of the Hausdorff distance and of nearest indices.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -59,7 +57,7 @@ def level_set(field: DepthField, lam: float) -> LevelSet:
     return LevelSet(float(lam), members, field)
 
 
-def row_blocks(count: int, width: int):
+def _row_blocks(count: int, width: int):
     """Consecutive slices of `count` rows, each small enough that its
     cross matrix against `width` columns holds about _BLOCK_ENTRIES
     entries (one row at least)."""
@@ -75,7 +73,7 @@ def hausdorff(a, b, space: MetricSpace) -> float:
     # min and max are exact, so the value does not depend on the blocking.
     a_to_b = 0.0
     b_to_a = np.full(len(b), np.inf)
-    for rows in row_blocks(len(a), len(b)):
+    for rows in _row_blocks(len(a), len(b)):
         cross = space.cross_matrix(a[rows], b)
         a_to_b = max(a_to_b, float(cross.min(axis=1).max()))
         np.minimum(b_to_a, cross.min(axis=0), out=b_to_a)
@@ -84,9 +82,9 @@ def hausdorff(a, b, space: MetricSpace) -> float:
 
 def nearest_indices(points, targets, space: MetricSpace) -> np.ndarray:
     """Index of the nearest point of `targets` for each of `points`
-    (ties resolved to the lowest index), over `row_blocks`."""
+    (ties resolved to the lowest index), over `_row_blocks`."""
     out = np.empty(len(points), dtype=np.int64)
-    for rows in row_blocks(len(points), len(targets)):
+    for rows in _row_blocks(len(points), len(targets)):
         out[rows] = space.cross_matrix(points[rows], targets).argmin(axis=1)
     return out
 
@@ -140,23 +138,23 @@ class LatticeGrid:
     def __len__(self):
         return len(self._points)
 
-    def boundaries(self, mask) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending flat indices of the inner boundary of the member
-        `mask` (members with a non-member or out-of-lattice neighbor) and
-        of its outer boundary (non-members with a member neighbor)."""
+    def neighbor_extremes(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Lowest and highest of the integer `values` (one per point, in
+        flat order) over each point's 2d axis neighbors; a position
+        outside the lattice reads -1."""
         shape = self.shape
         core = (slice(1, -1),) * len(shape)
-        padded = np.zeros(tuple(size + 2 for size in shape), dtype=bool)
-        padded[core] = np.reshape(mask, shape)
-        inside = padded[core]
-        all_in, any_in = np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)
+        padded = np.full(tuple(size + 2 for size in shape), -1, dtype=np.asarray(values).dtype)
+        padded[core] = np.reshape(values, shape)
+        low = np.full(shape, np.iinfo(padded.dtype).max, dtype=padded.dtype)
+        high = np.full(shape, -1, dtype=padded.dtype)
         for d, size in enumerate(shape):
             for delta in (-1, 1):
                 at = list(core)
                 at[d] = slice(1 + delta, size + 1 + delta)
-                all_in &= padded[tuple(at)]
-                any_in |= padded[tuple(at)]
-        return np.flatnonzero(inside & ~all_in), np.flatnonzero(~inside & any_in)
+                np.minimum(low, padded[tuple(at)], out=low)
+                np.maximum(high, padded[tuple(at)], out=high)
+        return low.ravel(), high.ravel()
 
     def exterior_distance(self, x) -> np.ndarray:
         """Distance from each point of the (m, d) array `x` to the
@@ -208,7 +206,8 @@ def inner_boundary(mask: np.ndarray, grid) -> np.ndarray:
     """Ascending indices of the points in `mask` with at least one
     neighbor outside it (or outside the lattice)."""
     if isinstance(grid, LatticeGrid):
-        return grid.boundaries(mask)[0]
+        low = grid.neighbor_extremes(mask.astype(np.int8))[0]
+        return np.flatnonzero(mask & (low < 1))
     out = [int(i) for i in np.flatnonzero(mask)
            if any(not mask[j] for j in grid.neighbor_indices(int(i)))]
     return np.array(out, dtype=np.int64)
@@ -220,45 +219,3 @@ def boundary_points(ls: LevelSet, grid) -> np.ndarray:
     if len(ls.field.values) != len(grid):
         raise LevelSetError("level set and grid have different point counts")
     return inner_boundary(ls.member_mask, grid)
-
-
-# ---------------------------------------------------------------------------
-# Set summaries
-
-
-def nested_diameters(points, space: MetricSpace, counts, order,
-                     pair_matrix: np.ndarray | None = None) -> np.ndarray:
-    """Diameters of the prefixes `points[order[:c]]`, c in `counts`.
-    Each point added in `order` raises a running maximum by its
-    distances to the points added before it, read from `pair_matrix`
-    when given, so temporaries are O(N)."""
-    ordered = points[order]
-    prefix = np.zeros(max(counts, default=0) + 1)   # prefix[c]: first c points
-    for k in range(1, len(prefix) - 1):
-        row = (space.dists_to(ordered[:k], ordered[k]) if pair_matrix is None
-               else pair_matrix[order[k], order[:k]])
-        prefix[k + 1] = max(prefix[k], row.max())
-    return prefix[counts]
-
-
-def nested_inradii(points, space: MetricSpace, counts, order,
-                   grid: LatticeGrid | None = None) -> np.ndarray:
-    """Inradii of the members `points[order[N-c:]]` against the rest, for
-    nonincreasing `counts` (0 for c = 0).  Points move to the complement
-    in `order`; each member keeps a running minimum distance to it, from
-    the lattice's exterior or +inf, so temporaries are O(N)."""
-    pts = points[order]
-    n = len(pts)
-    nearest = np.full(n, np.inf) if grid is None else grid.exterior_distance(pts)
-    out, moved = np.zeros(len(counts)), 0
-    for j, c in enumerate(c for c in counts if c):
-        if c == n and grid is None:
-            raise LevelSetError(
-                "inradius is undefined with an empty complement outside a "
-                "lattice; start the level grid above 0")
-        for k in range(moved, n - c):
-            np.minimum(nearest[k + 1:], space.dists_to(pts[k + 1:], pts[k]),
-                       out=nearest[k + 1:])
-        moved = n - c
-        out[j] = nearest[n - c:].max()
-    return out

@@ -4,7 +4,8 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from lensdepth.dispersion import DispersionError
-from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace, StiefelSpace
+from lensdepth.levelsets import LatticeGrid, LevelSetError
+from lensdepth.metrics import BHVSpace, EuclideanSpace, MetricSpace, SphereSpace, StiefelSpace
 from lensdepth.treespace import Tree, canonical_split
 
 
@@ -209,6 +210,49 @@ CASES = {
     "3d-longest-middle": (0.1 * integers(30, 3, -3, 3, 16),
                           [(-0.3, 0.3, 0.1), (-0.6, 0.6, 0.05), (-0.2, 0.2, 0.1)], True),
 }
+
+
+# ---------------------------------------------------------------------------
+# The one-pass psi sweeps: the oracle of `dispersion.psi_curve`'s walks,
+# which measure only the points a lattice's boundaries need.
+
+
+def nested_diameters(points, space: MetricSpace, counts, order,
+                     pair_matrix: np.ndarray | None = None) -> np.ndarray:
+    """Diameters of the prefixes `points[order[:c]]`, c in `counts`.
+    Each point added in `order` raises a running maximum by its
+    distances to the points added before it, read from `pair_matrix`
+    when given, so temporaries are O(N)."""
+    ordered = points[order]
+    prefix = np.zeros(max(counts, default=0) + 1)   # prefix[c]: first c points
+    for k in range(1, len(prefix) - 1):
+        row = (space.dists_to(ordered[:k], ordered[k]) if pair_matrix is None
+               else pair_matrix[order[k], order[:k]])
+        prefix[k + 1] = max(prefix[k], row.max())
+    return prefix[counts]
+
+
+def nested_inradii(points, space: MetricSpace, counts, order,
+                   grid: LatticeGrid | None = None) -> np.ndarray:
+    """Inradii of the members `points[order[N-c:]]` against the rest, for
+    nonincreasing `counts` (0 for c = 0).  Points move to the complement
+    in `order`; each member keeps a running minimum distance to it, from
+    the lattice's exterior or +inf, so temporaries are O(N)."""
+    pts = points[order]
+    n = len(pts)
+    nearest = np.full(n, np.inf) if grid is None else grid.exterior_distance(pts)
+    out, moved = np.zeros(len(counts)), 0
+    for j, c in enumerate(c for c in counts if c):
+        if c == n and grid is None:
+            raise LevelSetError(
+                "inradius is undefined with an empty complement outside a "
+                "lattice; start the level grid above 0")
+        for k in range(moved, n - c):
+            np.minimum(nearest[k + 1:], space.dists_to(pts[k + 1:], pts[k]),
+                       out=nearest[k + 1:])
+        moved = n - c
+        out[j] = nearest[n - c:].max()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,11 @@ kept as written rather than loosened.
 """
 
 import json
-import math
 import time
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
-from lensdepth.analysis import depth_depth
 from lensdepth.asymptotics import (
     ExperimentConfig,
     clt_experiment,

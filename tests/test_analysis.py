@@ -12,7 +12,6 @@ from lensdepth.depth import (
     DepthError,
     DepthField,
     Sample,
-    batch_depth,
     empirical_lens_depth,
     self_depth_field,
 )

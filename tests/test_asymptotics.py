@@ -3,7 +3,6 @@ import pytest
 from scipy.stats import norm, t as tdist
 
 from lensdepth.asymptotics import (
-    CltReport,
     DegenerateExperimentError,
     ExperimentConfig,
     ExperimentError,

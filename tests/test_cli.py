@@ -580,6 +580,26 @@ def test_tree_levelset_boundary_reuses_the_sample_geodesics(workdir, monkeypatch
     assert boundary and set(boundary) <= members
 
 
+@pytest.mark.parametrize("psi", [["--psi", "diam"], ["--psi", "inradius", "--lambdas=0.3:0.6:0.1"]])
+def test_tree_psi_reuses_the_sample_geodesics(workdir, monkeypatch, psi):
+    from lensdepth import treespace
+
+    write_twelve_leaf_trees(workdir / "trees.nwk", 60)
+    calls = []
+
+    def counted(t1, t2):
+        calls.append(1)
+        return bhv_distance(t1, t2)
+
+    bhv_distance = treespace.bhv_distance
+    monkeypatch.setattr(treespace, "bhv_distance", counted)
+    assert run(["psi", "--metric", "bhv", "--sample", "trees.nwk", *psi,
+                "--out", "psi.csv", "--no-timestamp"]) == 0
+    # The depth field's pairwise matrix serves the psi curve as well.
+    assert len(calls) == 60 * 59 // 2
+    assert any(float(r.split(",")[1]) > 0 for r in data_lines(workdir / "psi.csv")[1:])
+
+
 # ---------------------------------------------------------------------------
 # Leave-one-out outputs on every metric: identical bytes at any thread
 # count and under any hash seed (equal points are found through a set).

@@ -18,7 +18,6 @@ from lensdepth.depth import (
 from lensdepth.analysis import loo_depth_against
 from lensdepth.asymptotics import make_sampler, run_config
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
-from lensdepth.treespace import Tree
 
 from conftest import random_tree, random_unit_vectors, space_with_points
 

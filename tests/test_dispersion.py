@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.stats import norm, t as tdist
@@ -9,7 +7,6 @@ from lensdepth.dispersion import (
     DispersionError,
     OrderVerdict,
     PsiCurve,
-    default_lambda_grid,
     gamma,
     gamma_t_vs_normal_grid,
     giovagnoli_order,

@@ -1,8 +1,9 @@
-"""Every module of the package uses each name it imports, imports no
-underscore name from another module of the package, only the von
-Mises-Fisher sampler imports scipy.stats, only the Student-t sampler
-and the gamma-tn table import scipy.special, and every name the package
-exports is used by its modules or named in the README.
+"""Every module of the package and of its tests uses each name it
+imports, no module of the package imports an underscore name from
+another of its modules, only the von Mises-Fisher sampler imports
+scipy.stats, only the Student-t sampler and the gamma-tn table import
+scipy.special, and every name the package exports is used by its
+modules or named in the README.
 
 `__init__` is exempt from the first check: its imports are the package's
 public surface."""
@@ -16,6 +17,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lensdepth"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = ROOT / "tests"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,6 +43,11 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_test_module_uses_every_import(module):
+    assert unused_imports((TESTS / module).read_text()) == []
 
 
 def private_imports(source: str) -> list[str]:

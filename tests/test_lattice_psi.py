@@ -1,20 +1,21 @@
-"""The exact ψ curves on Euclidean lattices: the diameter of a level set is
-read off its inner boundary and the inradius off its outer boundary.
-Every curve must equal the one-pass sweeps `nested_diameters` and
-`nested_inradii` bit for bit, on every lattice of the hostile corpus, at
-the default level grid and at every distinct depth value."""
+"""The exact ψ curves on Euclidean lattices: the depth-order walks measure
+only a level set's inner boundary for the diameter and its outer boundary
+for the inradius.  Every curve must equal the one-pass sweeps
+`nested_diameters` and `nested_inradii` of `conftest` bit for bit, on
+every lattice of the hostile corpus, at the default level grid and at
+every distinct depth value."""
 
 import contextlib
 
 import numpy as np
 import pytest
 
-from lensdepth.depth import Sample, batch_depth
+from lensdepth.depth import Sample, batch_depth, self_depth_field
 from lensdepth.dispersion import default_lambda_grid, psi_curve
-from lensdepth.levelsets import LatticeGrid, nested_diameters, nested_inradii
+from lensdepth.levelsets import LatticeGrid, inner_boundary
 from lensdepth.metrics import EuclideanSpace
 
-from conftest import CASES, halton_normal, lattice_neighbors
+from conftest import CASES, halton_normal, lattice_neighbors, nested_diameters, nested_inradii
 
 
 def quiet(name):
@@ -65,14 +66,29 @@ def test_lattice_curves_equal_the_sweeps(name):
                                   ((0.0, 2.0, 1.0), (0.0, 0.0, 1.0), (0.0, 3.0, 1.0))])
 def test_lattice_boundaries_match_the_neighbor_lists(axes, rng):
     grid = LatticeGrid(axes)
+    nbrs = [lattice_neighbors(grid, i) for i in range(len(grid))]
+
+    def extremes(values):
+        """Lowest and highest neighbor value, -1 outside the lattice."""
+        around = [[-1 if j is None else values[j] for j in nbrs[i]] for i in range(len(grid))]
+        return [min(v) for v in around], [max(v) for v in around]
+
     for _ in range(20):
         mask = rng.random(len(grid)) < 0.5
-        inner, outer = grid.boundaries(mask)
-        nbrs = [lattice_neighbors(grid, i) for i in range(len(grid))]
+        # Members read 1 and non-members 0: a member with a neighbor below 1
+        # is on the inner boundary, a non-member with one at 1 on the outer.
+        low, high = grid.neighbor_extremes(mask.astype(np.int8))
+        assert (low.tolist(), high.tolist()) == extremes(mask.astype(int))
+        inner = inner_boundary(mask, grid)
+        outer = np.flatnonzero(~mask & (high >= 1))
         assert inner.tolist() == [i for i in range(len(grid)) if mask[i] and any(
             j is None or not mask[j] for j in nbrs[i])]
         assert outer.tolist() == [i for i in range(len(grid)) if not mask[i] and any(
             j is not None and mask[j] for j in nbrs[i])]
+    for _ in range(20):                 # depth-order ranks, as psi_curve reads them
+        ranks = rng.permutation(len(grid))
+        low, high = grid.neighbor_extremes(ranks)
+        assert (low.tolist(), high.tolist()) == extremes(ranks)
 
 
 def test_exterior_distance_of_each_point():
@@ -107,3 +123,23 @@ def test_lattice_curves_evaluate_few_distances():
         space.evals = 0
         psi_curve(field, kind, lambdas, grid=grid)
         assert 0 < space.evals < budget
+    # At every distinct depth nearly every point is measured as it leaves,
+    # against the members above it: never more than the sweep's pairs.
+    space.evals = 0
+    psi_curve(field, "inradius", np.unique(field.values), grid=grid)
+    n = len(grid)
+    assert 0 < space.evals <= n * (n - 1) // 2
+
+
+def test_walks_off_the_lattice_measure_each_pair_once():
+    # Off a lattice the walks measure every point, against the points after
+    # it in depth order: each pair once, as the sweeps do.
+    space = CountingSpace(2)
+    field = self_depth_field(Sample(halton_normal(300, 2, 7), space))
+    levels = np.unique(field.values)
+    space.evals = 0
+    psi_curve(field, "diam", levels)
+    assert space.evals == 300 * 299 // 2
+    space.evals = 0
+    psi_curve(field, "inradius", levels[1:])     # level 0 leaves no complement
+    assert 0 < space.evals <= 300 * 299 // 2

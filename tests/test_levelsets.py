@@ -15,8 +15,6 @@ from lensdepth.levelsets import (
     hausdorff,
     level_set,
     nearest_indices,
-    nested_diameters,
-    nested_inradii,
 )
 from lensdepth.dispersion import DispersionError, psi_curve
 from lensdepth.metrics import BHVSpace, EuclideanSpace
@@ -262,16 +260,22 @@ def test_nearest_index_blocks_match_full_argmin(rng, monkeypatch, block):
 
 
 # ---------------------------------------------------------------------------
-# Set summaries: the one-pass sweeps at a single count, and the volume curve
+# Set summaries: psi curves of a single level set, and the volume curve
+
+
+def summary(kind, points, member_mask, space):
+    """`kind` of the level set of the points in `member_mask`, off any lattice."""
+    field = DepthField(points=points, values=member_mask.astype(float), n=10, space=space)
+    return psi_curve(field, kind, [1.0, 2.0]).values[0]
 
 
 def diameter(points, space):
-    return nested_diameters(points, space, [len(points)], np.arange(len(points)))[0]
+    return summary("diam", points, np.ones(len(points), dtype=bool), space)
 
 
 def inradius(members, complement, space):
     points = np.concatenate([complement, members])
-    return nested_inradii(points, space, [len(members)], np.arange(len(points)))[0]
+    return summary("inradius", points, np.arange(len(points)) >= len(complement), space)
 
 
 def binomial_stderr(value, reference_mass, n):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lensdepth import treespace
 from lensdepth.treespace import (
-    GeodesicResult,
     NewickError,
     Tree,
     TreeError,
