@@ -18,7 +18,6 @@ from .depth import (
     Sample,
     batch_depth,
     loo_depth_against,
-    self_depth_field,
 )
 from .dispersion import PsiCurve, psi_curve
 from .levelsets import level_set
@@ -47,23 +46,28 @@ def depth_depth(sample0: Sample, sample1: Sample, points=None,
         raise DepthError("groups live in different spaces")
     if min(sample0.n, sample1.n) < 3:
         raise DepthError("each group needs at least 3 points")
-    records = []
     if points is None:
-        own0 = self_depth_field(sample0, threads=threads).values
-        other0 = batch_depth(sample0.points, sample1, threads=threads).values
-        for i in range(sample0.n):
-            records.append(DepthDepthRecord(i, float(own0[i]), float(other0[i]), 0))
-        own1 = self_depth_field(sample1, threads=threads).values
-        other1 = batch_depth(sample1.points, sample0, threads=threads).values
-        for i in range(sample1.n):
-            records.append(DepthDepthRecord(sample0.n + i, float(other1[i]),
-                                            float(own1[i]), 1))
-        return records
-    d0 = loo_depth_against(points, sample0, threads=threads)
-    d1 = loo_depth_against(points, sample1, threads=threads)
-    for i in range(len(points)):
-        records.append(DepthDepthRecord(i, float(d0[i]), float(d1[i]), None))
-    return records
+        # One count per group over the pooled points; its own points read
+        # their rows from its distance matrix.
+        n0 = sample0.n
+        pooled = np.concatenate([sample0.points, sample1.points])
+        f0 = batch_depth(pooled, sample0, threads=threads)
+        f1 = batch_depth(pooled, sample1, threads=threads)
+        d0 = np.concatenate([_left_out(f0.counts[:n0], n0), f0.values[n0:]])
+        d1 = np.concatenate([f1.values[:n0], _left_out(f1.counts[n0:], sample1.n)])
+        groups = [0] * n0 + [1] * sample1.n
+    else:
+        d0 = loo_depth_against(points, sample0, threads=threads)
+        d1 = loo_depth_against(points, sample1, threads=threads)
+        groups = [None] * len(points)
+    return [DepthDepthRecord(i, float(a), float(b), g)
+            for i, (a, b, g) in enumerate(zip(d0, d1, groups))]
+
+
+def _left_out(counts: np.ndarray, n: int) -> np.ndarray:
+    """Leave-one-out depths of a group's own points from their plain
+    counts: the n - 1 pairs containing a point all cover it."""
+    return (counts - (n - 1)) / ((n - 1) * (n - 2) // 2)
 
 
 def outliers(field: DepthField, lam: float) -> np.ndarray:

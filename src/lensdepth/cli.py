@@ -302,16 +302,20 @@ def cmd_psi(args) -> int:
 def _two_sample_curves(args):
     sx = _load_sample(args.x, args.metric, args.shape)
     sy = _load_sample(args.y, args.metric, args.shape)
+    grid = pair_matrix = None
     if args.grid is not None:
         grid = queries = dataio.parse_grid_spec(args.grid)
     else:
-        grid = None
         queries = np.concatenate([sx.points, sy.points])
+        # Both curves walk the pooled points; off the line they share one
+        # matrix of their distances, as in `psi`.
+        if not (isinstance(sx.space, EuclideanSpace) and sx.space.dim == 1):
+            pair_matrix = sx.space.pairwise(queries)
     fx = batch_depth(queries, sx, threads=args.threads)
     fy = batch_depth(queries, sy, threads=args.threads)
     lambdas = _lambda_grid(args, fx, fy)
-    cx = dispersion.psi_curve(fx, args.psi, lambdas, grid=grid)
-    cy = dispersion.psi_curve(fy, args.psi, lambdas, grid=grid)
+    cx = dispersion.psi_curve(fx, args.psi, lambdas, grid=grid, pair_matrix=pair_matrix)
+    cy = dispersion.psi_curve(fy, args.psi, lambdas, grid=grid, pair_matrix=pair_matrix)
     return sx, sy, cx, cy
 
 

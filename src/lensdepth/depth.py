@@ -24,9 +24,13 @@ takes one of three paths:
   inside a lens form one index range, estimated from the chord and
   confirmed (or recounted) by the float predicate, so no query matrix
   is built.
-- Elsewhere the sample matrix is built, then the query matrix, and the
-  vectorized `_count_block` runs on one contiguous block of query rows
-  per thread.
+- Elsewhere the sample matrix is built, then the query matrix; a query
+  equal by value to a sample point reads its row from the sample
+  matrix.  With enough queries and a table within `_WALK_TABLE` bytes,
+  `_walk_block` counts each query in depth order against suffix
+  bitsets of the sorted sample rows (`_walk_table`, built once per
+  count); otherwise the vectorized `_count_block` compares every pair.
+  Either kernel runs on one contiguous block of query rows per thread.
 
 `thread_map` is the package's one thread pool.
 """
@@ -143,6 +147,84 @@ def _count_block(dq: np.ndarray, dmat: np.ndarray) -> np.ndarray:
         row = dmat[i, i + 1:]
         worst = np.maximum(dq[:, i, None], dq[:, i + 1:])
         counts += (worst <= row).sum(axis=1)
+    return counts
+
+
+# Query matrix entries per call of `_count_block`; bounds its temporaries
+# at a few arrays of this length per thread.
+_COUNT_BLOCK = 1 << 16
+# Bytes one walk table may take: n(n + 1) bitsets of ceil(n/64) words,
+# 16.0 MB at n = 500; n <= 640 fit.  Below _WALK_MIN_QUERIES queries the
+# table costs more than the walk saves (timings in CHANGES.md).
+_WALK_TABLE = 1 << 25
+_WALK_MIN_QUERIES = 128
+# Table words gathered per block of the walk; bounds its temporaries at a
+# few arrays of this many words per thread.
+_WALK_BLOCK = 1 << 16
+
+
+def _walk_pays(m: int, n: int) -> bool:
+    """The cost rule: walk when at least _WALK_MIN_QUERIES queries share
+    one table and the table of n sample points fits in _WALK_TABLE."""
+    return m >= _WALK_MIN_QUERIES and n * (n + 1) * -(-n // 64) * 8 <= _WALK_TABLE
+
+
+def _bits(ids: np.ndarray) -> np.ndarray:
+    return np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
+
+
+def _walk_table(dmat: np.ndarray):
+    """The rows of the sample matrix sorted ascending, and the walk's
+    table: row q * (n + 1) + t holds, as a bitset of ceil(n/64) words,
+    the sample indices at the t last positions of row q sorted.
+
+    Each index is one bit at its step, so a running sum of the steps is
+    their union; it is taken in place.
+    """
+    n = len(dmat)
+    order = np.argsort(dmat, axis=1)
+    table = np.zeros((n, n + 1, -(-n // 64)), dtype=np.uint64)
+    last = order[:, ::-1]
+    table[np.arange(n)[:, None], np.arange(1, n + 1), last >> 6] = _bits(last)
+    np.cumsum(table, axis=1, out=table)
+    return np.take_along_axis(dmat, order, axis=1), table.reshape(n * (n + 1), -1)
+
+
+def _walk_block(dq: np.ndarray, rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Covering-pair counts for a block of queries by a walk in depth
+    order; equal to `_count_block(dq, dmat)` with `rows, table =
+    _walk_table(dmat)`.
+
+    Rank the sample by the query's distances a.  For a pair whose lower
+    ranked point is p and the other q, a_p <= a_q, so the float test
+    max(a_p, a_q) <= d(p, q) is a_q <= d(q, p); any order that sorts a
+    will do, as either point of a tie may come first.  The p passing it
+    are a suffix of row q sorted, from the first entry >= a_q, so the
+    count is the sum over q of the bits that suffix shares with the
+    points ranked before q.  Only integer bit operations follow the
+    binary searches, so no thread count or block size changes a count.
+    Distances between valid points are never nan, which would sort last.
+    """
+    m, n = dq.shape
+    base = np.arange(n) * (n + 1) + n
+    suffix = np.empty((m, n), dtype=np.intp)
+    for q in range(n):
+        col = dq[:, q]
+        keys = np.argsort(col)          # sorted keys keep the searches' branches predictable
+        suffix[keys, q] = base[q] - np.searchsorted(rows[q], col[keys], "left")
+    ids = np.arange(n)
+    onehot = np.zeros((n, table.shape[1]), dtype=np.uint64)
+    onehot[ids, ids >> 6] = _bits(ids)
+    counts = np.empty(m, dtype=np.int64)
+    step = max(1, _WALK_BLOCK // onehot.size)
+    for lo in range(0, m, step):
+        rank = np.argsort(dq[lo:lo + step], axis=1)
+        bit = np.take(onehot, rank, axis=0)
+        before = np.cumsum(bit, axis=1)
+        before -= bit                   # the points ranked before each one
+        shared = np.take(table, np.take_along_axis(suffix[lo:lo + step], rank, axis=1), axis=0)
+        shared &= before
+        counts[lo:lo + len(rank)] = np.bitwise_count(shared).sum(axis=(1, 2), dtype=np.int64)
     return counts
 
 
@@ -404,10 +486,33 @@ def _counts(queries, sample: Sample, threads: int):
     # The sample matrix comes first: its construction's temporaries are then
     # freed before the query matrix exists, which bounds peak memory.
     dmat = sample.distance_matrix
-    dq = dmat if own else space.cross_matrix(queries, sample.points)
+    dq = dmat if own else _query_matrix(queries, sample)
+    # One table per count, built before the threads start; they only read it.
+    walk = _walk_table(dmat) if _walk_pays(len(dq), sample.n) else None
+    step = max(1, _COUNT_BLOCK // sample.n)
+
+    def kernel(block):
+        if walk is not None:
+            return _walk_block(block, *walk)
+        return np.concatenate([_count_block(block[i:i + step], dmat)
+                               for i in range(0, len(block), step)])
+
     blocks = np.array_split(dq, min(max(threads, 1), len(dq)))
-    return queries, np.concatenate(thread_map(lambda block: _count_block(block, dmat),
-                                              blocks, threads))
+    return queries, np.concatenate(thread_map(kernel, blocks, threads))
+
+
+def _query_matrix(queries, sample: Sample) -> np.ndarray:
+    """Distances from each query to each sample point; a query equal by
+    value to a sample point takes that point's row of the sample matrix,
+    bit for bit the row `cross_matrix` would compute (see `metrics`)."""
+    match = _sample_index(queries, sample)
+    new = np.flatnonzero(match < 0)
+    if len(new) == len(queries):
+        return sample.space.cross_matrix(queries, sample.points)
+    dq = sample.distance_matrix[match]
+    if len(new):
+        dq[new] = sample.space.cross_matrix(queries[new], sample.points)
+    return dq
 
 
 def batch_depth(queries, sample: Sample, threads: int = 1) -> DepthField:
@@ -452,10 +557,16 @@ def loo_depth_against(points, sample: Sample, threads: int = 1) -> np.ndarray:
     if n < 3:
         raise DepthError(f"leave-one-out depth needs n >= 3, have {n}")
     points, counts = _counts(points, sample, threads)
-    own = set(_value_keys(sample.points))
-    equal = np.array([key in own for key in _value_keys(points)], dtype=bool)
+    equal = _sample_index(points, sample) >= 0
     return np.where(equal, (counts - (n - 1)) / _pair_count(n - 1),
                     counts / _pair_count(n))
+
+
+def _sample_index(points, sample: Sample) -> np.ndarray:
+    """For each point, the index of a sample point equal to it by value
+    (the same coordinates, 0.0 and -0.0 alike, or the same tree), or -1."""
+    index = {key: e for e, key in enumerate(_value_keys(sample.points))}
+    return np.array([index.get(key, -1) for key in _value_keys(points)], dtype=np.intp)
 
 
 def _value_keys(points) -> list[tuple]:

@@ -10,8 +10,10 @@ import pytest
 
 from lensdepth import __version__
 from lensdepth.cli import METRIC_NAMES, run
-from lensdepth.dataio import fmt
-from lensdepth.dispersion import gamma_t_vs_normal_grid
+from lensdepth.dataio import fmt, read_newick_file
+from lensdepth.depth import Sample, batch_depth
+from lensdepth.dispersion import gamma_t_vs_normal_grid, psi_curve
+from lensdepth.metrics import BHVSpace
 from lensdepth.treespace import to_newick
 
 from conftest import negate_zeros, random_tree, zero_rich_points
@@ -184,7 +186,7 @@ def test_diam_by_group(workdir, rng):
 
 
 def test_diam_by_group_computes_each_field_once(workdir, rng, monkeypatch):
-    from lensdepth import analysis, cli, depth
+    from lensdepth import cli, depth
 
     calls = []
 
@@ -192,8 +194,7 @@ def test_diam_by_group_computes_each_field_once(workdir, rng, monkeypatch):
         calls.append(sample.n)
         return depth.self_depth_field(sample, *args, **kwargs)
 
-    for module in (analysis, cli):
-        monkeypatch.setattr(module, "self_depth_field", counted)
+    monkeypatch.setattr(cli, "self_depth_field", counted)
     gdir = workdir / "groups"
     gdir.mkdir()
     for name, n in (("a", 20), ("b", 25), ("c", 30)):
@@ -598,6 +599,39 @@ def test_tree_psi_reuses_the_sample_geodesics(workdir, monkeypatch, psi):
     # The depth field's pairwise matrix serves the psi curve as well.
     assert len(calls) == 60 * 59 // 2
     assert any(float(r.split(",")[1]) > 0 for r in data_lines(workdir / "psi.csv")[1:])
+
+
+@pytest.mark.parametrize("command", [["gamma"], ["order", "--relation", "spread"]])
+def test_tree_two_sample_curves_share_the_pooled_geodesics(workdir, monkeypatch, command):
+    from lensdepth import treespace
+
+    write_twelve_leaf_trees(workdir / "all.nwk", 40)
+    lines = (workdir / "all.nwk").read_text().splitlines(keepends=True)
+    (workdir / "x.nwk").write_text("".join(lines[:20]))
+    (workdir / "y.nwk").write_text("".join(lines[20:]))
+    calls = []
+
+    def counted(t1, t2):
+        calls.append(1)
+        return bhv_distance(t1, t2)
+
+    bhv_distance = treespace.bhv_distance
+    monkeypatch.setattr(treespace, "bhv_distance", counted)
+    assert run([*command, "--metric", "bhv", "--x", "x.nwk", "--y", "y.nwk", "--psi", "diam",
+                "--levels", "20", "--out", "out.json", "--no-timestamp"]) == 0
+    # Each sample's own pairs, each pooled tree of the other sample against
+    # it, and the 780 pooled pairs once for both curves (3,540 calls when
+    # each curve measured them and each sample's trees were measured again).
+    assert len(calls) == 2 * 190 + 2 * 20 * 20 + 40 * 39 // 2
+    if command == ["gamma"]:
+        # The curves equal those measured pair by pair, without the matrix.
+        out = json.loads((workdir / "out.json").read_text())
+        trees = read_newick_file(workdir / "all.nwk")[0]
+        space = BHVSpace(trees[0].labels)
+        for key, part in (("psi_x", trees[:20]), ("psi_y", trees[20:])):
+            field = batch_depth(trees, Sample(part, space))
+            curve = psi_curve(field, "diam", out["levels"])
+            assert [float(v) for v in curve.values] == out[key]
 
 
 # ---------------------------------------------------------------------------
