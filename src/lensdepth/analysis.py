@@ -16,7 +16,6 @@ from .depth import (
     DepthError,
     DepthField,
     Sample,
-    batch_depth,
     loo_depth_against,
 )
 from .dispersion import PsiCurve, psi_curve
@@ -46,28 +45,18 @@ def depth_depth(sample0: Sample, sample1: Sample, points=None,
         raise DepthError("groups live in different spaces")
     if min(sample0.n, sample1.n) < 3:
         raise DepthError("each group needs at least 3 points")
+    left0 = left1 = None
     if points is None:
-        # One count per group over the pooled points; its own points read
-        # their rows from its distance matrix.
-        n0 = sample0.n
-        pooled = np.concatenate([sample0.points, sample1.points])
-        f0 = batch_depth(pooled, sample0, threads=threads)
-        f1 = batch_depth(pooled, sample1, threads=threads)
-        d0 = np.concatenate([_left_out(f0.counts[:n0], n0), f0.values[n0:]])
-        d1 = np.concatenate([f1.values[:n0], _left_out(f1.counts[n0:], sample1.n)])
-        groups = [0] * n0 + [1] * sample1.n
-    else:
-        d0 = loo_depth_against(points, sample0, threads=threads)
-        d1 = loo_depth_against(points, sample1, threads=threads)
-        groups = [None] * len(points)
+        # The pooled points, each left out of its own group only; a
+        # group's own points read their rows from its distance matrix.
+        points = np.concatenate([sample0.points, sample1.points])
+        left0 = np.arange(len(points)) < sample0.n
+        left1 = ~left0
+    d0 = loo_depth_against(points, sample0, threads=threads, left_out=left0)
+    d1 = loo_depth_against(points, sample1, threads=threads, left_out=left1)
+    groups = [None] * len(points) if left0 is None else left1.astype(int).tolist()
     return [DepthDepthRecord(i, float(a), float(b), g)
             for i, (a, b, g) in enumerate(zip(d0, d1, groups))]
-
-
-def _left_out(counts: np.ndarray, n: int) -> np.ndarray:
-    """Leave-one-out depths of a group's own points from their plain
-    counts: the n - 1 pairs containing a point all cover it."""
-    return (counts - (n - 1)) / ((n - 1) * (n - 2) // 2)
 
 
 def outliers(field: DepthField, lam: float) -> np.ndarray:

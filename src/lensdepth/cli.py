@@ -299,6 +299,10 @@ def cmd_psi(args) -> int:
     return 0
 
 
+# Cross distances per block of `_pooled_matrix`.
+_CROSS_BLOCK = 1 << 16
+
+
 def _two_sample_curves(args):
     sx = _load_sample(args.x, args.metric, args.shape)
     sy = _load_sample(args.y, args.metric, args.shape)
@@ -307,16 +311,36 @@ def _two_sample_curves(args):
         grid = queries = dataio.parse_grid_spec(args.grid)
     else:
         queries = np.concatenate([sx.points, sy.points])
-        # Both curves walk the pooled points; off the line they share one
-        # matrix of their distances, as in `psi`.
-        if not (isinstance(sx.space, EuclideanSpace) and sx.space.dim == 1):
-            pair_matrix = sx.space.pairwise(queries)
     fx = batch_depth(queries, sx, threads=args.threads)
     fy = batch_depth(queries, sy, threads=args.threads)
+    # Off the line the diam and inradius curves on the pooled points share
+    # one matrix of their distances, as in `psi`; built after the counts,
+    # whose query matrices are then freed.
+    if (grid is None and args.psi != "volume"
+            and not (isinstance(sx.space, EuclideanSpace) and sx.space.dim == 1)):
+        pair_matrix = _pooled_matrix(sx, sy)
     lambdas = _lambda_grid(args, fx, fy)
     cx = dispersion.psi_curve(fx, args.psi, lambdas, grid=grid, pair_matrix=pair_matrix)
     cy = dispersion.psi_curve(fy, args.psi, lambdas, grid=grid, pair_matrix=pair_matrix)
     return sx, sy, cx, cy
+
+
+def _pooled_matrix(sx: Sample, sy: Sample) -> np.ndarray:
+    """The distance matrix of the points of `sx` followed by those of
+    `sy`: their own matrices and the cross block, which is measured in
+    blocks of rows; the floats `pairwise` gives the pooled points (see
+    `metrics`)."""
+    nx = sx.n
+    out = np.empty((nx + sy.n,) * 2)
+    out[:nx, :nx] = sx.distance_matrix
+    out[nx:, nx:] = sy.distance_matrix
+    step = max(1, _CROSS_BLOCK // sy.n)
+    for lo in range(0, nx, step):
+        hi = min(lo + step, nx)
+        block = sx.space.cross_matrix(sx.points[lo:hi], sy.points)
+        out[lo:hi, nx:] = block
+        out[nx:, lo:hi] = block.T
+    return out
 
 
 def cmd_gamma(args) -> int:

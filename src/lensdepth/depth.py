@@ -26,11 +26,11 @@ takes one of three paths:
   is built.
 - Elsewhere the sample matrix is built, then the query matrix; a query
   equal by value to a sample point reads its row from the sample
-  matrix.  With enough queries and a table within `_WALK_TABLE` bytes,
-  `_walk_block` counts each query in depth order against suffix
-  bitsets of the sorted sample rows (`_walk_table`, built once per
-  count); otherwise the vectorized `_count_block` compares every pair.
-  Either kernel runs on one contiguous block of query rows per thread.
+  matrix.  When its table fits in `_WALK_TABLE` bytes, `_walk_block`
+  counts each query in depth order against suffix bitsets of the
+  sorted sample rows (`_walk_table`, built once per count); past that
+  budget the vectorized `_count_block` compares every pair.  Either
+  kernel runs on one contiguous block of query rows per thread.
 
 `thread_map` is the package's one thread pool.
 """
@@ -154,19 +154,16 @@ def _count_block(dq: np.ndarray, dmat: np.ndarray) -> np.ndarray:
 # at a few arrays of this length per thread.
 _COUNT_BLOCK = 1 << 16
 # Bytes one walk table may take: n(n + 1) bitsets of ceil(n/64) words,
-# 16.0 MB at n = 500; n <= 640 fit.  Below _WALK_MIN_QUERIES queries the
-# table costs more than the walk saves (timings in CHANGES.md).
+# 16.0 MB at n = 500; n <= 640 fit.
 _WALK_TABLE = 1 << 25
-_WALK_MIN_QUERIES = 128
 # Table words gathered per block of the walk; bounds its temporaries at a
 # few arrays of this many words per thread.
 _WALK_BLOCK = 1 << 16
 
 
-def _walk_pays(m: int, n: int) -> bool:
-    """The cost rule: walk when at least _WALK_MIN_QUERIES queries share
-    one table and the table of n sample points fits in _WALK_TABLE."""
-    return m >= _WALK_MIN_QUERIES and n * (n + 1) * -(-n // 64) * 8 <= _WALK_TABLE
+def _table_fits(n: int) -> bool:
+    """Whether the walk table of n sample points fits in _WALK_TABLE."""
+    return n * (n + 1) * -(-n // 64) * 8 <= _WALK_TABLE
 
 
 def _bits(ids: np.ndarray) -> np.ndarray:
@@ -488,7 +485,7 @@ def _counts(queries, sample: Sample, threads: int):
     dmat = sample.distance_matrix
     dq = dmat if own else _query_matrix(queries, sample)
     # One table per count, built before the threads start; they only read it.
-    walk = _walk_table(dmat) if _walk_pays(len(dq), sample.n) else None
+    walk = _walk_table(dmat) if _table_fits(sample.n) else None
     step = max(1, _COUNT_BLOCK // sample.n)
 
     def kernel(block):
@@ -544,10 +541,13 @@ def self_depth_field(sample: Sample, threads: int = 1) -> DepthField:
                       n=n, space=sample.space, counts=counts)
 
 
-def loo_depth_against(points, sample: Sample, threads: int = 1) -> np.ndarray:
+def loo_depth_against(points, sample: Sample, threads: int = 1,
+                      left_out=None) -> np.ndarray:
     """Depths of explicit points against `sample`, leave-one-out where a
     point is equal by value to a sample point (equal coordinates, or an
     equal tree); a distinct point at distance 0 keeps its plain depth.
+    A boolean mask `left_out` names the points to leave out instead;
+    each must be equal by value to a sample point.
 
     As in `self_depth_field`, every pair containing x_e covers a point
     equal to x_e, whose distances are x_e's bit for bit in any batch and
@@ -557,8 +557,9 @@ def loo_depth_against(points, sample: Sample, threads: int = 1) -> np.ndarray:
     if n < 3:
         raise DepthError(f"leave-one-out depth needs n >= 3, have {n}")
     points, counts = _counts(points, sample, threads)
-    equal = _sample_index(points, sample) >= 0
-    return np.where(equal, (counts - (n - 1)) / _pair_count(n - 1),
+    if left_out is None:
+        left_out = _sample_index(points, sample) >= 0
+    return np.where(left_out, (counts - (n - 1)) / _pair_count(n - 1),
                     counts / _pair_count(n))
 
 

@@ -620,9 +620,10 @@ def test_tree_two_sample_curves_share_the_pooled_geodesics(workdir, monkeypatch,
     assert run([*command, "--metric", "bhv", "--x", "x.nwk", "--y", "y.nwk", "--psi", "diam",
                 "--levels", "20", "--out", "out.json", "--no-timestamp"]) == 0
     # Each sample's own pairs, each pooled tree of the other sample against
-    # it, and the 780 pooled pairs once for both curves (3,540 calls when
-    # each curve measured them and each sample's trees were measured again).
-    assert len(calls) == 2 * 190 + 2 * 20 * 20 + 40 * 39 // 2
+    # it, and the 400 cross pairs once more for the curves' pooled matrix
+    # (3,540 calls when each curve measured all 780 pooled pairs and each
+    # sample's trees were measured again).
+    assert len(calls) == 2 * 190 + 2 * 20 * 20 + 20 * 20
     if command == ["gamma"]:
         # The curves equal those measured pair by pair, without the matrix.
         out = json.loads((workdir / "out.json").read_text())

@@ -3,14 +3,14 @@ the sorted sample rows instead of comparing every pair.  Every count must
 equal the pairwise kernel's bit for bit, and the double loop's on small
 samples, on every metric, at the 64-bit word boundaries, on tie-heavy,
 duplicate, overflowing and near-antipodal inputs, on both sides of the
-cost rule and at any thread count."""
+table budget and at any thread count."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lensdepth import depth
+from lensdepth import cli, depth
 from lensdepth.analysis import depth_depth
 from lensdepth.depth import (
     Sample,
@@ -124,7 +124,7 @@ def test_the_cases_are_hostile():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_walk_equals_the_double_loop(name):
     sample, queries = make(name, 12, 130)
-    assert depth._walk_pays(len(queries), sample.n)
+    assert depth._table_fits(sample.n)
     values = batch_depth(queries, sample).values
     for i in range(0, len(queries), 13):
         assert values[i] == empirical_lens_depth(queries[i], sample)
@@ -145,16 +145,16 @@ def kernels(monkeypatch):
     return ran
 
 
-@pytest.mark.parametrize("m", [depth._WALK_MIN_QUERIES - 1, depth._WALK_MIN_QUERIES])
-def test_cost_rule_on_query_count(kernels, m):
+@pytest.mark.parametrize("m", [1, 2, 127])
+def test_few_queries_walk_too(kernels, m):
     sample, queries = make("sphere", 65, m)
     want = _oracle(queries, sample)
     assert np.array_equal(batch_depth(queries, sample).counts, want)
-    assert set(kernels) == {"_walk_block" if m >= depth._WALK_MIN_QUERIES else "_count_block"}
+    assert set(kernels) == {"_walk_block"}
 
 
 @pytest.mark.parametrize("spare", [0, -1])
-def test_cost_rule_on_table_size(kernels, monkeypatch, spare):
+def test_table_budget(kernels, monkeypatch, spare):
     sample, queries = make("integers", 129, 150)
     monkeypatch.setattr(depth, "_WALK_TABLE", table_bytes(129) + spare)
     assert np.array_equal(batch_depth(queries, sample).counts, _oracle(queries, sample))
@@ -163,7 +163,7 @@ def test_cost_rule_on_table_size(kernels, monkeypatch, spare):
 
 def test_budget_fits_the_documented_sizes():
     assert table_bytes(500) == 16_032_000
-    assert depth._walk_pays(1000, 640) and not depth._walk_pays(1000, 641)
+    assert depth._table_fits(640) and not depth._table_fits(641)
 
 
 def _oracle(queries, sample):
@@ -225,7 +225,7 @@ def test_memory_is_one_table_plus_the_query_rows():
         sample = Sample(random_unit_vectors(rng, n, 3), SphereSpace(3))
         sample.distance_matrix
         queries = random_unit_vectors(rng, m, 3)
-        walks = depth._walk_pays(m, n)
+        walks = depth._table_fits(n)
         assert walks == (n == 500)
         tracemalloc.start()
         try:
@@ -251,3 +251,15 @@ def test_ddplot_pooled_records_equal_the_double_loop(name):
              empirical_lens_depth(x, g1, exclude=i - g0.n if g == 1 else None))
             for i, (x, g) in enumerate(zip(points, groups))]
     assert [(r.depth0, r.depth1) for r in depth_depth(g0, g1)] == want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pooled_matrix_equals_pairwise(name, monkeypatch):
+    """`gamma` and `order` assemble the pooled points' matrix from the two
+    samples' matrices and the cross block, here in blocks of 7 rows and
+    one of 5: the floats `pairwise` gives."""
+    sx, pts = make(name, 40, 33)
+    sy = Sample(pts, sx.space)
+    monkeypatch.setattr(cli, "_CROSS_BLOCK", 7 * 33)
+    want = sx.space.pairwise(np.concatenate([sx.points, sy.points]))
+    assert np.array_equal(cli._pooled_matrix(sx, sy).view(np.int64), want.view(np.int64))
