@@ -556,11 +556,10 @@ def loo_depth_against(points, sample: Sample, threads: int = 1,
     n = sample.n
     if n < 3:
         raise DepthError(f"leave-one-out depth needs n >= 3, have {n}")
-    points, counts = _counts(points, sample, threads)
+    field = batch_depth(points, sample, threads)
     if left_out is None:
-        left_out = _sample_index(points, sample) >= 0
-    return np.where(left_out, (counts - (n - 1)) / _pair_count(n - 1),
-                    counts / _pair_count(n))
+        left_out = _sample_index(field.points, sample) >= 0
+    return np.where(left_out, (field.counts - (n - 1)) / _pair_count(n - 1), field.values)
 
 
 def _sample_index(points, sample: Sample) -> np.ndarray:
