@@ -17,6 +17,7 @@ from .depth import (
     DepthField,
     Sample,
     loo_depth_against,
+    pooled_depth,
 )
 from .dispersion import PsiCurve, psi_curve
 from .levelsets import level_set
@@ -41,20 +42,21 @@ def depth_depth(sample0: Sample, sample1: Sample, points=None,
     Explicit points that equal a group member exactly are evaluated
     leave-one-out against that group.
     """
-    if sample0.space is not sample1.space and sample0.space.kind != sample1.space.kind:
+    # One type with equal parameters: dimension, frame shape, leaf set.
+    spaces = [(type(s.space), vars(s.space)) for s in (sample0, sample1)]
+    if spaces[0] != spaces[1]:
         raise DepthError("groups live in different spaces")
     if min(sample0.n, sample1.n) < 3:
         raise DepthError("each group needs at least 3 points")
-    left0 = left1 = None
     if points is None:
-        # The pooled points, each left out of its own group only; a
-        # group's own points read their rows from its distance matrix.
-        points = np.concatenate([sample0.points, sample1.points])
-        left0 = np.arange(len(points)) < sample0.n
-        left1 = ~left0
-    d0 = loo_depth_against(points, sample0, threads=threads, left_out=left0)
-    d1 = loo_depth_against(points, sample1, threads=threads, left_out=left1)
-    groups = [None] * len(points) if left0 is None else left1.astype(int).tolist()
+        # The pooled points, each left out of its own group only.
+        f0, f1, _ = pooled_depth(sample0, sample1, threads=threads)
+        own = np.arange(len(f0)) < sample0.n
+        d0, d1, groups = f0.leave_out(own), f1.leave_out(~own), (~own).astype(int).tolist()
+    else:
+        d0 = loo_depth_against(points, sample0, threads=threads)
+        d1 = loo_depth_against(points, sample1, threads=threads)
+        groups = [None] * len(d0)
     return [DepthDepthRecord(i, float(a), float(b), g)
             for i, (a, b, g) in enumerate(zip(d0, d1, groups))]
 

@@ -13,12 +13,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, analysis, dataio, dispersion, levelsets
 from .asymptotics import ExperimentError, run_config
 from .dataio import DataError
-from .depth import DepthError, Sample, batch_depth, self_depth_field
+from .depth import DepthError, Sample, batch_depth, pooled_depth, self_depth_field
 from .levelsets import KnnGrid, LevelSetError
 from .metrics import (
     BHVSpace,
@@ -206,6 +204,13 @@ def _load_sample(path, metric, shape) -> Sample:
     return Sample(*_read_points(path, metric, shape))
 
 
+def _load_pair(first, second, args) -> tuple[Sample, Sample]:
+    """Two samples in the space of the first file: points of the second
+    that do not belong to it fail there, as `--queries` points do."""
+    sx = _load_sample(first, args.metric, args.shape)
+    return sx, Sample(_read_points(second, args.metric, args.shape)[0], sx.space)
+
+
 def _coord_header(points) -> list[str]:
     if points.ndim == 1:            # trees have no coordinates
         return []
@@ -299,52 +304,25 @@ def cmd_psi(args) -> int:
     return 0
 
 
-# Cross distances per block of `_pooled_matrix`.
-_CROSS_BLOCK = 1 << 16
-
-
 def _two_sample_curves(args):
-    sx = _load_sample(args.x, args.metric, args.shape)
-    sy = _load_sample(args.y, args.metric, args.shape)
+    sx, sy = _load_pair(args.x, args.y, args)
     grid = pair_matrix = None
     if args.grid is not None:
-        grid = queries = dataio.parse_grid_spec(args.grid)
+        grid = dataio.parse_grid_spec(args.grid)
+        fx = batch_depth(grid, sx, threads=args.threads)
+        fy = batch_depth(grid, sy, threads=args.threads)
     else:
-        queries = np.concatenate([sx.points, sy.points])
-    fx = batch_depth(queries, sx, threads=args.threads)
-    fy = batch_depth(queries, sy, threads=args.threads)
-    # Off the line the diam and inradius curves on the pooled points share
-    # one matrix of their distances, as in `psi`; built after the counts,
-    # whose query matrices are then freed.
-    if (grid is None and args.psi != "volume"
-            and not (isinstance(sx.space, EuclideanSpace) and sx.space.dim == 1)):
-        pair_matrix = _pooled_matrix(sx, sy)
+        # Off the line the counts and the diam and inradius curves on the
+        # pooled points share one matrix of their distances, as in `psi`.
+        fx, fy, pair_matrix = pooled_depth(sx, sy, threads=args.threads)
     lambdas = _lambda_grid(args, fx, fy)
     cx = dispersion.psi_curve(fx, args.psi, lambdas, grid=grid, pair_matrix=pair_matrix)
     cy = dispersion.psi_curve(fy, args.psi, lambdas, grid=grid, pair_matrix=pair_matrix)
-    return sx, sy, cx, cy
-
-
-def _pooled_matrix(sx: Sample, sy: Sample) -> np.ndarray:
-    """The distance matrix of the points of `sx` followed by those of
-    `sy`: their own matrices and the cross block, which is measured in
-    blocks of rows; the floats `pairwise` gives the pooled points (see
-    `metrics`)."""
-    nx = sx.n
-    out = np.empty((nx + sy.n,) * 2)
-    out[:nx, :nx] = sx.distance_matrix
-    out[nx:, nx:] = sy.distance_matrix
-    step = max(1, _CROSS_BLOCK // sy.n)
-    for lo in range(0, nx, step):
-        hi = min(lo + step, nx)
-        block = sx.space.cross_matrix(sx.points[lo:hi], sy.points)
-        out[lo:hi, nx:] = block
-        out[nx:, lo:hi] = block.T
-    return out
+    return cx, cy
 
 
 def cmd_gamma(args) -> int:
-    _, _, cx, cy = _two_sample_curves(args)
+    cx, cy = _two_sample_curves(args)
     value = dispersion.gamma(cx, cy)
     prov = _provenance(args)
     dataio.write_json(args.out, {
@@ -360,11 +338,10 @@ def cmd_gamma(args) -> int:
 
 def cmd_order(args) -> int:
     if args.relation == "giovagnoli":
-        sx = _load_sample(args.x, args.metric, args.shape)
-        sy = _load_sample(args.y, args.metric, args.shape)
-        verdict = dispersion.giovagnoli_order(sx, sy, tol=args.tol)
+        verdict = dispersion.giovagnoli_order(*_load_pair(args.x, args.y, args),
+                                              tol=args.tol)
     else:
-        _, _, cx, cy = _two_sample_curves(args)
+        cx, cy = _two_sample_curves(args)
         fn = {"spread": dispersion.spread_out_ge,
               "strong": dispersion.strong_order,
               "weak": dispersion.weak_order}[args.relation]
@@ -396,8 +373,7 @@ def cmd_gamma_tn(args) -> int:
 
 
 def cmd_ddplot(args) -> int:
-    s0 = _load_sample(args.group0, args.metric, args.shape)
-    s1 = _load_sample(args.group1, args.metric, args.shape)
+    s0, s1 = _load_pair(args.group0, args.group1, args)
     points = None
     if args.points is not None:
         points = _read_points(args.points, args.metric, args.shape)[0]

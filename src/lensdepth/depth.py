@@ -4,12 +4,12 @@ evaluation, and population oracles.
 The depth of a query point is the fraction of unordered sample pairs
 whose lens (intersection of the two closed balls centred at the pair
 with radius equal to their distance) contains it.  `empirical_lens_depth`
-is the direct double loop over pairs.  `batch_depth`, `self_depth_field`
-and `loo_depth_against` all read one function, `_counts`, which matches
-the double loop bit for bit at any thread count.  Leave-one-out values
-are read off its counts: a point equal by value to a sample point drops
-the n - 1 pairs containing that point, all of which cover it.  The count
-takes one of three paths:
+is the direct double loop over pairs.  The counts of `batch_depth`,
+`self_depth_field`, `loo_depth_against` and `pooled_depth` match it bit
+for bit at any thread count.  Leave-one-out values are read off the
+counts: a point equal by value to a sample point drops the n - 1 pairs
+containing that point, all of which cover it.  `_counts` takes one of
+three paths:
 
 - In R^1 the lens of (a, b) is the segment between them, so the count
   comes from one sort of the sample and two binary searches per query,
@@ -30,7 +30,9 @@ takes one of three paths:
   counts each query in depth order against suffix bitsets of the
   sorted sample rows (`_walk_table`, built once per count); past that
   budget the vectorized `_count_block` compares every pair.  Either
-  kernel runs on one contiguous block of query rows per thread.
+  kernel (`_matrix_counts`) runs on one contiguous block of query rows
+  per thread.  `pooled_depth` measures one matrix of the points of two
+  samples and hands that kernel choice each sample's blocks of it.
 
 `thread_map` is the package's one thread pool.
 """
@@ -103,6 +105,14 @@ class DepthField:
     @property
     def max_value(self) -> float:
         return float(self.values.max())
+
+    def leave_out(self, rows) -> np.ndarray:
+        """The values, with each point of the boolean mask `rows` left out
+        of the sample.  Such a point equals a sample point by value, so its
+        distances are that point's bit for bit (see `metrics`) and every
+        pair containing that point covers it: its count drops n - 1 pairs."""
+        n = self.n
+        return np.where(rows, (self.counts - (n - 1)) / _pair_count(n - 1), self.values)
 
 
 def empirical_lens_depth(x, sample: Sample, exclude: int | None = None) -> float:
@@ -483,10 +493,15 @@ def _counts(queries, sample: Sample, threads: int):
     # The sample matrix comes first: its construction's temporaries are then
     # freed before the query matrix exists, which bounds peak memory.
     dmat = sample.distance_matrix
-    dq = dmat if own else _query_matrix(queries, sample)
+    return queries, _matrix_counts(dmat if own else _query_matrix(queries, sample), dmat, threads)
+
+
+def _matrix_counts(dq: np.ndarray, dmat: np.ndarray, threads: int) -> np.ndarray:
+    """Covering-pair counts of the query rows `dq` against the sample
+    matrix `dmat`, either of which may be a block of a larger matrix."""
     # One table per count, built before the threads start; they only read it.
-    walk = _walk_table(dmat) if _table_fits(sample.n) else None
-    step = max(1, _COUNT_BLOCK // sample.n)
+    walk = _walk_table(dmat) if _table_fits(len(dmat)) else None
+    step = max(1, _COUNT_BLOCK // len(dmat))
 
     def kernel(block):
         if walk is not None:
@@ -495,7 +510,7 @@ def _counts(queries, sample: Sample, threads: int):
                                for i in range(0, len(block), step)])
 
     blocks = np.array_split(dq, min(max(threads, 1), len(dq)))
-    return queries, np.concatenate(thread_map(kernel, blocks, threads))
+    return np.concatenate(thread_map(kernel, blocks, threads))
 
 
 def _query_matrix(queries, sample: Sample) -> np.ndarray:
@@ -521,9 +536,33 @@ def batch_depth(queries, sample: Sample, threads: int = 1) -> DepthField:
     independent of `threads` (work is partitioned, each part computed in
     isolation, and counts are integers).
     """
-    queries, counts = _counts(queries, sample, threads)
-    return DepthField(points=queries, values=counts / _pair_count(sample.n),
+    return _field(*_counts(queries, sample, threads), sample)
+
+
+def _field(points, counts: np.ndarray, sample: Sample) -> DepthField:
+    return DepthField(points=points, values=counts / _pair_count(sample.n),
                       n=sample.n, space=sample.space, counts=counts)
+
+
+def pooled_depth(sample_x: Sample, sample_y: Sample, threads: int = 1):
+    """The `batch_depth` fields of the pooled points, those of `sample_x`
+    then those of `sample_y`, against each sample, and their distance
+    matrix (None on the line, where the counts build none).  A sample's
+    matrix is its diagonal block and its query matrix its column block:
+    the floats of `pairwise` and `cross_matrix` (see `metrics`)."""
+    for sample in (sample_x, sample_y):
+        if sample.n < 2:
+            raise DepthError(f"need at least 2 sample points, have {sample.n}")
+    space = sample_x.space
+    pooled = Sample(np.concatenate([sample_x.points, space.coerce_points(sample_y.points)]), space)
+    if _on_line(space):
+        return (batch_depth(pooled.points, sample_x, threads),
+                batch_depth(pooled.points, sample_y, threads), None)
+    dmat = pooled.distance_matrix
+    x, y = slice(None, sample_x.n), slice(sample_x.n, None)
+    return (_field(pooled.points, _matrix_counts(dmat[:, x], dmat[x, x], threads), sample_x),
+            _field(pooled.points, _matrix_counts(dmat[:, y], dmat[y, y], threads), sample_y),
+            dmat)
 
 
 def self_depth_field(sample: Sample, threads: int = 1) -> DepthField:
@@ -541,25 +580,17 @@ def self_depth_field(sample: Sample, threads: int = 1) -> DepthField:
                       n=n, space=sample.space, counts=counts)
 
 
-def loo_depth_against(points, sample: Sample, threads: int = 1,
-                      left_out=None) -> np.ndarray:
+def loo_depth_against(points, sample: Sample, threads: int = 1) -> np.ndarray:
     """Depths of explicit points against `sample`, leave-one-out where a
     point is equal by value to a sample point (equal coordinates, or an
     equal tree); a distinct point at distance 0 keeps its plain depth.
-    A boolean mask `left_out` names the points to leave out instead;
-    each must be equal by value to a sample point.
-
-    As in `self_depth_field`, every pair containing x_e covers a point
-    equal to x_e, whose distances are x_e's bit for bit in any batch and
-    argument order (see `metrics`), so its count drops those n-1 pairs.
+    The pooled points of two samples, each left out of its own sample
+    only, are read off `pooled_depth` with `DepthField.leave_out`.
     """
-    n = sample.n
-    if n < 3:
-        raise DepthError(f"leave-one-out depth needs n >= 3, have {n}")
+    if sample.n < 3:
+        raise DepthError(f"leave-one-out depth needs n >= 3, have {sample.n}")
     field = batch_depth(points, sample, threads)
-    if left_out is None:
-        left_out = _sample_index(field.points, sample) >= 0
-    return np.where(left_out, (field.counts - (n - 1)) / _pair_count(n - 1), field.values)
+    return field.leave_out(_sample_index(field.points, sample) >= 0)
 
 
 def _sample_index(points, sample: Sample) -> np.ndarray:

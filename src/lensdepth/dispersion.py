@@ -136,7 +136,8 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
         elif grid is None and n and starts[0] == 0:
             raise LevelSetError(
                 "inradius is undefined with an empty complement outside a "
-                "lattice; start the level grid above 0")
+                "lattice; start the level grid above the smallest depth, "
+                f"{float(depths[order[0]])!r}")
         else:
             exterior = (np.full(n, np.inf) if grid is None
                         else grid.exterior_distance(field.points)[order])

@@ -16,7 +16,7 @@ from lensdepth.depth import (
     self_depth_field,
 )
 from lensdepth.levelsets import LevelSetError, level_set
-from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
+from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace, StiefelSpace
 
 from conftest import random_tree
 
@@ -49,6 +49,28 @@ def test_point_far_from_both_groups(rng):
     g1 = Sample(rng.standard_normal((12, 2)) + 2.0, E2)
     records = depth_depth(g0, g1, points=np.array([[500.0, 500.0]]))
     assert records[0].depth0 == 0.0 and records[0].depth1 == 0.0
+
+
+def test_groups_in_different_spaces_are_rejected(rng):
+    frames = np.tile(np.eye(3)[:, :2], (5, 1, 1))
+    pairs = [(Sample(rng.standard_normal((5, 2)), E2),
+              Sample(rng.standard_normal((5, 3)), EuclideanSpace(3))),
+             (Sample(np.eye(3)[[0, 1, 2, 0, 1]], EuclideanSpace(3)),
+              Sample(np.eye(3)[[0, 1, 2, 0, 1]], SphereSpace(3))),
+             (Sample(frames, StiefelSpace(3, 2, "chordal")),
+              Sample(frames, StiefelSpace(3, 2, "procrustes")))]
+    trees = [[random_tree(labels, rng) for _ in range(5)] for labels in ("abcd", "abce")]
+    pairs.append(tuple(Sample(t, BHVSpace(labels)) for t, labels in zip(trees, ("abcd", "abce"))))
+    for g0, g1 in pairs:
+        for points in (None, g0.points):
+            with pytest.raises(DepthError, match="different spaces"):
+                depth_depth(g0, g1, points=points)
+
+
+def test_groups_in_equal_spaces_are_one_space(rng):
+    g0 = Sample(rng.standard_normal((5, 2)), E2)
+    g1 = Sample(rng.standard_normal((5, 2)), EuclideanSpace(2))
+    assert len(depth_depth(g0, g1)) == 10
 
 
 def test_pooled_records_use_leave_one_out(rng):

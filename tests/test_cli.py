@@ -601,7 +601,15 @@ def test_tree_psi_reuses_the_sample_geodesics(workdir, monkeypatch, psi):
     assert any(float(r.split(",")[1]) > 0 for r in data_lines(workdir / "psi.csv")[1:])
 
 
-@pytest.mark.parametrize("command", [["gamma"], ["order", "--relation", "spread"]])
+TWO_SAMPLE = {
+    "gamma": ["gamma", "--x", "x", "--y", "y", "--psi", "diam", "--levels", "20"],
+    "order": ["order", "--x", "x", "--y", "y", "--relation", "spread", "--psi", "diam",
+              "--levels", "20"],
+    "ddplot": ["ddplot", "--group0", "x", "--group1", "y"],
+}
+
+
+@pytest.mark.parametrize("command", [["gamma"], ["order", "--relation", "spread"], ["ddplot"]])
 def test_tree_two_sample_curves_share_the_pooled_geodesics(workdir, monkeypatch, command):
     from lensdepth import treespace
 
@@ -617,13 +625,13 @@ def test_tree_two_sample_curves_share_the_pooled_geodesics(workdir, monkeypatch,
 
     bhv_distance = treespace.bhv_distance
     monkeypatch.setattr(treespace, "bhv_distance", counted)
-    assert run([*command, "--metric", "bhv", "--x", "x.nwk", "--y", "y.nwk", "--psi", "diam",
-                "--levels", "20", "--out", "out.json", "--no-timestamp"]) == 0
-    # Each sample's own pairs, each pooled tree of the other sample against
-    # it, and the 400 cross pairs once more for the curves' pooled matrix
-    # (3,540 calls when each curve measured all 780 pooled pairs and each
-    # sample's trees were measured again).
-    assert len(calls) == 2 * 190 + 2 * 20 * 20 + 20 * 20
+    argv = [{"x": "x.nwk", "y": "y.nwk"}.get(a, a) for a in TWO_SAMPLE[command[0]]]
+    assert run([*argv, "--metric", "bhv", "--out", "out.json", "--no-timestamp"]) == 0
+    # Each pair of the 40 pooled trees once, for both samples' counts and
+    # both curves: 1,580 calls when the curves' pooled matrix was built
+    # after counts that measured each sample's pairs and its columns for
+    # every pooled tree (1,180 for ddplot, which has no curves).
+    assert len(calls) == 40 * 39 // 2
     if command == ["gamma"]:
         # The curves equal those measured pair by pair, without the matrix.
         out = json.loads((workdir / "out.json").read_text())
@@ -633,6 +641,27 @@ def test_tree_two_sample_curves_share_the_pooled_geodesics(workdir, monkeypatch,
             field = batch_depth(trees, Sample(part, space))
             curve = psi_curve(field, "diam", out["levels"])
             assert [float(v) for v in curve.values] == out[key]
+
+
+@pytest.mark.parametrize("command", sorted(TWO_SAMPLE) + ["giovagnoli"])
+def test_two_samples_in_different_spaces_are_one_error_line(workdir, capsys, command):
+    """The second sample is read into the first one's space: a different
+    column count, or a different leaf set, fails there."""
+    rng = np.random.default_rng(4)
+    write_points(workdir / "x.csv", rng.standard_normal((12, 2)))
+    write_points(workdir / "y.csv", rng.standard_normal((12, 3)))
+    (workdir / "x.nwk").write_text("".join(to_newick(random_tree("abcd", rng)) + "\n"
+                                           for _ in range(5)))
+    (workdir / "y.nwk").write_text("".join(to_newick(random_tree("abce", rng)) + "\n"
+                                           for _ in range(5)))
+    argv = TWO_SAMPLE.get(command, ["order", "--x", "x", "--y", "y", "--relation", "giovagnoli"])
+    for ext, metric in ((".csv", "euclidean"), (".nwk", "bhv")):
+        paths = {"x": "x" + ext, "y": "y" + ext}
+        code = run([paths.get(a, a) for a in argv] + ["--metric", metric, "--out", "out.json"])
+        err = capsys.readouterr().err
+        assert code == 1, (metric, err)
+        assert len(err.splitlines()) == 1 and err.startswith("lensdepth: error: ")
+        assert not (workdir / "out.json").exists()
 
 
 # ---------------------------------------------------------------------------

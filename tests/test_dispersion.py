@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import norm, t as tdist
@@ -209,6 +211,19 @@ def test_psi_inradius_needs_a_complement_without_exterior(rng):
     lambdas = np.array([0.0, field.values.max()])
     with pytest.raises(LevelSetError, match="empty complement"):
         psi_curve(field, "inradius", lambdas)
+
+
+def test_psi_inradius_error_names_the_smallest_depth(rng):
+    """A grid starting above 0 but at or below the smallest depth still
+    has an empty complement at its first level; the error says where the
+    grid must start."""
+    sample = Sample(rng.standard_normal((12, 2)), E2)
+    field = batch_depth(sample.points, sample)      # each point's own pairs cover it
+    low, top = field.values.min(), field.values.max()
+    assert low > 0
+    with pytest.raises(LevelSetError, match=re.escape(f"above the smallest depth, {float(low)!r}")):
+        psi_curve(field, "inradius", [low, top])
+    assert psi_curve(field, "inradius", [np.nextafter(low, 1.0), top]).values[0] > 0
 
 
 # ---------------------------------------------------------------------------

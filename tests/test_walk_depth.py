@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lensdepth import cli, depth
+from lensdepth import depth
 from lensdepth.analysis import depth_depth
 from lensdepth.depth import (
     Sample,
@@ -20,6 +20,7 @@ from lensdepth.depth import (
     batch_depth,
     empirical_lens_depth,
     loo_depth_against,
+    pooled_depth,
     self_depth_field,
 )
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace, StiefelSpace
@@ -254,12 +255,37 @@ def test_ddplot_pooled_records_equal_the_double_loop(name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_pooled_matrix_equals_pairwise(name, monkeypatch):
-    """`gamma` and `order` assemble the pooled points' matrix from the two
-    samples' matrices and the cross block, here in blocks of 7 rows and
-    one of 5: the floats `pairwise` gives."""
+def test_pooled_matrix_equals_pairwise(name):
+    """The pooled points' matrix, from which each sample's counts and the
+    psi curves of `gamma` and `order` are read, holds each sample's own
+    matrix on its diagonal and the cross matrix off it, bit for bit."""
     sx, pts = make(name, 40, 33)
     sy = Sample(pts, sx.space)
-    monkeypatch.setattr(cli, "_CROSS_BLOCK", 7 * 33)
-    want = sx.space.pairwise(np.concatenate([sx.points, sy.points]))
-    assert np.array_equal(cli._pooled_matrix(sx, sy).view(np.int64), want.view(np.int64))
+    dmat = pooled_depth(sx, sy)[2]
+    x, y = slice(None, sx.n), slice(sx.n, None)
+    cross = sx.space.cross_matrix(sx.points, sy.points)
+    for block, want in ((dmat[x, x], sx.distance_matrix), (dmat[y, y], sy.distance_matrix),
+                        (dmat[x, y], cross), (dmat[y, x], cross.T)):
+        assert np.array_equal(block.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("small_table", [False, True], ids=["walk", "both-kernels"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pooled_counts_equal_batch_depth(kernels, monkeypatch, name, small_table):
+    """The counts read off strided blocks of the pooled matrix equal those
+    of `batch_depth` on the pooled points, at any thread count; with the
+    table budget between the two sample sizes, the walk counts one sample
+    and `_count_block` the other."""
+    sx, pts = make(name, 70, 65)
+    sy = Sample(pts, sx.space)
+    pooled = np.concatenate([sx.points, sy.points])
+    want = [batch_depth(pooled, sample).counts for sample in (sx, sy)]
+    kernels.clear()
+    if small_table:
+        monkeypatch.setattr(depth, "_WALK_TABLE", table_bytes(65))
+    for threads in (1, 2, 3):
+        fields = pooled_depth(sx, sy, threads=threads)[:2]
+        assert [f.n for f in fields] == [sx.n, sy.n]
+        for field, counts in zip(fields, want):
+            assert np.array_equal(field.counts, counts)
+    assert set(kernels) == ({"_walk_block", "_count_block"} if small_table else {"_walk_block"})
