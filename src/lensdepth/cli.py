@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     _metric_args(p)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--psi", choices=dispersion.PSI_KINDS, default="diam")
+    p.add_argument("--psi", choices=("diam", "inradius"), default="diam")
     p.add_argument("--lambdas", default=None, help="level range lo:hi:step")
     p.add_argument("--levels", type=int, default=200)
     p.add_argument("--grid", default=None)
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--relation", choices=("spread", "strong", "weak", "giovagnoli"),
                    required=True)
-    p.add_argument("--psi", choices=dispersion.PSI_KINDS, default="diam")
+    p.add_argument("--psi", choices=("diam", "inradius"), default="diam")
     p.add_argument("--lambdas", default=None, help="level range lo:hi:step")
     p.add_argument("--levels", type=int, default=200)
     p.add_argument("--grid", default=None)

@@ -6,19 +6,11 @@ containing leaf 0) with positive lengths, plus one nonnegative pendant
 length per leaf.  Distances are geodesics in the
 Billera-Holmes-Vogtmann orthant complex, computed by successive support
 refinement: each support pair is split while its incompatibility graph
-admits a vertex cover of weight < 1 (found via max-flow/min-cut).  The
-crossing relation of a tree pair is built once, as one bitmask of
-B-splits per A-split.  Each max flow takes the augmenting paths of
-Edmonds-Karp's breadth-first search, in its order, in two phases: while
-a one-hop path s -> a -> b -> t is left, the search would return the
-lowest a with an unsaturated neighbour and that neighbour's lowest b,
-so the pair is read off the masks without a search (source and sink
-residuals never rise, so once no such path is left none comes back);
-the longer paths then come from the search itself, with reverse edges
-read off a per-B mask of the A-splits carrying flow into it.  Covers,
-supports and distances are bit-identical to a search per path.  An
-exhaustive support-sequence oracle is provided for trees with at most 7
-leaves; it exists to cross-check the solver in tests.
+admits a vertex cover of weight < 1 (`_min_weight_cover`).  Supports are
+pairs of masks over the two trees' split positions, and each split of
+the first tree gets one crossing row per tree pair.  An exhaustive
+support-sequence oracle for trees with at most 7 leaves cross-checks
+the solver in tests.
 """
 
 from __future__ import annotations
@@ -26,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 ZERO_LENGTH_TOL = 1e-12
 _COVER_SLACK = 1e-12
@@ -161,6 +154,11 @@ class Tree:
     @property
     def interior_map(self) -> dict[int, float]:
         return dict(self.interior)
+
+    @cached_property
+    def _tables(self):     # for the geodesic: length by side, squares, (side, bit) pairs
+        return (dict(self.interior), [length * length for _, length in self.interior],
+                [(m, 1 << k) for k, (m, _) in enumerate(self.interior)])
 
     def sort_key(self):
         return (self.labels, self.interior, self.pendant)
@@ -394,24 +392,15 @@ class GeodesicResult:
     support: tuple
 
 
-def _norm(part) -> float:
-    s = 0.0
-    for _, length in part:
-        s += length * length
-    return math.sqrt(s)
-
-
-def _crossing_mask(s: int, splits) -> int:
-    """Mask of the positions in `splits`, (side, length) pairs, whose
-    canonical side crosses the canonical side `s`.
-
-    Canonical sides never contain leaf 0, so their complements always
-    meet, and `compatible` reduces to: the sides are disjoint or nested.
-    """
+def _crossing_mask(s: int, sides) -> int:
+    """OR of the bits of the (side, bit) pairs in `sides` whose side crosses
+    `s`: canonical sides never contain leaf 0, so two cross exactly when
+    their intersection is neither empty nor either side."""
     out = 0
-    for k, (t, _) in enumerate(splits):
-        if s & t and s & ~t and t & ~s:
-            out |= 1 << k
+    for t, bit in sides:
+        x = s & t
+        if x and x != s and x != t:
+            out |= bit
     return out
 
 
@@ -431,161 +420,178 @@ def _decompose(t1: Tree, t2: Tree):
 
     A split present in only one tree but compatible with every split of
     the other is a shared coordinate ending (or starting) at length 0.
+    Returns the shared squared length, the masks of the incompatible
+    positions of `t1.interior` and `t2.interior`, and the crossing row of
+    each position of t1: the mask of t2's positions crossing it.
     """
     if t1.labels != t2.labels:
-        raise TreeError(
-            f"leaf universes differ: {t1.labels!r} vs {t2.labels!r}")
-    m1, m2 = t1.interior_map, t2.interior_map
+        raise TreeError(f"leaf universes differ: {t1.labels!r} vs {t2.labels!r}")
+    (m1, _, _), (m2, _, sides) = t1._tables, t2._tables
     common_sq = 0.0
     for p, q in zip(t1.pendant, t2.pendant):
         d = p - q
         common_sq += d * d
-    a_side: list[tuple[int, float]] = []
-    b_side: list[tuple[int, float]] = []
-    crossed = 0                          # positions of t2's splits crossing t1's
-    for mask, length in t1.interior:
+    amask = bmask = 0
+    cross = [0] * len(t1.interior)
+    for i, (mask, length) in enumerate(t1.interior):
         if mask in m2:
             d = length - m2[mask]
             common_sq += d * d
-            continue
-        row = _crossing_mask(mask, t2.interior)
-        crossed |= row
-        if row:
-            a_side.append((mask, length))
+        elif row := _crossing_mask(mask, sides):
+            cross[i] = row
+            amask |= 1 << i
+            bmask |= row
         else:
             common_sq += length * length
     for k, (mask, length) in enumerate(t2.interior):
-        if mask in m1:
-            continue
-        if crossed >> k & 1:
-            b_side.append((mask, length))
-        else:
+        if not bmask >> k & 1 and mask not in m1:
             common_sq += length * length
-    return common_sq, tuple(a_side), tuple(b_side)
+    return common_sq, amask, bmask, cross
 
 
 def _min_weight_cover(apart, bpart, sq_a, sq_b, cross):
     """Minimum-weight vertex cover of a support pair's incompatibility graph.
 
-    `apart` and `bpart` are masks over the indices of the A- and
-    B-splits, `sq_a` and `sq_b` the squared lengths by index, and
-    `cross[i]` the mask of B-splits crossing A-split i.  Vertex weights
-    are squared lengths normalized per side.  By LP duality the cover is
-    a min s-t cut of the network s -> a (weight), a -> b (unbounded, for
-    each crossing pair), b -> t (weight).  A max flow by shortest
-    augmenting paths (Edmonds-Karp, which also terminates with float
-    capacities) gives the cut: the cover is every A-split the final
-    residual graph cannot reach from s plus every B-split it can reach.
+    `apart` and `bpart` mask the two trees' split positions, `sq_a` and
+    `sq_b` hold squared lengths by position, and `cross[i]` masks the
+    B-splits crossing A-split i.  With weights normalized per side, the
+    cover is a min s-t cut of s -> a (weight), a -> b (unbounded, per
+    crossing pair), b -> t (weight), from a max flow that takes the paths
+    of Edmonds-Karp's breadth-first search, which queues the A-splits with
+    residual capacity, then their neighbours, and so on, by position:
 
-    The augmentations are those of a breadth-first search that queues
-    the A-splits with residual capacity in index order, then their
-    neighbours in index order, and so on, taken in two phases:
+    1. While a one-hop path s -> a -> b -> t is left, the search returns
+       the lowest such a and its lowest unsaturated neighbour b, read off
+       the masks; residuals s -> a and b -> t never rise, so none returns.
+    2. Then every B-split queued before the path's end is saturated, so
+       the search stops at the first A-split it queues with an unsaturated
+       neighbour.  Reverse edges come from a per-B mask of the A-splits
+       with flow into it.  The last, failing search gives the cut: the
+       A-splits it cannot reach and the B-splits it can.
 
-    1. While some one-hop path s -> a -> b -> t is left, the search
-       expands every such A-split before any B-split, so it returns the
-       lowest a with an unsaturated neighbour b, and the lowest such b.
-       That pair is read off the masks without a search.  Residuals
-       s -> a and b -> t never rise, so no one-hop path comes back.
-    2. The longer paths come from the search itself, which follows the
-       reverse edges b -> a through a per-B mask of the A-splits with
-       flow into it.  The last, failing search's visited masks are the
-       cut.
-
+    Residuals, flows and predecessors are flat lists by position.
     Returns (weight, A-mask, B-mask) of the cover.
     """
-    ia, ib = _bits(apart), _bits(bpart)
-    sa, sb = sum(sq_a[i] for i in ia), sum(sq_b[j] for j in ib)
-    wa = {i: sq_a[i] / sa for i in ia}
-    wb = {j: sq_b[j] / sb for j in ib}
-    res_a, res_b = dict(wa), dict(wb)    # residual capacities of s -> a, b -> t
-    adj = {i: cross[i] & bpart for i in ia}
-    flow = {}                            # flow[i, j]: residual of b_j -> a_i
-    into = dict.fromkeys(ib, 0)          # into[j]: the i with flow[i, j] > 0
-    live = sum(1 << j for j in ib if res_b[j] > 0.0)
+    ia, ib, nb = _bits(apart), _bits(bpart), len(sq_b)
+    sa, sb = sum([sq_a[i] for i in ia]), sum([sq_b[j] for j in ib])
+    res_a, res_b = [x / sa for x in sq_a], [x / sb for x in sq_b]
+    flow = [0.0] * (len(sq_a) * nb)      # flow[i * nb + j]: residual of b_j -> a_i
+    into = [0] * nb                      # into[j]: the i with flow into b_j
+    live = sum([1 << j for j in ib if res_b[j] > 0.0])     # the j with residual b_j -> t
+    active = 0                           # the i with residual s -> a_i
     for i in ia:
-        reach = adj[i] & live
-        while reach and res_a[i] > 0.0:
-            j = (reach & -reach).bit_length() - 1
-            amount = min(res_a[i], res_b[j])
-            res_a[i] -= amount
+        reach, r, row, bit = cross[i] & live, res_a[i], i * nb, 1 << i
+        while reach and r > 0.0:
+            low = reach & -reach
+            j = low.bit_length() - 1
+            amount = min(r, res_b[j])
+            r -= amount
             res_b[j] -= amount
             # Each step saturates s -> a_i or b_j -> t, so no pair repeats.
-            flow[i, j] = amount
-            into[j] |= 1 << i
+            flow[row + j] = amount
+            into[j] |= bit
             if not res_b[j] > 0.0:
-                live &= ~(1 << j)
-            reach = adj[i] & live
-    n = len(sq_a)                        # node i < n is a_i, node n + j is b_j
+                live ^= low
+                reach ^= low
+        res_a[i] = r
+        if r > 0.0:
+            active |= bit
+    from_b, from_a = [0] * len(sq_a), [0] * nb     # who queued a_i, who queued b_j
     while True:
-        pred = {i: None for i in ia if res_a[i] > 0.0}
-        queue = list(pred)
-        seen_a, seen_b = sum(1 << i for i in queue), 0
-        last = None
+        queue = _bits(active)            # a_i is i, b_j is ~j
+        seen_a, free_b, last = active, bpart, -1
         for u in queue:
-            if u < n:
-                step, base = adj[u] & ~seen_b, n
-                seen_b |= step
-            elif res_b[u - n] > 0.0:
-                last = u
-                break
-            else:
-                step, base = into[u - n] & ~seen_a, 0
-                seen_a |= step
-            while step:                  # new nodes in index order
+            if u >= 0:
+                step = cross[u] & free_b
+                free_b ^= step
+                while step:              # new nodes in position order
+                    low = step & -step
+                    j = low.bit_length() - 1
+                    from_a[j] = u
+                    queue.append(~j)
+                    step ^= low
+                continue
+            step = into[~u] & ~seen_a
+            seen_a |= step
+            while step:
                 low = step & -step
-                v = base + low.bit_length() - 1
-                pred[v] = u
-                queue.append(v)
+                i = low.bit_length() - 1
+                from_b[i] = ~u
+                reach = cross[i] & live
+                if reach:
+                    last = (reach & -reach).bit_length() - 1
+                    from_a[last] = i
+                    break
+                queue.append(i)
                 step ^= low
-        if last is None:
+            if last >= 0:
+                break
+        if last < 0:
             break
-        path = [last]
-        while pred[path[-1]] is not None:
-            path.append(pred[path[-1]])
-        path.reverse()                   # a, b, a, b, ..., b
-        hops = [(i, b - n) for i, b in zip(path[0::2], path[1::2])]    # forward a -> b
-        backs = [(i, b - n) for i, b in zip(path[2::2], path[1::2])]   # reverse b -> a
-        amount = min([res_a[path[0]], res_b[last - n]] + [flow[hop] for hop in backs])
-        res_a[path[0]] -= amount
-        res_b[last - n] -= amount
-        for i, j in hops:
-            flow[i, j] = flow.get((i, j), 0.0) + amount
+        start, backs = from_a[last], []  # back along the path to its first a
+        while not active >> start & 1:
+            j = from_b[start]
+            backs.append(flow[start * nb + j])      # reverse edge b_j -> a_start
+            start = from_a[j]
+        amount = min([res_a[start], res_b[last]] + backs[::-1])
+        res_a[start] -= amount
+        if not res_a[start] > 0.0:
+            active ^= 1 << start
+        res_b[last] -= amount
+        if not res_b[last] > 0.0:
+            live ^= 1 << last
+        i, j = from_a[last], last        # each edge of the path changes its flow once
+        while True:
+            flow[i * nb + j] += amount   # a_i -> b_j
             into[j] |= 1 << i
-        for i, j in backs:
-            flow[i, j] -= amount
-            if not flow[i, j] > 0.0:
+            if i == start:
+                break
+            j = from_b[i]
+            flow[i * nb + j] -= amount   # b_j -> a_i
+            if not flow[i * nb + j] > 0.0:
                 into[j] &= ~(1 << i)
-    ca = apart & ~seen_a
-    return sum(wa[i] for i in _bits(ca)) + sum(wb[j] for j in _bits(seen_b)), ca, seen_b
+            i = from_a[j]
+    ca, cb = apart & ~seen_a, bpart & ~free_b
+    return (sum([sq_a[i] / sa for i in ia if ca >> i & 1]) if ca else 0) + (
+        sum([sq_b[j] / sb for j in ib if cb >> j & 1]) if cb else 0), ca, cb
 
 
-def _gtp_support(a_side, b_side):
-    """Refine the cone support until no pair admits a cover of weight < 1.
-
-    The crossing relation is built once; a support pair is a pair of
-    masks over the indices of `a_side` and `b_side`, so every part keeps
-    its side's order.
-    """
-    cross = [_crossing_mask(s, b_side) for s, _ in a_side]
-    sq_a = [l * l for _, l in a_side]
-    sq_b = [l * l for _, l in b_side]
-    pairs = [((1 << len(a_side)) - 1, (1 << len(b_side)) - 1)]
-    idx = 0
+def _geodesic(t1: Tree, t2: Tree):
+    """Geodesic length and support, as (A-mask, B-mask) position pairs:
+    the one solver, whose length alone the distance matrices read."""
+    common_sq, amask, bmask, cross = _decompose(t1, t2)
+    if not amask and not bmask:
+        return math.sqrt(common_sq), []
+    if not (amask and bmask):
+        raise TreeError("incompatible splits found in only one tree; "
+                        "split compatibility must be symmetric")
+    sq_a, sq_b = t1._tables[1], t2._tables[1]
+    pairs, idx = [(amask, bmask)], 0     # the cone; each part keeps its tree's order
     while idx < len(pairs):
         apart, bpart = pairs[idx]
-        if apart.bit_count() == 1 or bpart.bit_count() == 1:
-            # Every vertex of a support pair is incident to an internal
-            # incompatibility, so a 1-by-k pair has min cover weight 1.
-            idx += 1
-            continue
-        weight, ca, cb = _min_weight_cover(apart, bpart, sq_a, sq_b, cross)
-        if weight >= 1.0 - _COVER_SLACK:
-            idx += 1
-            continue
-        # Each split keeps an incompatible partner in its new pair; weight < 1 empties no part.
-        pairs[idx:idx + 1] = [(ca, bpart & ~cb), (apart & ~ca, cb)]
-    return tuple((tuple(a_side[i] for i in _bits(am)), tuple(b_side[j] for j in _bits(bm)))
-                 for am, bm in pairs)
+        # Every vertex of a support pair is incident to an internal
+        # incompatibility, so a 1-by-k pair has min cover weight 1.
+        if apart.bit_count() != 1 and bpart.bit_count() != 1:
+            weight, ca, cb = _min_weight_cover(apart, bpart, sq_a, sq_b, cross)
+            if not weight >= 1.0 - _COVER_SLACK:
+                # Each split keeps an incompatible partner in its new pair; weight < 1 empties no part.
+                pairs[idx:idx + 1] = [(ca, bpart & ~cb), (apart & ~ca, cb)]
+                continue
+        idx += 1
+    lsq = 0.0
+    for apart, bpart in pairs:
+        sa = sb = 0.0                    # each part's squares, summed in position order
+        while apart:
+            low = apart & -apart
+            sa += sq_a[low.bit_length() - 1]
+            apart ^= low
+        while bpart:
+            low = bpart & -bpart
+            sb += sq_b[low.bit_length() - 1]
+            bpart ^= low
+        term = math.sqrt(sa) + math.sqrt(sb)
+        lsq += term * term
+    return math.sqrt(common_sq + lsq), pairs
 
 
 def bhv_distance(t1: Tree, t2: Tree) -> GeodesicResult:
@@ -593,18 +599,10 @@ def bhv_distance(t1: Tree, t2: Tree) -> GeodesicResult:
 
     Equals the Euclidean edge-length distance when the topologies agree.
     """
-    common_sq, a_side, b_side = _decompose(t1, t2)
-    if not a_side and not b_side:
-        return GeodesicResult(math.sqrt(common_sq), ())
-    if not (a_side and b_side):
-        raise TreeError("incompatible splits found in only one tree; "
-                        "split compatibility must be symmetric")
-    support = _gtp_support(a_side, b_side)
-    lsq = 0.0
-    for apart, bpart in support:
-        term = _norm(apart) + _norm(bpart)
-        lsq += term * term
-    return GeodesicResult(math.sqrt(common_sq + lsq), support)
+    distance, pairs = _geodesic(t1, t2)
+    return GeodesicResult(distance, tuple(
+        (tuple(t1.interior[i] for i in _bits(am)), tuple(t2.interior[j] for j in _bits(bm)))
+        for am, bm in pairs))
 
 
 def _surjections(n, k):
@@ -624,9 +622,11 @@ def bhv_distance_exhaustive(t1: Tree, t2: Tree) -> float:
         raise TreeError(
             f"exhaustive search is limited to {_EXHAUSTIVE_MAX_LEAVES} leaves, "
             f"got {t1.n_leaves}")
-    common_sq, a_side, b_side = _decompose(t1, t2)
-    if not a_side and not b_side:
+    common_sq, amask, bmask, _ = _decompose(t1, t2)
+    if not amask and not bmask:
         return math.sqrt(common_sq)
+    a_side = [t1.interior[i] for i in _bits(amask)]
+    b_side = [t2.interior[j] for j in _bits(bmask)]
     umask = t1.universe_mask
     na, nb = len(a_side), len(b_side)
     compat = [[compatible(a[0], b[0], umask) for b in b_side] for a in a_side]
@@ -657,7 +657,7 @@ def bhv_distance_exhaustive(t1: Tree, t2: Tree) -> float:
             total += term * term
         return total
 
-    best = (_norm(a_side) + _norm(b_side)) ** 2          # cone path, k = 1
+    best = (math.sqrt(sum(wa)) + math.sqrt(sum(wb))) ** 2          # cone path, k = 1
     for k in range(2, min(na, nb) + 1):
         for fa in _surjections(na, k):
             for fb in _surjections(nb, k):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -6,7 +8,14 @@ from scipy.stats import qmc
 from lensdepth.dispersion import DispersionError
 from lensdepth.levelsets import LatticeGrid, LevelSetError
 from lensdepth.metrics import BHVSpace, EuclideanSpace, MetricSpace, SphereSpace, StiefelSpace
-from lensdepth.treespace import Tree, canonical_split
+from lensdepth.treespace import (
+    _COVER_SLACK,
+    GeodesicResult,
+    Tree,
+    TreeError,
+    _bits,
+    canonical_split,
+)
 
 
 @pytest.fixture
@@ -357,11 +366,222 @@ def _tree_pairs():
         "random-12": random_pairs(12, 30),
         "random-24": random_pairs(24, 10),
         "random-48": random_pairs(48, 5),
+        "random-70": random_pairs(70, 5),     # split masks past 64 bits
     }
 
 
 # name -> list of tree pairs on one leaf universe each.
 TREE_PAIRS = _tree_pairs()
+
+
+# ---------------------------------------------------------------------------
+# The geodesic solver `treespace` replaced, kept unchanged as the oracle of
+# `treespace._geodesic`: it takes the same augmentations over index masks
+# of the incompatible splits, with dicts keyed by index and by index pair,
+# and builds each pair's crossing relation twice.
+
+
+def _norm(part) -> float:
+    s = 0.0
+    for _, length in part:
+        s += length * length
+    return math.sqrt(s)
+
+
+def _crossing_mask(s: int, splits) -> int:
+    """Mask of the positions in `splits`, (side, length) pairs, whose
+    canonical side crosses the canonical side `s`.
+
+    Canonical sides never contain leaf 0, so their complements always
+    meet, and `compatible` reduces to: the sides are disjoint or nested.
+    """
+    out = 0
+    for k, (t, _) in enumerate(splits):
+        if s & t and s & ~t and t & ~s:
+            out |= 1 << k
+    return out
+
+
+def _decompose(t1: Tree, t2: Tree):
+    """Split the coordinate set into shared-Euclidean terms and the
+    mutually incompatible split sets of each tree.
+
+    A split present in only one tree but compatible with every split of
+    the other is a shared coordinate ending (or starting) at length 0.
+    """
+    if t1.labels != t2.labels:
+        raise TreeError(
+            f"leaf universes differ: {t1.labels!r} vs {t2.labels!r}")
+    m1, m2 = t1.interior_map, t2.interior_map
+    common_sq = 0.0
+    for p, q in zip(t1.pendant, t2.pendant):
+        d = p - q
+        common_sq += d * d
+    a_side: list[tuple[int, float]] = []
+    b_side: list[tuple[int, float]] = []
+    crossed = 0                          # positions of t2's splits crossing t1's
+    for mask, length in t1.interior:
+        if mask in m2:
+            d = length - m2[mask]
+            common_sq += d * d
+            continue
+        row = _crossing_mask(mask, t2.interior)
+        crossed |= row
+        if row:
+            a_side.append((mask, length))
+        else:
+            common_sq += length * length
+    for k, (mask, length) in enumerate(t2.interior):
+        if mask in m1:
+            continue
+        if crossed >> k & 1:
+            b_side.append((mask, length))
+        else:
+            common_sq += length * length
+    return common_sq, tuple(a_side), tuple(b_side)
+
+
+def _min_weight_cover(apart, bpart, sq_a, sq_b, cross):
+    """Minimum-weight vertex cover of a support pair's incompatibility graph.
+
+    `apart` and `bpart` are masks over the indices of the A- and
+    B-splits, `sq_a` and `sq_b` the squared lengths by index, and
+    `cross[i]` the mask of B-splits crossing A-split i.  Vertex weights
+    are squared lengths normalized per side.  By LP duality the cover is
+    a min s-t cut of the network s -> a (weight), a -> b (unbounded, for
+    each crossing pair), b -> t (weight).  A max flow by shortest
+    augmenting paths (Edmonds-Karp, which also terminates with float
+    capacities) gives the cut: the cover is every A-split the final
+    residual graph cannot reach from s plus every B-split it can reach.
+
+    The augmentations are those of a breadth-first search that queues
+    the A-splits with residual capacity in index order, then their
+    neighbours in index order, and so on, taken in two phases:
+
+    1. While some one-hop path s -> a -> b -> t is left, the search
+       expands every such A-split before any B-split, so it returns the
+       lowest a with an unsaturated neighbour b, and the lowest such b.
+       That pair is read off the masks without a search.  Residuals
+       s -> a and b -> t never rise, so no one-hop path comes back.
+    2. The longer paths come from the search itself, which follows the
+       reverse edges b -> a through a per-B mask of the A-splits with
+       flow into it.  The last, failing search's visited masks are the
+       cut.
+
+    Returns (weight, A-mask, B-mask) of the cover.
+    """
+    ia, ib = _bits(apart), _bits(bpart)
+    sa, sb = sum(sq_a[i] for i in ia), sum(sq_b[j] for j in ib)
+    wa = {i: sq_a[i] / sa for i in ia}
+    wb = {j: sq_b[j] / sb for j in ib}
+    res_a, res_b = dict(wa), dict(wb)    # residual capacities of s -> a, b -> t
+    adj = {i: cross[i] & bpart for i in ia}
+    flow = {}                            # flow[i, j]: residual of b_j -> a_i
+    into = dict.fromkeys(ib, 0)          # into[j]: the i with flow[i, j] > 0
+    live = sum(1 << j for j in ib if res_b[j] > 0.0)
+    for i in ia:
+        reach = adj[i] & live
+        while reach and res_a[i] > 0.0:
+            j = (reach & -reach).bit_length() - 1
+            amount = min(res_a[i], res_b[j])
+            res_a[i] -= amount
+            res_b[j] -= amount
+            # Each step saturates s -> a_i or b_j -> t, so no pair repeats.
+            flow[i, j] = amount
+            into[j] |= 1 << i
+            if not res_b[j] > 0.0:
+                live &= ~(1 << j)
+            reach = adj[i] & live
+    n = len(sq_a)                        # node i < n is a_i, node n + j is b_j
+    while True:
+        pred = {i: None for i in ia if res_a[i] > 0.0}
+        queue = list(pred)
+        seen_a, seen_b = sum(1 << i for i in queue), 0
+        last = None
+        for u in queue:
+            if u < n:
+                step, base = adj[u] & ~seen_b, n
+                seen_b |= step
+            elif res_b[u - n] > 0.0:
+                last = u
+                break
+            else:
+                step, base = into[u - n] & ~seen_a, 0
+                seen_a |= step
+            while step:                  # new nodes in index order
+                low = step & -step
+                v = base + low.bit_length() - 1
+                pred[v] = u
+                queue.append(v)
+                step ^= low
+        if last is None:
+            break
+        path = [last]
+        while pred[path[-1]] is not None:
+            path.append(pred[path[-1]])
+        path.reverse()                   # a, b, a, b, ..., b
+        hops = [(i, b - n) for i, b in zip(path[0::2], path[1::2])]    # forward a -> b
+        backs = [(i, b - n) for i, b in zip(path[2::2], path[1::2])]   # reverse b -> a
+        amount = min([res_a[path[0]], res_b[last - n]] + [flow[hop] for hop in backs])
+        res_a[path[0]] -= amount
+        res_b[last - n] -= amount
+        for i, j in hops:
+            flow[i, j] = flow.get((i, j), 0.0) + amount
+            into[j] |= 1 << i
+        for i, j in backs:
+            flow[i, j] -= amount
+            if not flow[i, j] > 0.0:
+                into[j] &= ~(1 << i)
+    ca = apart & ~seen_a
+    return sum(wa[i] for i in _bits(ca)) + sum(wb[j] for j in _bits(seen_b)), ca, seen_b
+
+
+def _gtp_support(a_side, b_side):
+    """Refine the cone support until no pair admits a cover of weight < 1.
+
+    The crossing relation is built once; a support pair is a pair of
+    masks over the indices of `a_side` and `b_side`, so every part keeps
+    its side's order.
+    """
+    cross = [_crossing_mask(s, b_side) for s, _ in a_side]
+    sq_a = [l * l for _, l in a_side]
+    sq_b = [l * l for _, l in b_side]
+    pairs = [((1 << len(a_side)) - 1, (1 << len(b_side)) - 1)]
+    idx = 0
+    while idx < len(pairs):
+        apart, bpart = pairs[idx]
+        if apart.bit_count() == 1 or bpart.bit_count() == 1:
+            # Every vertex of a support pair is incident to an internal
+            # incompatibility, so a 1-by-k pair has min cover weight 1.
+            idx += 1
+            continue
+        weight, ca, cb = _min_weight_cover(apart, bpart, sq_a, sq_b, cross)
+        if weight >= 1.0 - _COVER_SLACK:
+            idx += 1
+            continue
+        # Each split keeps an incompatible partner in its new pair; weight < 1 empties no part.
+        pairs[idx:idx + 1] = [(ca, bpart & ~cb), (apart & ~ca, cb)]
+    return tuple((tuple(a_side[i] for i in _bits(am)), tuple(b_side[j] for j in _bits(bm)))
+                 for am, bm in pairs)
+
+
+def former_bhv_distance(t1: Tree, t2: Tree) -> GeodesicResult:
+    """Geodesic distance between two trees on the same leaf universe.
+
+    Equals the Euclidean edge-length distance when the topologies agree.
+    """
+    common_sq, a_side, b_side = _decompose(t1, t2)
+    if not a_side and not b_side:
+        return GeodesicResult(math.sqrt(common_sq), ())
+    if not (a_side and b_side):
+        raise TreeError("incompatible splits found in only one tree; "
+                        "split compatibility must be symmetric")
+    support = _gtp_support(a_side, b_side)
+    lsq = 0.0
+    for apart, bpart in support:
+        term = _norm(apart) + _norm(bpart)
+        lsq += term * term
+    return GeodesicResult(math.sqrt(common_sq + lsq), support)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,18 @@ def test_unknown_flag_exits_2_without_output(workdir):
     assert not (workdir / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["gamma"], ["order", "--relation", "spread"]])
+def test_two_sample_curves_reject_volume_before_reading_input(workdir, capsys, command):
+    # Volume curves need a reference sample, which these commands do not
+    # take.  The inputs do not exist, so reading them would exit 1 instead.
+    with pytest.raises(SystemExit) as err:
+        run([*command, "--x", "missing-x.csv", "--y", "missing-y.csv",
+             "--psi", "volume", "--out", "out.json"])
+    assert err.value.code == 2
+    assert "invalid choice: 'volume'" in capsys.readouterr().err
+    assert os.listdir(workdir) == []
+
+
 def test_missing_file_exit_1(workdir, capsys):
     code = run(["depth", "--sample", "missing.csv", "--queries", "missing.csv",
                 "--out", "x.csv"])
@@ -562,10 +574,10 @@ def test_tree_levelset_boundary_reuses_the_sample_geodesics(workdir, monkeypatch
 
     def counted(t1, t2):
         calls.append(1)
-        return bhv_distance(t1, t2)
+        return geodesic(t1, t2)
 
-    bhv_distance = treespace.bhv_distance
-    monkeypatch.setattr(treespace, "bhv_distance", counted)
+    geodesic = treespace._geodesic        # the solver core the matrices call
+    monkeypatch.setattr(treespace, "_geodesic", counted)
     args = ["levelset", "--metric", "bhv", "--sample", "trees.nwk", "--lambda", "0.3",
             "--no-timestamp"]
     assert run(args + ["--out", "plain.csv"]) == 0
@@ -590,10 +602,10 @@ def test_tree_psi_reuses_the_sample_geodesics(workdir, monkeypatch, psi):
 
     def counted(t1, t2):
         calls.append(1)
-        return bhv_distance(t1, t2)
+        return geodesic(t1, t2)
 
-    bhv_distance = treespace.bhv_distance
-    monkeypatch.setattr(treespace, "bhv_distance", counted)
+    geodesic = treespace._geodesic        # the solver core the matrices call
+    monkeypatch.setattr(treespace, "_geodesic", counted)
     assert run(["psi", "--metric", "bhv", "--sample", "trees.nwk", *psi,
                 "--out", "psi.csv", "--no-timestamp"]) == 0
     # The depth field's pairwise matrix serves the psi curve as well.
@@ -621,10 +633,10 @@ def test_tree_two_sample_curves_share_the_pooled_geodesics(workdir, monkeypatch,
 
     def counted(t1, t2):
         calls.append(1)
-        return bhv_distance(t1, t2)
+        return geodesic(t1, t2)
 
-    bhv_distance = treespace.bhv_distance
-    monkeypatch.setattr(treespace, "bhv_distance", counted)
+    geodesic = treespace._geodesic        # the solver core the matrices call
+    monkeypatch.setattr(treespace, "_geodesic", counted)
     argv = [{"x": "x.nwk", "y": "y.nwk"}.get(a, a) for a in TWO_SAMPLE[command[0]]]
     assert run([*argv, "--metric", "bhv", "--out", "out.json", "--no-timestamp"]) == 0
     # Each pair of the 40 pooled trees once, for both samples' counts and

@@ -7,6 +7,10 @@ the same augmentations in the same order, so the distance and the whole
 support sequence must be identical on every pair of the hostile corpus.
 A minimum cut does not depend on the order of the augmentations in exact
 arithmetic, so a second test compares the augmentations themselves.
+`former_bhv_distance` in conftest is the bitmask solver before flat
+position lists; the solver must equal it too, and the tree-space
+distance matrices, which read only the length, must equal
+`bhv_distance`.
 """
 
 import builtins
@@ -16,15 +20,14 @@ import sys
 import pytest
 
 from lensdepth import treespace
+from lensdepth.metrics import BHVSpace
 from lensdepth.treespace import (
     _COVER_SLACK,
-    _decompose,
-    _norm,
     bhv_distance,
     compatible,
 )
 
-from conftest import TREE_PAIRS
+from conftest import TREE_PAIRS, _decompose, _norm, former_bhv_distance
 
 
 def oracle_cover(apart, bpart, umask):
@@ -143,3 +146,32 @@ def test_solver_takes_the_oracles_augmentations_in_order(name, monkeypatch):
             bhv_distance(t1, t2)
             oracle_distance(t1, t2)
             assert amounts[treespace] == amounts[sys.modules[__name__]]
+
+
+@pytest.mark.parametrize("name", sorted(TREE_PAIRS))
+def test_geodesic_equals_the_former_bitmask_solver(name):
+    for a, b in TREE_PAIRS[name]:
+        for t1, t2 in ((a, b), (b, a)):
+            got, want = bhv_distance(t1, t2), former_bhv_distance(t1, t2)
+            assert got.distance.hex() == want.distance.hex()
+            assert got.support == want.support
+
+
+@pytest.mark.parametrize("name", sorted(TREE_PAIRS))
+def test_matrices_equal_bhv_distance(name):
+    # Every tree of the family, duplicates kept, grouped by leaf universe.
+    groups = {}
+    for pair in TREE_PAIRS[name]:
+        for t in pair:
+            groups.setdefault(t.labels, []).append(t)
+    for labels, trees in groups.items():
+        space = BHVSpace(labels)
+        points = space.coerce_points(trees)
+        want = [[bhv_distance(*sorted((p, q), key=lambda t: t.sort_key())).distance.hex()
+                 for q in trees] for p in trees]
+        pair = space.pairwise(points)
+        cross = space.cross_matrix(points, points)
+        assert [[v.hex() for v in row] for row in cross.tolist()] == want
+        assert (pair == pair.T).all() and not pair.diagonal().any()
+        n = len(trees)
+        assert all(pair[i, j].hex() == want[i][j] for i in range(n) for j in range(i + 1, n))

@@ -18,11 +18,9 @@ from lensdepth.treespace import (
     parse_newick,
     parse_newick_lines,
     to_newick,
-    _decompose,
-    _norm,
 )
 
-from conftest import random_tree
+from conftest import _decompose, _norm, random_tree
 
 LABELS5 = ("A", "B", "C", "D", "E")
 U5 = 0b11111
@@ -196,7 +194,7 @@ def test_compatible_examples():
 def test_crossing_check_is_incompatibility_of_canonical_sides(case):
     n, s, t = case
     s, t = s & ~1, t & ~1                 # canonical: the side without leaf 0
-    crosses = treespace._crossing_mask(s, [(t, 1.0)]) == 1
+    crosses = treespace._crossing_mask(s, [(t, 1)]) == 1
     assert crosses == (not compatible(s, t, 2 ** n - 1))
 
 
@@ -385,8 +383,8 @@ def test_universe_mismatch_raises(rng):
 
 def test_one_sided_incompatible_set_raises_tree_error(monkeypatch, rng):
     t = random_tree(LABELS5, rng)
-    monkeypatch.setattr(treespace, "_decompose",
-                        lambda t1, t2: (0.0, ((mask("AB"), 0.5),), ()))
+    # The first split of t1 is incompatible, with no partner in t2.
+    monkeypatch.setattr(treespace, "_decompose", lambda t1, t2: (0.0, 0b1, 0, [0]))
     with pytest.raises(TreeError, match="only one tree"):
         bhv_distance(t, t)
 
