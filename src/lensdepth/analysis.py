@@ -50,7 +50,7 @@ def depth_depth(sample0: Sample, sample1: Sample, points=None,
         raise DepthError("each group needs at least 3 points")
     if points is None:
         # The pooled points, each left out of its own group only.
-        f0, f1, _ = pooled_depth(sample0, sample1, threads=threads)
+        f0, f1 = pooled_depth(sample0, sample1, threads=threads)
         own = np.arange(len(f0)) < sample0.n
         d0, d1, groups = f0.leave_out(own), f1.leave_out(~own), (~own).astype(int).tolist()
     else:
@@ -67,12 +67,9 @@ def outliers(field: DepthField, lam: float) -> np.ndarray:
     return np.flatnonzero(~level_set(field, lam).member_mask)
 
 
-def diameter_curve_by_group(groups: dict[str, Sample],
-                            fields: dict[str, DepthField],
-                            lambdas) -> dict[str, PsiCurve]:
+def diameter_curve_by_group(fields: dict[str, DepthField], lambdas) -> dict[str, PsiCurve]:
     """Per-group diameter curves of the leave-one-out depth level sets,
     evaluated over each group's own sample points; `fields[label]` is
-    `self_depth_field(groups[label])`."""
-    return {label: psi_curve(fields[label], "diam", lambdas,
-                             pair_matrix=groups[label].distance_matrix)
-            for label in sorted(groups)}
+    that group's `self_depth_field`, whose matrix (none on the line) the
+    curve reads."""
+    return {label: psi_curve(fields[label], "diam", lambdas) for label in sorted(fields)}

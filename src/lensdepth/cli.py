@@ -279,16 +279,10 @@ def _lambda_grid(args, *fields):
 
 def cmd_psi(args) -> int:
     sample = _load_sample(args.sample, args.metric, args.shape)
-    grid = dataio.parse_grid_spec(args.grid) if args.grid else None
-    pair_matrix = None
-    if grid is not None:
-        field = batch_depth(grid, sample, threads=args.threads)
+    if args.grid:
+        field = batch_depth(dataio.parse_grid_spec(args.grid), sample, threads=args.threads)
     else:
         field = self_depth_field(sample, threads=args.threads)
-        # Off the line the depth count has cached the sample's matrix; on
-        # the line it builds none, and one would cost n^2 floats.
-        if not (isinstance(sample.space, EuclideanSpace) and sample.space.dim == 1):
-            pair_matrix = sample.distance_matrix
     reference = None
     if args.psi == "volume":
         if args.reference is None:
@@ -296,29 +290,24 @@ def cmd_psi(args) -> int:
         ref_pts = _read_points(args.reference, args.metric, args.shape)[0]
         reference = Sample(ref_pts, sample.space)
     lambdas = _lambda_grid(args, field)
-    curve = dispersion.psi_curve(field, args.psi, lambdas, grid=grid,
-                                 reference=reference,
-                                 reference_mass=args.reference_mass,
-                                 pair_matrix=pair_matrix)
+    curve = dispersion.psi_curve(field, args.psi, lambdas, reference=reference,
+                                 reference_mass=args.reference_mass)
     _write_rows(args, ["lambda", "psi"], list(zip(curve.lambdas, curve.values)))
     return 0
 
 
 def _two_sample_curves(args):
     sx, sy = _load_pair(args.x, args.y, args)
-    grid = pair_matrix = None
     if args.grid is not None:
         grid = dataio.parse_grid_spec(args.grid)
         fx = batch_depth(grid, sx, threads=args.threads)
         fy = batch_depth(grid, sy, threads=args.threads)
     else:
-        # Off the line the counts and the diam and inradius curves on the
-        # pooled points share one matrix of their distances, as in `psi`.
-        fx, fy, pair_matrix = pooled_depth(sx, sy, threads=args.threads)
+        # Off the line the counts and the curves share one pooled matrix.
+        fx, fy = pooled_depth(sx, sy, threads=args.threads)
     lambdas = _lambda_grid(args, fx, fy)
-    cx = dispersion.psi_curve(fx, args.psi, lambdas, grid=grid, pair_matrix=pair_matrix)
-    cy = dispersion.psi_curve(fy, args.psi, lambdas, grid=grid, pair_matrix=pair_matrix)
-    return cx, cy
+    return (dispersion.psi_curve(fx, args.psi, lambdas),
+            dispersion.psi_curve(fy, args.psi, lambdas))
 
 
 def cmd_gamma(args) -> int:
@@ -419,7 +408,7 @@ def cmd_diam_by_group(args) -> int:
     fields = {label: self_depth_field(sample, threads=args.threads)
               for label, sample in groups.items()}
     lambdas = _lambda_grid(args, *fields.values())
-    curves = analysis.diameter_curve_by_group(groups, fields, lambdas)
+    curves = analysis.diameter_curve_by_group(fields, lambdas)
     rows = []
     for label in sorted(curves):
         for lam, val in zip(curves[label].lambdas, curves[label].values):

@@ -34,15 +34,19 @@ three paths:
   per thread.  `pooled_depth` measures one matrix of the points of two
   samples and hands that kernel choice each sample's blocks of it.
 
+A `DepthField` carries the lattice it was counted on, if any, and the
+distances among its points when the count built them; only the third
+path builds them, so a field on the line never carries a matrix.
+
 `thread_map` is the package's one thread pool.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,13 +88,16 @@ class Sample:
         return f"Sample(n={self.n}, space={self.space!r})"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class DepthField:
     """Depth values over an evaluation point set.
 
     `values` = `counts / C(n', 2)` where counts are the exact numbers of
     covering pairs among the n' sample points counted (n, or n - 1
-    leave-one-out), so every value is a multiple of 1/C(n', 2).
+    leave-one-out), so every value is a multiple of 1/C(n', 2).  `grid`
+    is the `LatticeGrid` whose points are `points`, if the field was
+    counted on one, and `distance_matrix` the distances among `points`
+    when the count built them (the sample's own points off the line).
     """
 
     points: object
@@ -98,6 +105,8 @@ class DepthField:
     n: int
     space: MetricSpace
     counts: np.ndarray | None = None
+    grid: object = dataclasses.field(default=None, repr=False, compare=False)
+    distance_matrix: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.values)
@@ -467,35 +476,6 @@ def _distinct_row_counts(x: np.ndarray, sample: Sample) -> np.ndarray:
     return counts
 
 
-def _counts(queries, sample: Sample, threads: int):
-    """Validated queries and the covering-pair counts of each against
-    `sample`; `queries` is a point set, a `LatticeGrid`, or `sample.points`
-    itself, whose distances are the sample matrix."""
-    if sample.n < 2:
-        raise DepthError(f"need at least 2 sample points, have {sample.n}")
-    from .levelsets import LatticeGrid          # levelsets imports this module
-
-    space, own = sample.space, queries is sample.points
-    if isinstance(queries, LatticeGrid):
-        if isinstance(space, EuclideanSpace) and space.dim == len(queries.axes) >= 2:
-            return queries.points, _lattice_counts(queries, sample, threads)[0]
-        queries = queries.points
-    if not own:
-        queries = space.coerce_points(queries)
-        if len(queries) == 0:
-            raise DepthError("empty query set")
-    if _on_line(space):
-        x = queries[:, 0]
-        counts, rows = _line_counts(x, sample)
-        if rows.size:
-            counts[rows] = _distinct_row_counts(x[rows], sample)
-        return queries, counts
-    # The sample matrix comes first: its construction's temporaries are then
-    # freed before the query matrix exists, which bounds peak memory.
-    dmat = sample.distance_matrix
-    return queries, _matrix_counts(dmat if own else _query_matrix(queries, sample), dmat, threads)
-
-
 def _matrix_counts(dq: np.ndarray, dmat: np.ndarray, threads: int) -> np.ndarray:
     """Covering-pair counts of the query rows `dq` against the sample
     matrix `dmat`, either of which may be a block of a larger matrix."""
@@ -530,24 +510,51 @@ def _query_matrix(queries, sample: Sample) -> np.ndarray:
 def batch_depth(queries, sample: Sample, threads: int = 1) -> DepthField:
     """Empirical lens depth of every query point against `sample`;
     `queries` is a point set or a `LatticeGrid`, whose points are then the
-    field's points.
+    field's points and which the field then carries.  Queries that are
+    `sample.points` itself have the sample matrix as their distances.
 
     Equals `empirical_lens_depth` per point exactly; the result is
     independent of `threads` (work is partitioned, each part computed in
     isolation, and counts are integers).
     """
-    return _field(*_counts(queries, sample, threads), sample)
+    if sample.n < 2:
+        raise DepthError(f"need at least 2 sample points, have {sample.n}")
+    from .levelsets import LatticeGrid          # levelsets imports this module
+
+    space, own = sample.space, queries is sample.points
+    grid = queries if isinstance(queries, LatticeGrid) else None
+    if grid is not None:
+        queries = grid.points
+        if isinstance(space, EuclideanSpace) and space.dim == len(grid.axes) >= 2:
+            return _field(queries, _lattice_counts(grid, sample, threads)[0], sample, grid)
+    if not own:
+        queries = space.coerce_points(queries)
+        if len(queries) == 0:
+            raise DepthError("empty query set")
+    if _on_line(space):
+        x = queries[:, 0]
+        counts, rows = _line_counts(x, sample)
+        if rows.size:
+            counts[rows] = _distinct_row_counts(x[rows], sample)
+        return _field(queries, counts, sample, grid)
+    # The sample matrix comes first: its construction's temporaries are then
+    # freed before the query matrix exists, which bounds peak memory.
+    dmat = sample.distance_matrix
+    if own:
+        return _field(queries, _matrix_counts(dmat, dmat, threads), sample, matrix=dmat)
+    return _field(queries, _matrix_counts(_query_matrix(queries, sample), dmat, threads),
+                  sample, grid)
 
 
-def _field(points, counts: np.ndarray, sample: Sample) -> DepthField:
-    return DepthField(points=points, values=counts / _pair_count(sample.n),
-                      n=sample.n, space=sample.space, counts=counts)
+def _field(points, counts: np.ndarray, sample: Sample, grid=None, matrix=None) -> DepthField:
+    return DepthField(points=points, values=counts / _pair_count(sample.n), n=sample.n,
+                      space=sample.space, counts=counts, grid=grid, distance_matrix=matrix)
 
 
 def pooled_depth(sample_x: Sample, sample_y: Sample, threads: int = 1):
     """The `batch_depth` fields of the pooled points, those of `sample_x`
-    then those of `sample_y`, against each sample, and their distance
-    matrix (None on the line, where the counts build none).  A sample's
+    then those of `sample_y`, against each sample; off the line each
+    carries the one matrix of the pooled points' distances.  A sample's
     matrix is its diagonal block and its query matrix its column block:
     the floats of `pairwise` and `cross_matrix` (see `metrics`)."""
     for sample in (sample_x, sample_y):
@@ -557,12 +564,13 @@ def pooled_depth(sample_x: Sample, sample_y: Sample, threads: int = 1):
     pooled = Sample(np.concatenate([sample_x.points, space.coerce_points(sample_y.points)]), space)
     if _on_line(space):
         return (batch_depth(pooled.points, sample_x, threads),
-                batch_depth(pooled.points, sample_y, threads), None)
+                batch_depth(pooled.points, sample_y, threads))
     dmat = pooled.distance_matrix
     x, y = slice(None, sample_x.n), slice(sample_x.n, None)
-    return (_field(pooled.points, _matrix_counts(dmat[:, x], dmat[x, x], threads), sample_x),
-            _field(pooled.points, _matrix_counts(dmat[:, y], dmat[y, y], threads), sample_y),
-            dmat)
+    return (_field(pooled.points, _matrix_counts(dmat[:, x], dmat[x, x], threads), sample_x,
+                   matrix=dmat),
+            _field(pooled.points, _matrix_counts(dmat[:, y], dmat[y, y], threads), sample_y,
+                   matrix=dmat))
 
 
 def self_depth_field(sample: Sample, threads: int = 1) -> DepthField:
@@ -574,10 +582,10 @@ def self_depth_field(sample: Sample, threads: int = 1) -> DepthField:
     n = sample.n
     if n < 3:
         raise DepthError(f"leave-one-out depth needs n >= 3, have {n}")
+    field = batch_depth(sample.points, sample, threads)
     # Every pair containing index e covers x_e, so drop those n-1 pairs.
-    counts = _counts(sample.points, sample, threads)[1] - (n - 1)
-    return DepthField(points=sample.points, values=counts / _pair_count(n - 1),
-                      n=n, space=sample.space, counts=counts)
+    counts = field.counts - (n - 1)
+    return dataclasses.replace(field, values=counts / _pair_count(n - 1), counts=counts)
 
 
 def loo_depth_against(points, sample: Sample, threads: int = 1) -> np.ndarray:

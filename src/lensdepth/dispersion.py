@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depth import DepthField, Sample
-from .levelsets import LatticeGrid, LevelSetError, nearest_indices
+from .levelsets import LevelSetError, nearest_indices
 from .metrics import EuclideanSpace
 
 PSI_KINDS = ("diam", "inradius", "volume")
@@ -87,19 +87,17 @@ def default_lambda_grid(*fields: DepthField, count: int = 200) -> np.ndarray:
 
 
 def psi_curve(field: DepthField, kind: str, lambdas, *,
-              grid: LatticeGrid | None = None,
               reference: Sample | None = None,
-              reference_mass: float = 1.0,
-              pair_matrix: np.ndarray | None = None) -> PsiCurve:
+              reference_mass: float = 1.0) -> PsiCurve:
     """Summary of the field's level sets at every grid level.
 
     inradius measures against the non-member evaluation points, plus the
-    virtual exterior of the lattice `grid`; volume needs a reference
-    sample of known total mass.  The level sets are nested, so diam and
-    inradius each take one walk over the N evaluation points in depth
-    order, with O(N) temporaries and no N x N matrix; distances are read
-    from `pair_matrix` when a caller has one cached.  On a Euclidean
-    field over the points of `grid`, the lattice decides which points the
+    virtual exterior of the lattice the field carries; volume needs a
+    reference sample of known total mass.  The level sets are nested, so
+    diam and inradius each take one walk over the N evaluation points in
+    depth order, with O(N) temporaries and no N x N matrix; distances are
+    read from the field's own matrix when its count built one.  On a
+    Euclidean field over a lattice, the lattice decides which points the
     walk measures (`_diameters`, `_inradii`); elsewhere it measures them
     all.  Either way the floats are the same.
     """
@@ -108,7 +106,7 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
         raise DispersionError("the level grid must be strictly increasing")
     if kind not in PSI_KINDS:
         raise DispersionError(f"unknown psi kind {kind!r}")
-    depths = field.values
+    depths, grid = field.values, field.grid
     n = len(depths)
     order = np.argsort(depths, kind="stable")
     # The members of level j are the depth-order positions >= starts[j].
@@ -126,11 +124,10 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
         # Each point's lowest and highest neighbor position in depth order.
         # Off the lattice, -1 and n let the walks measure every point.
         low, high = np.full(n, -1), np.full(n, n)
-        if (grid is not None and field.points is grid.points
-                and isinstance(field.space, EuclideanSpace)):
+        if grid is not None and isinstance(field.space, EuclideanSpace):
             rank = np.argsort(order)             # each point's depth-order position
             low, high = (ext[order] for ext in grid.neighbor_extremes(rank))
-        rows = _distance_rows(field, order, pair_matrix)
+        rows = _distance_rows(field, order)
         if kind == "diam":
             values = _diameters(rows, starts, low)
         elif grid is None and n and starts[0] == 0:
@@ -157,15 +154,15 @@ def psi_curve(field: DepthField, kind: str, lambdas, *,
 # neither the order nor the source of the distances changes a value.
 
 
-def _distance_rows(field: DepthField, order, pair_matrix):
+def _distance_rows(field: DepthField, order):
     """`rows(ks, cols)`: for each depth-order position k in `ks`, its
     distances to the positions in `cols` (a slice or an ascending array)
-    after k, read from `pair_matrix` when given."""
-    positions = np.arange(len(order))
-    if pair_matrix is None:
+    after k, read from the field's matrix when it has one."""
+    positions, dmat = np.arange(len(order)), field.distance_matrix
+    if dmat is None:
         points, dists = field.points[order], field.space.dists_to
     else:
-        points, dists = order, lambda ids, i: pair_matrix[i, ids]
+        points, dists = order, lambda ids, i: dmat[i, ids]
 
     def rows(ks, cols):
         ends, after = points[cols], np.searchsorted(positions[cols], ks, side="right")

@@ -157,7 +157,13 @@ class Tree:
 
     @cached_property
     def _tables(self):     # for the geodesic: length by side, squares, (side, bit) pairs
-        return (dict(self.interior), [length * length for _, length in self.interior],
+        squares = [length * length for _, length in self.interior]
+        # The covers weigh each square by a sum of them; a weight of 0 (or nan)
+        # lets a refinement split off empty parts, which never ends or divides by 0.
+        if squares and not (min(squares) > 0.0 and min(squares) / sum(squares) > 0.0):
+            raise TreeError("each squared interior split length must be a nonzero "
+                            "fraction of their finite sum")
+        return (dict(self.interior), squares,
                 [(m, 1 << k) for k, (m, _) in enumerate(self.interior)])
 
     def sort_key(self):

@@ -214,8 +214,7 @@ def test_identical_points_group_zero_curve():
     pts = np.zeros((5, 1))
     sample = Sample(pts, E1)
     lambdas = np.linspace(0, 1, 11)
-    curves = diameter_curve_by_group({"g": sample}, {"g": self_depth_field(sample)},
-                                     lambdas)
+    curves = diameter_curve_by_group({"g": self_depth_field(sample)}, lambdas)
     assert np.all(curves["g"].values == 0.0)
 
 
@@ -223,8 +222,7 @@ def test_group_curve_level_zero_is_full_diameter(rng):
     pts = rng.standard_normal((40, 2))
     sample = Sample(pts, E2)
     lambdas = np.linspace(0, 0.8, 9)
-    curves = diameter_curve_by_group({"g": sample}, {"g": self_depth_field(sample)},
-                                     lambdas)
+    curves = diameter_curve_by_group({"g": self_depth_field(sample)}, lambdas)
     assert curves["g"].values[0] == sample.distance_matrix.max()
 
 
@@ -249,5 +247,5 @@ def test_bhv_groups_noisier_year_dominates(rng):
     # stay below the top level, where a level set degenerates to a singleton
     top = 0.8 * min(f.max_value for f in fields.values())
     lambdas = np.linspace(0.0, top, 12)
-    curves = diameter_curve_by_group(groups, fields, lambdas)
+    curves = diameter_curve_by_group(fields, lambdas)
     assert np.all(curves["2000"].values >= curves["1999"].values - 1e-12)

@@ -11,12 +11,12 @@ import pytest
 from lensdepth import __version__
 from lensdepth.cli import METRIC_NAMES, run
 from lensdepth.dataio import fmt, read_newick_file
-from lensdepth.depth import Sample, batch_depth
+from lensdepth.depth import Sample, batch_depth, self_depth_field
 from lensdepth.dispersion import gamma_t_vs_normal_grid, psi_curve
-from lensdepth.metrics import BHVSpace
+from lensdepth.metrics import BHVSpace, EuclideanSpace
 from lensdepth.treespace import to_newick
 
-from conftest import negate_zeros, random_tree, zero_rich_points
+from conftest import nested_diameters, negate_zeros, random_tree, zero_rich_points
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -217,6 +217,39 @@ def test_diam_by_group_computes_each_field_once(workdir, rng, monkeypatch):
     assert sorted(calls) == [20, 25, 30]
     rows = data_lines(workdir / "diam.csv")
     assert len(rows) == 1 + 3 * 12
+
+
+def test_line_curves_build_no_distance_matrix(workdir, rng, monkeypatch):
+    """On the line the depth counts build no n x n matrix, and neither do
+    the psi curves read off their fields; `giovagnoli` needs every pairwise
+    distance and is left out."""
+    (workdir / "groups").mkdir()
+    parts = {"g0": rng.standard_normal(40), "g1": 2.0 * rng.integers(-3, 4, 30)}
+    for name, x in parts.items():
+        write_points(workdir / "groups" / f"{name}.csv", x)
+    pairwise = EuclideanSpace.pairwise
+
+    def guarded(space, points):
+        assert space.dim != 1, "an n x n distance matrix on the line"
+        return pairwise(space, points)
+
+    monkeypatch.setattr(EuclideanSpace, "pairwise", guarded)
+    g0, g1 = "groups/g0.csv", "groups/g1.csv"
+    for argv in (["psi", "--sample", g0, "--psi", "diam"], ["gamma", "--x", g0, "--y", g1],
+                 *(["order", "--x", g0, "--y", g1, "--relation", relation]
+                   for relation in ("spread", "strong", "weak"))):
+        assert run(argv + ["--levels", "20", "--out", "out", "--no-timestamp"]) == 0, argv
+    assert run(["diam-by-group", "--groups", "groups", "--levels", "20",
+                "--out", "diam.csv", "--no-timestamp"]) == 0
+    rows = [r.split(",") for r in data_lines(workdir / "diam.csv")[1:]]
+    for name, x in parts.items():
+        points = np.asarray(x, dtype=float)[:, None]
+        depths = self_depth_field(Sample(points, EuclideanSpace(1))).values
+        lambdas = [float(r[1]) for r in rows if r[0] == name]
+        counts = len(depths) - np.searchsorted(np.sort(depths), lambdas, side="left")
+        want = nested_diameters(points, EuclideanSpace(1), counts, np.argsort(-depths),
+                                pair_matrix=pairwise(EuclideanSpace(1), points))
+        assert [float(r[2]) for r in rows if r[0] == name] == want.tolist()
 
 
 def test_diam_by_group_rejects_a_single_level(workdir, rng, capsys):
@@ -540,6 +573,23 @@ def test_treedist_bytes_do_not_depend_on_hash_seed(workdir):
     assert blobs[0] == blobs[1]
 
 
+def test_treedist_on_lengths_past_the_double_range_is_one_error_line(workdir):
+    """Squares of these lengths overflow, which made the cover weights nan
+    and the support refinement endless; a subprocess with a timeout fails
+    such a regression instead of hanging the suite."""
+    (workdir / "t.nwk").write_text("((A:1,B:1):1e160,(C:1,D:1):1e160,E:1);\n"
+                                   "((A:1,C:1):1e160,(B:1,D:1):1e160,E:1);\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lensdepth.cli", "treedist", "--in", "t.nwk",
+         "--out", "d.csv", "--no-timestamp"],
+        cwd=workdir, capture_output=True, text=True, env=cli_env(), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "lensdepth: error: each squared interior split length must be a nonzero fraction "
+        "of their finite sum"]
+    assert not (workdir / "d.csv").exists()
+
+
 def test_newick_error_prints_its_offset_once(workdir, capsys):
     (workdir / "t.nwk").write_text("(a:1,b:1,c:1);\n(a:1,b:1,d:1);\n")
     assert run(["treedist", "--in", "t.nwk", "--out", "d.csv"]) == 1
@@ -683,25 +733,28 @@ def test_two_samples_in_different_spaces_are_one_error_line(workdir, capsys, com
 LOO_COMMANDS = {
     "depth": ["depth", "--sample", "g0", "--queries", "q", "--leave-one-out"],
     "ddplot": ["ddplot", "--group0", "g0", "--group1", "g1", "--points", "q"],
+    "outliers": ["outliers", "--sample", "g0"],
+    "diam-by-group": ["diam-by-group", "--groups", "groups"],
 }
 
 
 def write_loo_inputs(workdir, metric):
     """Two groups and queries for `metric` with many zero entries, in the
-    directory named after it; the queries hold copies of group points
-    with their zeros negated.  Returns {"g0", "g1", "q": path} and the
-    metric arguments."""
+    directory named after it, the groups alone in its `groups` directory;
+    the queries hold copies of group points with their zeros negated.
+    Returns {"g0", "g1", "q", "groups": path} and the metric arguments."""
     space, pts = zero_rich_points(metric, np.random.default_rng(len(metric)), 30)
-    parts = {"g0": pts[:14], "g1": pts[14:26],
+    parts = {"groups/g0": pts[:14], "groups/g1": pts[14:26],
              "q": np.concatenate([negate_zeros(pts[[0, 3, 15, 20]]), pts[[5]], pts[26:]])}
-    (workdir / metric).mkdir()
-    paths = {}
-    for name, points in parts.items():
+    (workdir / metric / "groups").mkdir(parents=True)
+    paths = {"groups": f"{metric}/groups"}
+    for key, points in parts.items():
+        name = key.split("/")[-1]
         if metric == "bhv":
-            paths[name] = f"{metric}/{name}.nwk"
+            paths[name] = f"{metric}/{key}.nwk"
             text = "".join(to_newick(t) + "\n" for t in points)
         else:
-            paths[name] = f"{metric}/{name}.csv"
+            paths[name] = f"{metric}/{key}.csv"
             rows = points.reshape(len(points), -1)
             lines = [",".join(f"x{i + 1}" for i in range(rows.shape[1]))]
             text = "\n".join(lines + [",".join(fmt(v) for v in row) for row in rows]) + "\n"

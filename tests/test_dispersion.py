@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -51,7 +52,7 @@ def test_psi_curve_monotone_and_zero_level(rng):
     sample = Sample(rng.standard_normal(120), E1)
     field = self_depth_field(sample)
     lambdas = np.linspace(0.0, field.max_value, 40)
-    c = psi_curve(field, "diam", lambdas, pair_matrix=sample.distance_matrix)
+    c = psi_curve(field, "diam", lambdas)
     assert np.all(np.diff(c.values) <= 1e-12)
     full = sample.distance_matrix.max()
     assert c.values[0] == full
@@ -60,8 +61,7 @@ def test_psi_curve_monotone_and_zero_level(rng):
 def test_psi_curve_all_levels_above_max(rng):
     sample = Sample(rng.standard_normal(30), E1)
     field = self_depth_field(sample)
-    c = psi_curve(field, "diam", np.linspace(1.1, 2.0, 5),
-                  pair_matrix=sample.distance_matrix)
+    c = psi_curve(field, "diam", np.linspace(1.1, 2.0, 5))
     assert np.all(c.values == 0.0)
     assert c.empty_from == pytest.approx(1.1)
 
@@ -69,18 +69,17 @@ def test_psi_curve_all_levels_above_max(rng):
 def test_psi_curve_matches_quantile_spread(rng):
     sample = Sample(rng.standard_normal(900), E1)
     grid = LatticeGrid(((-4.0, 4.0, 0.02),))
-    field = batch_depth(grid.points, sample, threads=2)
+    field = batch_depth(grid, sample, threads=2)
     lambdas = np.linspace(0.02, 0.45, 30)
-    c = psi_curve(field, "diam", lambdas, grid=grid)
+    c = psi_curve(field, "diam", lambdas)
     expected = normal_diam(lambdas)
     assert np.max(np.abs(c.values - expected)) < 0.30
 
 
 def test_psi_curve_inradius_full_lattice_uses_exterior():
     grid = LatticeGrid(((0.0, 10.0, 1.0),))
-    from lensdepth.depth import DepthField
-    field = DepthField(points=grid.points, values=np.ones(11), n=5, space=E1)
-    c = psi_curve(field, "inradius", np.array([0.0, 0.5]), grid=grid)
+    field = DepthField(points=grid.points, values=np.ones(11), n=5, space=E1, grid=grid)
+    c = psi_curve(field, "inradius", np.array([0.0, 0.5]))
     # center of 0..10 is 5 away from either end, plus one virtual step
     assert c.values[0] == 6.0
 
@@ -114,13 +113,13 @@ def tie_levels(values):
     return np.unique(np.concatenate([v, (v[:-1] + v[1:]) / 2, v[-1] + [0.25, 0.5]]))
 
 
-def check_against_oracle(field, lambdas, pair_matrix=None, grid=None, exterior=None):
+def check_against_oracle(field, lambdas, exterior=None):
     lambdas = np.unique(lambdas)
     for kind in ("diam", "inradius"):
         levels = lambdas
         if kind == "inradius" and exterior is None:
             levels = lambdas[lambdas > field.values.min()]
-        got = psi_curve(field, kind, levels, grid=grid, pair_matrix=pair_matrix)
+        got = psi_curve(field, kind, levels)
         assert np.array_equal(got.values, oracle_curve(field, kind, levels, exterior))
         empty = levels[levels > field.values.max()]
         assert got.empty_from == (float(empty[0]) if len(empty) else None)
@@ -132,15 +131,17 @@ def test_psi_curves_match_oracle_on_tied_lattice_sample(rng, cached):
     pts[40:] = pts[:20]                     # exact duplicates
     sample = Sample(pts, E2)
     field = self_depth_field(sample)
+    assert field.distance_matrix is sample.distance_matrix
+    if not cached:
+        field = dataclasses.replace(field, distance_matrix=None)
     assert len(np.unique(field.values)) < 40
-    check_against_oracle(field, np.concatenate([[0.0], tie_levels(field.values)]),
-                         pair_matrix=sample.distance_matrix if cached else None)
+    check_against_oracle(field, np.concatenate([[0.0], tie_levels(field.values)]))
 
 
 def test_psi_curves_match_oracle_on_bounded_lattice(rng):
     grid = LatticeGrid(((-3.0, 3.0, 0.5), (-2.0, 2.5, 0.5)))
     sample = Sample(rng.integers(-2, 3, size=(25, 2)).astype(float), E2)
-    field = batch_depth(grid.points, sample)
+    field = batch_depth(grid, sample)
     # exterior: distances to the lattice positions one step outside the box
     outside = []
     for d, (lo, hi, step) in enumerate(grid.axes):
@@ -151,9 +152,9 @@ def test_psi_curves_match_oracle_on_bounded_lattice(rng):
     outside = np.concatenate(outside)
     exterior = np.array([E2.dists_to(outside, p).min() for p in grid.points])
     check_against_oracle(field, np.concatenate([[0.0], tie_levels(field.values)]),
-                         grid=grid, exterior=exterior)
+                         exterior=exterior)
     # at level 0 every point is a member and only the exterior bounds it
-    full = psi_curve(field, "inradius", np.array([0.0, 1.0]), grid=grid)
+    full = psi_curve(field, "inradius", np.array([0.0, 1.0]))
     assert full.values[0] == exterior.max() > 0.0
 
 
@@ -164,7 +165,7 @@ def test_psi_curves_match_oracle_on_sphere_sample(rng):
     field = self_depth_field(sample)
     lambdas = np.concatenate([[0.0], tie_levels(field.values)])
     check_against_oracle(field, lambdas)
-    check_against_oracle(field, lambdas, pair_matrix=sample.distance_matrix)
+    check_against_oracle(dataclasses.replace(field, distance_matrix=None), lambdas)
 
 
 def test_psi_curves_match_oracle_on_tree_sample(rng):
@@ -175,7 +176,7 @@ def test_psi_curves_match_oracle_on_tree_sample(rng):
     assert field.points.dtype == object and field.points.shape == (13,)
     lambdas = np.concatenate([[0.0], tie_levels(field.values)])
     check_against_oracle(field, lambdas)
-    check_against_oracle(field, lambdas, pair_matrix=sample.distance_matrix)
+    check_against_oracle(dataclasses.replace(field, distance_matrix=None), lambdas)
 
 
 def test_psi_volume_curve_matches_psi_volume(rng):

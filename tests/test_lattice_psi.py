@@ -6,6 +6,7 @@ every lattice of the hostile corpus, at the default level grid and at
 every distinct depth value."""
 
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def level_grids(field):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_lattice_curves_equal_the_sweeps(name):
     field, grid = lattice_field(name)
-    assert field.points is grid.points
+    assert field.points is grid.points and field.grid is grid
     depths = field.values
     grids = level_grids(field)
     # One sweep serves every level grid: it runs over their sorted union.
@@ -56,8 +57,8 @@ def test_lattice_curves_equal_the_sweeps(name):
     for lambdas in grids:
         at = np.searchsorted(union, lambdas)
         with quiet(name):
-            diam = psi_curve(field, "diam", lambdas, grid=grid).values
-            inradius = psi_curve(field, "inradius", lambdas, grid=grid).values
+            diam = psi_curve(field, "diam", lambdas).values
+            inradius = psi_curve(field, "inradius", lambdas).values
         assert diam.tobytes() == want_diam[at].tobytes()
         assert inradius.tobytes() == want_inradius[at].tobytes()
 
@@ -121,21 +122,23 @@ def test_lattice_curves_evaluate_few_distances():
     budgets = {"diam": 1_000_000, "inradius": 6_000_000}
     for kind, budget in budgets.items():
         space.evals = 0
-        psi_curve(field, kind, lambdas, grid=grid)
+        psi_curve(field, kind, lambdas)
         assert 0 < space.evals < budget
     # At every distinct depth nearly every point is measured as it leaves,
     # against the members above it: never more than the sweep's pairs.
     space.evals = 0
-    psi_curve(field, "inradius", np.unique(field.values), grid=grid)
+    psi_curve(field, "inradius", np.unique(field.values))
     n = len(grid)
     assert 0 < space.evals <= n * (n - 1) // 2
 
 
 def test_walks_off_the_lattice_measure_each_pair_once():
     # Off a lattice the walks measure every point, against the points after
-    # it in depth order: each pair once, as the sweeps do.
+    # it in depth order: each pair once, as the sweeps do, when the field
+    # carries no matrix to read them from.
     space = CountingSpace(2)
     field = self_depth_field(Sample(halton_normal(300, 2, 7), space))
+    field = dataclasses.replace(field, distance_matrix=None)
     levels = np.unique(field.values)
     space.evals = 0
     psi_curve(field, "diam", levels)

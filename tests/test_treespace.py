@@ -381,6 +381,20 @@ def test_universe_mismatch_raises(rng):
         bhv_distance(t1, t2)
 
 
+@pytest.mark.parametrize("lengths", [(1e-170, 1e-170), (1e160, 1e160), (1e-150, 1e150)],
+                         ids=["squares-underflow", "sum-overflows", "share-underflows"])
+def test_lengths_whose_cover_weights_leave_the_double_range_raise(lengths):
+    """A cover weight (a square over a sum of squares) that is nan or rounds
+    to 0 made the support refinement split off empty parts, which never
+    ended or divided by zero; every geodesic on such a tree refuses."""
+    a = tree5([(mask("AB"), lengths[0]), (mask("CD"), lengths[1])])
+    b = tree5([(mask("AC"), 1.0), (mask("BD"), 1.0)])
+    for pair in ((a, b), (b, a), (a, a)):
+        with pytest.raises(TreeError, match="nonzero fraction of their finite sum"):
+            bhv_distance(*pair)
+    assert bhv_distance(b, b).distance == 0.0
+
+
 def test_one_sided_incompatible_set_raises_tree_error(monkeypatch, rng):
     t = random_tree(LABELS5, rng)
     # The first split of t1 is incompatible, with no partner in t2.

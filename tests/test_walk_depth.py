@@ -261,7 +261,9 @@ def test_pooled_matrix_equals_pairwise(name):
     matrix on its diagonal and the cross matrix off it, bit for bit."""
     sx, pts = make(name, 40, 33)
     sy = Sample(pts, sx.space)
-    dmat = pooled_depth(sx, sy)[2]
+    fx, fy = pooled_depth(sx, sy)
+    dmat = fx.distance_matrix
+    assert fy.distance_matrix is dmat
     x, y = slice(None, sx.n), slice(sx.n, None)
     cross = sx.space.cross_matrix(sx.points, sy.points)
     for block, want in ((dmat[x, x], sx.distance_matrix), (dmat[y, y], sy.distance_matrix),
@@ -284,7 +286,7 @@ def test_pooled_counts_equal_batch_depth(kernels, monkeypatch, name, small_table
     if small_table:
         monkeypatch.setattr(depth, "_WALK_TABLE", table_bytes(65))
     for threads in (1, 2, 3):
-        fields = pooled_depth(sx, sy, threads=threads)[:2]
+        fields = pooled_depth(sx, sy, threads=threads)
         assert [f.n for f in fields] == [sx.n, sy.n]
         for field, counts in zip(fields, want):
             assert np.array_equal(field.counts, counts)
