@@ -3,7 +3,11 @@ level-set and boundary convergence, and the limit-law covariance check.
 
 Experiments are reproducible: replication r of sample size index k uses
 an independent generator seeded by (seed, k, r), so results are
-bit-identical at any parallelism level.
+bit-identical at any parallelism level.  Replications run on `threads`
+worker threads in R^d, d >= 2, and on the sphere.  On the line they run
+in order on the calling thread: each one is a sort, two binary searches
+and a few small numpy calls that hold the GIL, so a second thread only
+contends for it.
 """
 
 from __future__ import annotations
@@ -403,14 +407,19 @@ def _replicate(cfg: ExperimentConfig, sampler: Sampler, n_schedule, statistic) -
     """`statistic(sample)` for replication r of each size n_schedule[k],
     the sample drawn from the generator seeded by (cfg.seed, k, r), as an
     array shaped (sizes, replications, ...).  Replications run on
-    cfg.threads threads and come back in a fixed order."""
+    cfg.threads threads, or in order on the line, and come back in a
+    fixed order."""
     jobs = [(k, r) for k in range(len(n_schedule)) for r in range(cfg.replications)]
 
     def job(kr):
         pts = sampler.draw(_rng_for(cfg.seed, *kr), n_schedule[kr[0]])
         return statistic(Sample(pts, sampler.space))
 
-    out = np.array(thread_map(job, jobs, cfg.threads))
+    # On the line each count is a sort and two binary searches, numpy calls
+    # too short to release the GIL for long, so a second thread only waits.
+    space = sampler.space
+    on_line = isinstance(space, EuclideanSpace) and space.dim == 1
+    out = np.array(thread_map(job, jobs, 1 if on_line else cfg.threads))
     return out.reshape((len(n_schedule), cfg.replications) + out.shape[1:])
 
 
@@ -444,6 +453,9 @@ def supnorm_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     sampler = make_sampler(cfg.sampler)
     if cfg.grid is None:
         raise ExperimentError("supnorm experiment needs an evaluation grid")
+    if not isinstance(sampler.space, EuclideanSpace):
+        raise ExperimentError("supnorm experiment needs a sampler in R^d, "
+                              "the space of its evaluation lattice")
     grid = LatticeGrid(cfg.grid)
     truth = _population_depth_on(grid.points, sampler, cfg.pairs, cfg.seed)
 
@@ -484,7 +496,7 @@ def levelset_experiment(cfg: ExperimentConfig, lam: float) -> ConvergenceReport:
         if len(ls.members) == 0:
             return math.inf, math.inf
         d_set = hausdorff(grid.points[ls.members], true_pts, space)
-        emp_boundary = boundary_points(ls, grid)
+        emp_boundary = boundary_points(ls)
         d_bdry = hausdorff(grid.points[emp_boundary], true_bpts, space)
         return d_set, d_bdry
 
@@ -567,6 +579,9 @@ def clt_experiment(cfg: ExperimentConfig) -> CltReport:
     if not cfg.points:
         raise ExperimentError("clt experiment needs query points")
     sampler = make_sampler(cfg.sampler)
+    if isinstance(sampler.space, BHVSpace):
+        raise ExperimentError("clt experiment needs a sampler in R^d or on the "
+                              "sphere: its report lists the query points' coordinates")
     n = cfg.n_schedule[-1]
     pts = sampler.space.coerce_points(list(cfg.points))
     truth = _population_depth_on(pts, sampler, cfg.pairs, cfg.seed)

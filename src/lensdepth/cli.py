@@ -243,16 +243,16 @@ def cmd_depth(args) -> int:
 def cmd_levelset(args) -> int:
     sample = _load_sample(args.sample, args.metric, args.shape)
     if args.grid is not None:
-        grid = dataio.parse_grid_spec(args.grid)
-        field = batch_depth(grid, sample, threads=args.threads)
+        field = batch_depth(dataio.parse_grid_spec(args.grid), sample, threads=args.threads)
     else:
         field = self_depth_field(sample, threads=args.threads)
     eval_points = field.points
+    knn = None
     if args.boundary_out and args.grid is None:
         # Off the line, the depth field has already cached the sample's
         # distance matrix, which the kNN graph reads.  Built before any
         # output is written, so a bad --knn leaves no partial output.
-        grid = KnnGrid(sample, k=args.knn)
+        knn = KnnGrid(sample, k=args.knn)
     ls = levelsets.level_set(field, args.lam)
     mask = ls.member_mask
     header = ["index"] + _coord_header(eval_points) + ["depth", "member"]
@@ -260,7 +260,8 @@ def cmd_levelset(args) -> int:
             for i in range(len(field.values))]
     _write_rows(args, header, rows)
     if args.boundary_out:
-        boundary = levelsets.boundary_points(ls, grid)
+        boundary = (levelsets.boundary_points(ls) if knn is None
+                    else levelsets.inner_boundary(mask, knn))
         brows = [[int(i)] + _coords(eval_points, int(i)) for i in boundary]
         prov = _provenance(args)
         dataio.write_table(args.boundary_out, ["index"] + _coord_header(eval_points),

@@ -8,8 +8,8 @@ is the direct double loop over pairs.  The counts of `batch_depth`,
 `self_depth_field`, `loo_depth_against` and `pooled_depth` match it bit
 for bit at any thread count.  Leave-one-out values are read off the
 counts: a point equal by value to a sample point drops the n - 1 pairs
-containing that point, all of which cover it.  `_counts` takes one of
-three paths:
+containing that point, all of which cover it.  `batch_depth` takes one
+of three paths:
 
 - In R^1 the lens of (a, b) is the segment between them, so the count
   comes from one sort of the sample and two binary searches per query,
@@ -686,16 +686,17 @@ def p2_matrix(points, sampler, pairs: int, seed: int = 0):
 
     Returns (p_vec, p_mat): p_vec[i] = P(point i covered by a random
     lens), p_mat[i, j] = P(points i and j covered by the same lens).
-    Diagonal entries equal p_vec exactly (indicators are idempotent).
+    p_vec is the diagonal of p_mat (indicators are idempotent).
     """
     if pairs < 1:
         raise DepthError(f"need at least one pair, got {pairs}")
     k = len(points)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(2,)))
-    hit_single = np.zeros(k, dtype=np.int64)
-    hit_joint = np.zeros((k, k), dtype=np.int64)
+    hits = np.zeros((k, k), dtype=np.int64)
     for ind in _coverage_batches(points, sampler, pairs, rng):
-        hit_single += ind.sum(axis=1)
-        hit_joint += ind.astype(np.int64) @ ind.T
-    return hit_single / pairs, hit_joint / pairs
+        # A float64 product of the 0/1 indicators is exact in any summation
+        # order: every sum is an integer of at most _MC_BATCH < 2^53.
+        ind = ind.astype(np.float64)
+        hits += (ind @ ind.T).astype(np.int64)
+    return np.diag(hits) / pairs, hits / pairs

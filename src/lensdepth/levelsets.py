@@ -213,9 +213,10 @@ def inner_boundary(mask: np.ndarray, grid) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def boundary_points(ls: LevelSet, grid) -> np.ndarray:
-    """Inner boundary: members with at least one non-member (or
-    out-of-lattice) neighbor."""
-    if len(ls.field.values) != len(grid):
-        raise LevelSetError("level set and grid have different point counts")
-    return inner_boundary(ls.member_mask, grid)
+def boundary_points(ls: LevelSet) -> np.ndarray:
+    """Inner boundary on the lattice the level set's field was counted
+    on: members with at least one non-member (or out-of-lattice)
+    neighbor."""
+    if ls.field.grid is None:
+        raise LevelSetError("the boundary needs a depth field counted on a lattice")
+    return inner_boundary(ls.member_mask, ls.field.grid)

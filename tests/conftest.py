@@ -5,6 +5,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import qmc
 
+from lensdepth.depth import _coverage_batches
 from lensdepth.dispersion import DispersionError
 from lensdepth.levelsets import LatticeGrid, LevelSetError
 from lensdepth.metrics import BHVSpace, EuclideanSpace, MetricSpace, SphereSpace, StiefelSpace
@@ -582,6 +583,23 @@ def former_bhv_distance(t1: Tree, t2: Tree) -> GeodesicResult:
         term = _norm(apart) + _norm(bpart)
         lsq += term * term
     return GeodesicResult(math.sqrt(common_sq + lsq), support)
+
+
+# ---------------------------------------------------------------------------
+# The pair-moment counts with the joint counts as an int64 product: the
+# oracle of `depth.p2_matrix`, which forms them with a float64 product.
+
+
+def former_p2_counts(points, sampler, pairs: int, seed: int = 0):
+    """(single, joint) coverage counts from the draws `p2_matrix` makes."""
+    k = len(points)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
+    hit_single = np.zeros(k, dtype=np.int64)
+    hit_joint = np.zeros((k, k), dtype=np.int64)
+    for ind in _coverage_batches(points, sampler, pairs, rng):
+        hit_single += ind.sum(axis=1)
+        hit_joint += ind.astype(np.int64) @ ind.T
+    return hit_single, hit_joint
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ from lensdepth.asymptotics import (
     run_config,
     supnorm_experiment,
 )
-from lensdepth.depth import population_level_interval_1d
+from lensdepth.depth import _MC_BATCH, population_level_interval_1d
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
+from lensdepth.treespace import parse_newick
 
-from conftest import assert_same_bits
+from conftest import assert_same_bits, former_p2_counts
 
 
 def test_config_validation():
@@ -155,6 +156,24 @@ def test_p2_diagonal_equals_single_exactly():
     assert np.array_equal(p_mat, p_mat.T)
 
 
+# Ties, a point every lens covers under the point mass, and one none does.
+P2_POINTS = np.array([[0.0], [0.0], [0.3], [-1.2], [40.0]])
+
+
+@pytest.mark.parametrize("pairs", [_MC_BATCH - 1, _MC_BATCH, _MC_BATCH + 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("sampler", [{"dist": "normal"}, {"dist": "point_mass", "value": [0.0]}],
+                         ids=["normal", "point-mass"])
+def test_p2_counts_equal_the_int64_product(sampler, k, pairs):
+    sampler = make_sampler(sampler)
+    pts = P2_POINTS[:k]
+    single, joint = former_p2_counts(pts, sampler, pairs, seed=k)
+    p_vec, p_mat = p2_matrix(pts, sampler, pairs, seed=k)
+    assert np.array_equal(p_mat, joint / pairs)
+    assert np.array_equal(p_vec, single / pairs)
+    assert np.array_equal(np.diag(p_mat), p_vec)
+
+
 def test_p2_normal_center_near_half():
     sampler = make_sampler({"dist": "normal"})
     p1, _, _ = p2_pair(0.0, 1.0, sampler, 1_000_000, seed=3)
@@ -232,6 +251,33 @@ def test_clt_requires_replications():
                            points=((0.0,),))
     with pytest.raises(ExperimentError, match="500"):
         clt_experiment(cfg)
+
+
+TREE = "((A:1,B:1):0.5,(C:1,D:1):0.5,E:1);"
+
+
+def test_clt_on_trees_is_refused_before_any_replication(monkeypatch):
+    def no_replications(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr("lensdepth.asymptotics._replicate", no_replications)
+    monkeypatch.setattr("lensdepth.asymptotics.p2_matrix", no_replications)
+    sampler = {"dist": "bhv_noise", "base_tree": TREE, "scale": 0.1}
+    cfg = ExperimentConfig(sampler, (10,), 500, seed=1, pairs=100,
+                           points=(parse_newick(TREE),))
+    with pytest.raises(ExperimentError, match="clt experiment needs a sampler in R\\^d"):
+        clt_experiment(cfg)
+    with pytest.raises(ExperimentError, match="clt experiment needs a sampler in R\\^d"):
+        run_config({"experiment": "clt", "sampler": sampler, "n_schedule": [10],
+                    "replications": 500, "points": [TREE]})
+
+
+def test_supnorm_off_euclidean_space_is_an_experiment_error():
+    for sampler in ({"dist": "sphere_vmf", "mu": [0, 0, 1], "kappa": 5.0},
+                    {"dist": "bhv_noise", "base_tree": TREE}):
+        cfg = ExperimentConfig(sampler, (10,), 2, seed=1, grid=((-1.0, 1.0, 0.5),) * 3)
+        with pytest.raises(ExperimentError, match="supnorm experiment needs a sampler in R"):
+            supnorm_experiment(cfg)
 
 
 def test_clt_empirical_matches_projection_form_away_from_center():

@@ -509,6 +509,32 @@ def test_scipy_stats_is_loaded_only_for_vmf(workdir, case):
         assert (workdir / "out.csv").exists()
 
 
+# One `simulate` config per space.  Only off the line do the replications
+# run on a pool, so the R^2 and sphere rows check its determinism.
+THREADED_SIMULATE = {
+    "line-clt": {"experiment": "clt", "sampler": {"dist": "normal"}, "n_schedule": [30],
+                 "replications": 500, "points": [[0.0], [1.0]], "pairs": 2000},
+    "plane-supnorm": {"experiment": "supnorm", "sampler": {"dist": "normal", "dim": 2},
+                      "n_schedule": [20, 40], "replications": 6, "pairs": 2000,
+                      "grid": [[-1.0, 1.0, 0.5]] * 2},
+    "sphere-clt": {"experiment": "clt",
+                   "sampler": {"dist": "sphere_vmf", "mu": [0, 0, 1], "kappa": 4.0},
+                   "n_schedule": [20], "replications": 500, "pairs": 2000,
+                   "points": [[0, 0, 1], [0, 1, 0]]},
+}
+
+
+@pytest.mark.parametrize("case", list(THREADED_SIMULATE))
+def test_simulate_reports_do_not_depend_on_threads(workdir, case):
+    (workdir / "exp.json").write_text(json.dumps(THREADED_SIMULATE[case]))
+    reports = []
+    for threads in ("1", "2", "3"):
+        assert run(["simulate", "--config", "exp.json", "--threads", threads,
+                    "--out", "report.json", "--no-timestamp"]) == 0
+        reports.append((workdir / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
 # Two points 2e300 apart: their squared distance overflows to inf.
 FAR_SAMPLE = "x1,x2\n1e300,1e300\n-1e300,1e300\n0,0\n1,0\n0,1\n"
 # Two points 2e308 apart: their coordinate difference overflows to inf.

@@ -192,11 +192,48 @@ def test_thread_pool_never_exceeds_the_core_count(cores, monkeypatch, rng):
     want = batch_depth(queries, sample, threads=1).counts
     assert np.array_equal(batch_depth(queries, sample, threads=100_000).counts, want)
     assert SerialExecutor.requested == 2 * workers
-    config = {"experiment": "supnorm", "sampler": {"dist": "normal"}, "n_schedule": [10],
-              "replications": 6, "grid": [[-1.0, 1.0, 0.5]], "seed": 2}
+    config = {"experiment": "supnorm", "sampler": {"dist": "normal", "dim": 2},
+              "n_schedule": [10], "replications": 6, "grid": [[-1.0, 1.0, 0.5]] * 2,
+              "seed": 2, "pairs": 2000}
     want = run_config(dict(config, threads=1))
     assert run_config(dict(config, threads=100_000)) == want
     assert SerialExecutor.requested == 3 * workers
+    # no pool on the line
+    line = dict(config, sampler={"dist": "normal"}, grid=[[-1.0, 1.0, 0.5]])
+    assert run_config(dict(line, threads=100_000)) == run_config(dict(line, threads=1))
+    assert SerialExecutor.requested == 3 * workers
+
+
+# Each row: an experiment and whether its replications run on a pool.
+REPLICATION_CONFIGS = {
+    "line-normal-supnorm": ({"experiment": "supnorm", "sampler": {"dist": "normal"},
+                             "grid": [[-1.0, 1.0, 0.5]]}, False),
+    "line-uniform-levelset": ({"experiment": "levelset", "sampler": {"dist": "uniform"},
+                               "grid": [[0.0, 1.0, 0.25]], "lambda": 0.3}, False),
+    "line-point-mass-clt": ({"experiment": "clt",
+                             "sampler": {"dist": "point_mass", "value": [0.0]},
+                             "replications": 500, "points": [[0.0], [1.0]]}, False),
+    "plane-normal-supnorm": ({"experiment": "supnorm",
+                              "sampler": {"dist": "normal", "dim": 2},
+                              "grid": [[-1.0, 1.0, 0.5]] * 2}, True),
+    "sphere-clt": ({"experiment": "clt",
+                    "sampler": {"dist": "sphere_vmf", "mu": [0, 0, 1], "kappa": 4.0},
+                    "replications": 500, "points": [[0, 0, 1], [0, 1, 0]]}, True),
+}
+
+
+@pytest.mark.parametrize("case", list(REPLICATION_CONFIGS))
+def test_replications_use_threads_only_off_the_line(case, monkeypatch):
+    monkeypatch.setattr(depth, "ThreadPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(depth.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(SerialExecutor, "requested", [])
+    experiment, pooled = REPLICATION_CONFIGS[case]
+    config = dict({"n_schedule": [10], "replications": 4, "seed": 3, "pairs": 2000},
+                  **experiment)
+    want = run_config(dict(config, threads=1))
+    assert SerialExecutor.requested == []
+    assert run_config(dict(config, threads=100_000)) == want
+    assert SerialExecutor.requested == ([3] if pooled else [])
 
 
 def test_count_path_single_query_more_threads(rng):

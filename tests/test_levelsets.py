@@ -13,6 +13,7 @@ from lensdepth.levelsets import (
     LevelSetError,
     boundary_points,
     hausdorff,
+    inner_boundary,
     level_set,
     nearest_indices,
 )
@@ -25,12 +26,14 @@ E1 = EuclideanSpace(1)
 E2 = EuclideanSpace(2)
 
 
-def field_1d(values, points=None):
+def field_1d(values, points=None, grid=None):
     values = np.asarray(values, dtype=float)
+    if grid is not None:
+        points = grid.points
     if points is None:
         points = np.arange(len(values), dtype=float).reshape(-1, 1)
     return DepthField(points=np.asarray(points, dtype=float).reshape(-1, 1),
-                      values=values, n=10, space=E1)
+                      values=values, n=10, space=E1, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -139,35 +142,46 @@ def test_lattice_points_and_neighbors():
 
 def test_boundary_full_grid_is_the_lattice_edge():
     g = LatticeGrid(((0.0, 4.0, 1.0),))
-    f = field_1d(np.ones(5), points=g.points)
+    f = field_1d(np.ones(5), grid=g)
     ls = level_set(f, 0.5)
-    assert boundary_points(ls, g).tolist() == [0, 4]
+    assert boundary_points(ls).tolist() == [0, 4]
 
 
 def test_boundary_singleton_member():
     g = LatticeGrid(((0.0, 4.0, 1.0),))
-    f = field_1d([0, 0, 1, 0, 0], points=g.points)
-    assert boundary_points(level_set(f, 0.5), g).tolist() == [2]
+    f = field_1d([0, 0, 1, 0, 0], grid=g)
+    assert boundary_points(level_set(f, 0.5)).tolist() == [2]
 
 
 def test_boundary_interval_1d_lattice():
     g = LatticeGrid(((0.0, 10.0, 1.0),))
     values = np.zeros(11)
     values[3:8] = 1.0        # members {3..7}
-    f = field_1d(values, points=g.points)
-    assert boundary_points(level_set(f, 0.5), g).tolist() == [3, 7]
+    f = field_1d(values, grid=g)
+    assert boundary_points(level_set(f, 0.5)).tolist() == [3, 7]
 
 
 def test_boundary_subset_of_members_and_shrinks(rng):
     g = LatticeGrid(((0.0, 9.0, 1.0), (0.0, 9.0, 1.0)))
     values = rng.uniform(0, 1, len(g))
-    f = DepthField(points=g.points, values=values, n=5, space=E2)
+    f = DepthField(points=g.points, values=values, n=5, space=E2, grid=g)
     ls = level_set(f, 0.5)
     if not (0 < len(ls) < len(g)):
         pytest.skip("degenerate draw")
-    bd = set(boundary_points(ls, g).tolist())
+    bd = set(boundary_points(ls).tolist())
     assert bd <= set(ls.members.tolist())
     assert len(bd) > 0
+
+
+def test_boundary_reads_the_fields_lattice(rng):
+    g = LatticeGrid(((-2.0, 2.0, 0.5), (-1.0, 1.0, 0.5)))
+    sample = Sample(rng.standard_normal((40, 2)), E2)
+    ls = level_set(batch_depth(g, sample), 0.2)
+    assert 0 < len(ls) < len(g)
+    assert np.array_equal(boundary_points(ls), inner_boundary(ls.member_mask, g))
+    # the same points counted without their lattice have no boundary
+    with pytest.raises(LevelSetError, match="lattice"):
+        boundary_points(level_set(batch_depth(g.points, sample), 0.2))
 
 
 def test_knn_grid_symmetric_neighbors(rng):
