@@ -26,13 +26,13 @@ of three paths:
   is built.
 - Elsewhere the sample matrix is built, then the query matrix; a query
   equal by value to a sample point reads its row from the sample
-  matrix.  When its table fits in `_WALK_TABLE` bytes, `_walk_block`
-  counts each query in depth order against suffix bitsets of the
-  sorted sample rows (`_walk_table`, built once per count); past that
-  budget the vectorized `_count_block` compares every pair.  Either
-  kernel (`_matrix_counts`) runs on one contiguous block of query rows
-  per thread.  `pooled_depth` measures one matrix of the points of two
-  samples and hands that kernel choice each sample's blocks of it.
+  matrix.  `_walk_block` counts each query in depth order against every
+  B-th suffix bitset of the sorted sample rows (`_walk_table`, built
+  once per count, B the smallest power of two that fits it in
+  `_WALK_TABLE`), plus one rank comparison per position in front of a
+  stored suffix.  `_matrix_counts` runs it on one contiguous block of
+  query rows per thread.  `pooled_depth` measures one matrix of the
+  points of two samples and counts each sample from its blocks of it.
 
 A `DepthField` carries the lattice it was counted on, if any, and the
 distances among its points when the count built them; only the third
@@ -153,94 +153,99 @@ def empirical_lens_depth(x, sample: Sample, exclude: int | None = None) -> float
     return count / _pair_count(eff)
 
 
-def _count_block(dq: np.ndarray, dmat: np.ndarray) -> np.ndarray:
-    """Covering-pair counts for a block of queries.
-
-    dq: (m, n) query-to-sample distances; dmat: (n, n) sample matrix.
-    Comparisons reuse the exact floats the scalar path would produce, so
-    the counts equal the double loop's.
-    """
-    m, n = dq.shape
-    counts = np.zeros(m, dtype=np.int64)
-    for i in range(n - 1):
-        row = dmat[i, i + 1:]
-        worst = np.maximum(dq[:, i, None], dq[:, i + 1:])
-        counts += (worst <= row).sum(axis=1)
-    return counts
-
-
-# Query matrix entries per call of `_count_block`; bounds its temporaries
-# at a few arrays of this length per thread.
-_COUNT_BLOCK = 1 << 16
-# Bytes one walk table may take: n(n + 1) bitsets of ceil(n/64) words,
-# 16.0 MB at n = 500; n <= 640 fit.
+# Bytes one walk table may take (see `_walk_stride`).
 _WALK_TABLE = 1 << 25
-# Table words gathered per block of the walk; bounds its temporaries at a
-# few arrays of this many words per thread.
+# Table words gathered per block of the walk, and query entries per block
+# of its leftover positions; bounds their temporaries per thread.
 _WALK_BLOCK = 1 << 16
-
-
-def _table_fits(n: int) -> bool:
-    """Whether the walk table of n sample points fits in _WALK_TABLE."""
-    return n * (n + 1) * -(-n // 64) * 8 <= _WALK_TABLE
 
 
 def _bits(ids: np.ndarray) -> np.ndarray:
     return np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
 
 
+def _walk_stride(n: int) -> int:
+    """The smallest power of two B, at most the first one >= n, whose walk
+    table of n(ceil(n/B) + 1) bitsets of ceil(n/64) words fits in
+    _WALK_TABLE bytes: 1 up to n = 640, 4 at 1,000 and 32 at 2,000."""
+    stride = 1
+    while stride < n and n * (-(-n // stride) + 1) * -(-n // 64) * 8 > _WALK_TABLE:
+        stride *= 2
+    return stride
+
+
 def _walk_table(dmat: np.ndarray):
-    """The rows of the sample matrix sorted ascending, and the walk's
-    table: row q * (n + 1) + t holds, as a bitset of ceil(n/64) words,
-    the sample indices at the t last positions of row q sorted.
-
-    Each index is one bit at its step, so a running sum of the steps is
-    their union; it is taken in place.
+    """The rows of the sample matrix sorted ascending, the int32 order
+    that sorts them, the walk's table and its stride B.  With c =
+    ceil(n/B), table row q * (c + 1) + t is the bitset, in ceil(n/64)
+    words, of the sample indices at sorted positions (c - t) * B on in
+    row q: every B-th suffix and the empty one.  A running sum of the
+    chunks of B positions is their union; it is taken in place.
     """
-    n = len(dmat)
+    n, stride = len(dmat), _walk_stride(len(dmat))
+    chunks = -(-n // stride)
     order = np.argsort(dmat, axis=1)
-    table = np.zeros((n, n + 1, -(-n // 64)), dtype=np.uint64)
-    last = order[:, ::-1]
-    table[np.arange(n)[:, None], np.arange(1, n + 1), last >> 6] = _bits(last)
+    rows = np.take_along_axis(dmat, order, axis=1)
+    order = order.astype(np.int32)
+    table = np.zeros((n, chunks + 1, -(-n // 64)), dtype=np.uint64)
+    for j in range(stride):           # one position per chunk at a time
+        ids = order[:, j::stride]
+        table[np.arange(n)[:, None], chunks - np.arange(ids.shape[1]), ids >> 6] |= _bits(ids)
     np.cumsum(table, axis=1, out=table)
-    return np.take_along_axis(dmat, order, axis=1), table.reshape(n * (n + 1), -1)
+    return rows, order, table.reshape(n * (chunks + 1), -1), stride
 
 
-def _walk_block(dq: np.ndarray, rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Covering-pair counts for a block of queries by a walk in depth
-    order; equal to `_count_block(dq, dmat)` with `rows, table =
-    _walk_table(dmat)`.
+def _walk_block(dq: np.ndarray, rows: np.ndarray, order: np.ndarray, table: np.ndarray,
+                stride: int) -> np.ndarray:
+    """Covering-pair counts of the query rows `dq` by a walk in depth
+    order over `_walk_table(dmat)`, equal to the float test on every pair.
 
     Rank the sample by the query's distances a.  For a pair whose lower
     ranked point is p and the other q, a_p <= a_q, so the float test
     max(a_p, a_q) <= d(p, q) is a_q <= d(q, p); any order that sorts a
     will do, as either point of a tie may come first.  The p passing it
     are a suffix of row q sorted, from the first entry >= a_q, so the
-    count is the sum over q of the bits that suffix shares with the
-    points ranked before q.  Only integer bit operations follow the
+    count is the sum over q of the points of that suffix ranked before
+    q: the bits the first stored suffix inside it shares with them, and
+    one comparison of two ranks from the same sort for each of the fewer
+    than B positions in front of it.  Only integer operations follow the
     binary searches, so no thread count or block size changes a count.
     Distances between valid points are never nan, which would sort last.
     """
     m, n = dq.shape
-    base = np.arange(n) * (n + 1) + n
-    suffix = np.empty((m, n), dtype=np.intp)
+    ids = np.arange(n)
+    last = (ids + 1) * (len(table) // n) - 1       # each row's empty suffix
+    start = np.empty((m, n), dtype=np.int32)
     for q in range(n):
         col = dq[:, q]
         keys = np.argsort(col)          # sorted keys keep the searches' branches predictable
-        suffix[keys, q] = base[q] - np.searchsorted(rows[q], col[keys], "left")
-    ids = np.arange(n)
+        start[keys, q] = np.searchsorted(rows[q], col[keys], "left")
     onehot = np.zeros((n, table.shape[1]), dtype=np.uint64)
     onehot[ids, ids >> 6] = _bits(ids)
     counts = np.empty(m, dtype=np.int64)
-    step = max(1, _WALK_BLOCK // onehot.size)
-    for lo in range(0, m, step):
-        rank = np.argsort(dq[lo:lo + step], axis=1)
-        bit = np.take(onehot, rank, axis=0)
-        before = np.cumsum(bit, axis=1)
-        before -= bit                   # the points ranked before each one
-        shared = np.take(table, np.take_along_axis(suffix[lo:lo + step], rank, axis=1), axis=0)
-        shared &= before
-        counts[lo:lo + len(rank)] = np.bitwise_count(shared).sum(axis=(1, 2), dtype=np.int64)
+    step, block = max(1, _WALK_BLOCK // onehot.size), max(1, _WALK_BLOCK // n)
+    for lo in range(0, m, block):
+        rank = np.argsort(dq[lo:lo + block], axis=1)
+        out, s = counts[lo:lo + block], start[lo:lo + block]
+        first = -(-s // stride)         # the first stored suffix inside the true one
+        stored = last - first
+        for a in range(0, len(rank), step):
+            r = rank[a:a + step]
+            bit = np.take(onehot, r, axis=0)
+            before = np.cumsum(bit, axis=1)
+            before -= bit               # the points ranked before each one
+            shared = np.take(table, np.take_along_axis(stored[a:a + step], r, axis=1), axis=0)
+            shared &= before
+            out[a:a + step] = np.bitwise_count(shared).sum(axis=(1, 2), dtype=np.int64)
+        if stride > 1:                  # the positions in front of the stored suffix
+            end = np.minimum(first * stride, n)
+            place = np.empty_like(rank)             # each sample point's place in the sort
+            at = np.arange(len(rank))[:, None]
+            place[at, rank] = ids
+            for j in range(int((end - s).max())):   # one offset for the whole block at a time
+                pos = s + j
+                point = order.take(ids * n + np.minimum(pos, n - 1))      # order[q, pos]
+                out += ((pos < end) & (place.take(at * n + point) < place)).sum(axis=1)
     return counts
 
 
@@ -339,7 +344,7 @@ def _lattice_counts(grid, sample: Sample, threads: int):
     empty).  A range that fails the check is recounted by the float
     predicate along the whole row.  Each lens range adds +1 and -1 to a
     per-row difference array whose cumulative sum is the count, so every
-    count equals `_count_block`'s on the full query matrix, in
+    count equals the pairwise float test's on the full query matrix, in
     O(n^2 N / n_row) time with no N x n matrix.  Rows a lens cannot meet
     are skipped by `_axis_ranges`.
 
@@ -480,17 +485,9 @@ def _matrix_counts(dq: np.ndarray, dmat: np.ndarray, threads: int) -> np.ndarray
     """Covering-pair counts of the query rows `dq` against the sample
     matrix `dmat`, either of which may be a block of a larger matrix."""
     # One table per count, built before the threads start; they only read it.
-    walk = _walk_table(dmat) if _table_fits(len(dmat)) else None
-    step = max(1, _COUNT_BLOCK // len(dmat))
-
-    def kernel(block):
-        if walk is not None:
-            return _walk_block(block, *walk)
-        return np.concatenate([_count_block(block[i:i + step], dmat)
-                               for i in range(0, len(block), step)])
-
+    walk = _walk_table(dmat)
     blocks = np.array_split(dq, min(max(threads, 1), len(dq)))
-    return np.concatenate(thread_map(kernel, blocks, threads))
+    return np.concatenate(thread_map(lambda block: _walk_block(block, *walk), blocks, threads))
 
 
 def _query_matrix(queries, sample: Sample) -> np.ndarray:
@@ -525,7 +522,10 @@ def batch_depth(queries, sample: Sample, threads: int = 1) -> DepthField:
     grid = queries if isinstance(queries, LatticeGrid) else None
     if grid is not None:
         queries = grid.points
-        if isinstance(space, EuclideanSpace) and space.dim == len(grid.axes) >= 2:
+        if not isinstance(space, EuclideanSpace) or space.dim != len(grid.axes):
+            raise DepthError(f"{grid.describe()} is a point set of R^{len(grid.axes)}, "
+                             f"not of {space!r}")
+        if space.dim >= 2:
             return _field(queries, _lattice_counts(grid, sample, threads)[0], sample, grid)
     if not own:
         queries = space.coerce_points(queries)

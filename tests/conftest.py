@@ -586,6 +586,28 @@ def former_bhv_distance(t1: Tree, t2: Tree) -> GeodesicResult:
 
 
 # ---------------------------------------------------------------------------
+# The pair kernel: every sample pair compared against every query row, the
+# oracle of the depth-order walk (`depth._walk_block`) and of the lattice
+# and line counts.
+
+
+def _count_block(dq: np.ndarray, dmat: np.ndarray) -> np.ndarray:
+    """Covering-pair counts for a block of queries.
+
+    dq: (m, n) query-to-sample distances; dmat: (n, n) sample matrix.
+    Comparisons reuse the exact floats the scalar path would produce, so
+    the counts equal the double loop's.
+    """
+    m, n = dq.shape
+    counts = np.zeros(m, dtype=np.int64)
+    for i in range(n - 1):
+        row = dmat[i, i + 1:]
+        worst = np.maximum(dq[:, i, None], dq[:, i + 1:])
+        counts += (worst <= row).sum(axis=1)
+    return counts
+
+
+# ---------------------------------------------------------------------------
 # The pair-moment counts with the joint counts as an int64 product: the
 # oracle of `depth.p2_matrix`, which forms them with a float64 product.
 

@@ -376,6 +376,22 @@ def test_hostile_input_is_one_error_line(workdir, capsys, case):
     assert not any((workdir / name).exists() for name in ("out.csv", "bd.csv", "plot.svg"))
 
 
+@pytest.mark.parametrize("argv, blame", [
+    (["psi", "--metric", "sphere", "--psi", "diam", "--grid=0:1:0.5,0:1:0.5,0:1:0.5"],
+     "lattice 0.0:1.0:0.5,0.0:1.0:0.5,0.0:1.0:0.5 is a point set of R^3, "
+     "not of SphereSpace(dim=3)"),
+    (["levelset", "--lambda", "0.1", "--grid=0:1:0.5,0:1:0.5"],
+     "lattice 0.0:1.0:0.5,0.0:1.0:0.5 is a point set of R^2, not of EuclideanSpace(dim=3)"),
+], ids=["sphere", "columns"])
+def test_a_lattice_outside_the_samples_space_is_named(workdir, capsys, argv, blame):
+    """The error blames the lattice, not a point of the user's sample."""
+    write_points(workdir / "s.csv", np.eye(3))
+    code = run([argv[0], "--sample", "s.csv", *argv[1:], "--out", "out.csv"])
+    assert code == 1
+    assert capsys.readouterr().err == f"lensdepth: error: {blame}\n"
+    assert not (workdir / "out.csv").exists()
+
+
 @pytest.mark.parametrize("loo", [[], ["--leave-one-out"]], ids=["plain", "loo"])
 def test_byte_identical_across_thread_counts(workdir, rng, loo):
     sample = rng.standard_normal(60)

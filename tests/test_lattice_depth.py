@@ -12,16 +12,16 @@ import pytest
 from lensdepth.cli import run
 from lensdepth.dataio import fmt
 from lensdepth.depth import (
+    DepthError,
     Sample,
-    _count_block,
     _lattice_counts,
     batch_depth,
     empirical_lens_depth,
 )
 from lensdepth.levelsets import LatticeGrid
-from lensdepth.metrics import EuclideanSpace, PointValidationError
+from lensdepth.metrics import EuclideanSpace, SphereSpace
 
-from conftest import CASES, halton_normal
+from conftest import CASES, _count_block, halton_normal
 
 
 def case(name):
@@ -80,9 +80,13 @@ def test_the_line_takes_the_grid_points():
 
 
 def test_a_lattice_of_another_dimension_is_rejected():
+    """The error names the lattice and the space, not a point of it."""
     sample = Sample(halton_normal(15, 3, 15), EuclideanSpace(3))
-    with pytest.raises(PointValidationError, match="length 3"):
+    with pytest.raises(DepthError, match=r"^lattice -2\.0:2\.0:0\.5,-2\.0:2\.0:0\.5 is a point "
+                                         r"set of R\^2, not of EuclideanSpace\(dim=3\)$"):
         batch_depth(LatticeGrid(((-2.0, 2.0, 0.5),) * 2), sample)
+    with pytest.raises(DepthError, match=r"R\^3, not of SphereSpace\(dim=3\)$"):
+        batch_depth(LatticeGrid(((0.0, 1.0, 0.5),) * 3), Sample(np.eye(3), SphereSpace(3)))
 
 
 # Each row: a command and the config `simulate` reads (or None).  Every run

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from lensdepth.analysis import loo_depth_against
 from lensdepth.depth import (
     Sample,
-    _count_block,
     _line_counts,
     batch_depth,
     empirical_lens_depth,
@@ -18,7 +17,7 @@ from lensdepth.depth import (
 )
 from lensdepth.metrics import EuclideanSpace
 
-from conftest import neighbours
+from conftest import _count_block, neighbours
 
 LINE = EuclideanSpace(1)
 

@@ -1,9 +1,10 @@
-"""The depth-order walk: each query's count is read off suffix bitsets of
-the sorted sample rows instead of comparing every pair.  Every count must
-equal the pairwise kernel's bit for bit, and the double loop's on small
-samples, on every metric, at the 64-bit word boundaries, on tie-heavy,
-duplicate, overflowing and near-antipodal inputs, on both sides of the
-table budget and at any thread count."""
+"""The depth-order walk: each query's count is read off every B-th suffix
+bitset of the sorted sample rows, plus one rank comparison per position
+in front of it, instead of comparing every pair.  Every count must equal
+the pairwise kernel's (`conftest._count_block`) bit for bit, and the
+double loop's on small samples, on every metric, at the 64-bit word and
+stride boundaries, on tie-heavy, duplicate, overflowing and
+near-antipodal inputs, at every stride and at any thread count."""
 
 import tracemalloc
 
@@ -14,7 +15,6 @@ from lensdepth import depth
 from lensdepth.analysis import depth_depth
 from lensdepth.depth import (
     Sample,
-    _count_block,
     _walk_block,
     _walk_table,
     batch_depth,
@@ -25,13 +25,13 @@ from lensdepth.depth import (
 )
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace, StiefelSpace
 
-from conftest import random_frames, random_tree, random_unit_vectors
+from conftest import _count_block, random_frames, random_tree, random_unit_vectors
 
 SIZES = [3, 63, 64, 65, 127, 128, 129]
 
 
-def table_bytes(n):
-    return n * (n + 1) * -(-n // 64) * 8
+def table_bytes(n, stride=1):
+    return n * (-(-n // stride) + 1) * -(-n // 64) * 8
 
 
 def normal(rng, n):
@@ -100,15 +100,68 @@ def make(name, n, m, seed=0):
     return Sample(sample_pts, space), space.coerce_points(queries)
 
 
+@pytest.fixture
+def kernels(monkeypatch):
+    """Records the table stride of each walk."""
+    ran = []
+
+    def counted(*args, kernel=depth._walk_block):
+        ran.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(depth, "_walk_block", counted)
+    return ran
+
+
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_walk_equals_the_pair_kernel(name, n):
+def test_walk_equals_the_pair_kernel(kernels, monkeypatch, name, n):
+    """With every suffix in the table, and with every 2nd, 4th and 64th up
+    to the first power of two >= n, forced by the budget: n = 63..65 and
+    127..129 are B - 1, 0 and 1 mod B for each.  Strided counts run on
+    one block of query rows per thread."""
     sample, queries = make(name, n, 40)
     dmat = sample.distance_matrix
     walk = _walk_table(dmat)
     dq = sample.space.cross_matrix(queries, sample.points)
-    assert np.array_equal(_walk_block(dq, *walk), _count_block(dq, dmat))
-    assert np.array_equal(_walk_block(dmat, *walk), _count_block(dmat, dmat))
+    want, own = _count_block(dq, dmat), _count_block(dmat, dmat)
+    assert np.array_equal(_walk_block(dq, *walk), want)
+    assert np.array_equal(_walk_block(dmat, *walk), own)
+    for stride in (s for s in (2, 4, 64) if s < 2 * n):
+        monkeypatch.setattr(depth, "_WALK_TABLE", table_bytes(n, stride))
+        kernels.clear()
+        for threads in (1, 2, 3):
+            assert np.array_equal(depth._matrix_counts(dq, dmat, threads), want)
+            assert np.array_equal(depth._matrix_counts(dmat, dmat, threads), own)
+        assert set(kernels) == {stride}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_strided_entry_points_equal_the_pair_kernel(kernels, monkeypatch, name):
+    """Every entry point that counts against a sample matrix, at strides
+    2, 4 and 64 and at any thread count."""
+    n = 65
+    sample, queries = make(name, n, 30)
+    other = Sample(queries, sample.space)
+    pooled = np.concatenate([sample.points, queries])
+    plain = _oracle(queries, sample)
+    own = _count_block(sample.distance_matrix, sample.distance_matrix) - (n - 1)
+    equal = depth._sample_index(queries, sample) >= 0
+    loo = np.where(equal, (plain - (n - 1)) / ((n - 1) * (n - 2) // 2), plain / (n * (n - 1) // 2))
+    pooled_want = [_oracle(pooled, sample), _oracle(pooled, other)]
+    for stride in (2, 4, 64):
+        monkeypatch.setattr(depth, "_WALK_TABLE", table_bytes(n, stride))
+        for threads in (1, 2, 3):
+            kernels.clear()
+            assert np.array_equal(batch_depth(queries, sample, threads=threads).counts, plain)
+            assert np.array_equal(self_depth_field(sample, threads=threads).counts, own)
+            assert np.array_equal(loo_depth_against(queries, sample, threads=threads), loo)
+            assert set(kernels) == {stride}
+            kernels.clear()
+            fields = pooled_depth(sample, other, threads=threads)
+            for field, want in zip(fields, pooled_want):
+                assert np.array_equal(field.counts, want)
+            assert kernels == [stride] * threads + [depth._walk_stride(other.n)] * threads
 
 
 def test_the_cases_are_hostile():
@@ -123,27 +176,19 @@ def test_the_cases_are_hostile():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_walk_equals_the_double_loop(name):
+def test_walk_equals_the_double_loop(kernels, monkeypatch, name):
+    """With every suffix in the table, and with every fourth."""
     sample, queries = make(name, 12, 130)
-    assert depth._table_fits(sample.n)
-    values = batch_depth(queries, sample).values
-    for i in range(0, len(queries), 13):
-        assert values[i] == empirical_lens_depth(queries[i], sample)
-    loo = self_depth_field(sample).values
-    for e in range(0, sample.n, 5):
-        assert loo[e] == empirical_lens_depth(sample.points[e], sample, exclude=e)
-
-
-@pytest.fixture
-def kernels(monkeypatch):
-    """Records which kernel each count ran."""
-    ran = []
-    for name in ("_walk_block", "_count_block"):
-        def counted(*args, kernel=getattr(depth, name), name=name):
-            ran.append(name)
-            return kernel(*args)
-        monkeypatch.setattr(depth, name, counted)
-    return ran
+    for stride in (1, 4):
+        monkeypatch.setattr(depth, "_WALK_TABLE", table_bytes(12, stride))
+        kernels.clear()
+        values = batch_depth(queries, sample).values
+        for i in range(0, len(queries), 13):
+            assert values[i] == empirical_lens_depth(queries[i], sample)
+        loo = self_depth_field(sample).values
+        for e in range(0, sample.n, 5):
+            assert loo[e] == empirical_lens_depth(sample.points[e], sample, exclude=e)
+        assert set(kernels) == {stride}
 
 
 @pytest.mark.parametrize("m", [1, 2, 127])
@@ -151,20 +196,26 @@ def test_few_queries_walk_too(kernels, m):
     sample, queries = make("sphere", 65, m)
     want = _oracle(queries, sample)
     assert np.array_equal(batch_depth(queries, sample).counts, want)
-    assert set(kernels) == {"_walk_block"}
+    assert set(kernels) == {1}
 
 
 @pytest.mark.parametrize("spare", [0, -1])
 def test_table_budget(kernels, monkeypatch, spare):
+    """The whole table at its exact size, every second suffix one byte
+    short of it."""
     sample, queries = make("integers", 129, 150)
     monkeypatch.setattr(depth, "_WALK_TABLE", table_bytes(129) + spare)
     assert np.array_equal(batch_depth(queries, sample).counts, _oracle(queries, sample))
-    assert set(kernels) == {"_walk_block" if spare == 0 else "_count_block"}
+    assert set(kernels) == {1 if spare == 0 else 2}
 
 
 def test_budget_fits_the_documented_sizes():
     assert table_bytes(500) == 16_032_000
-    assert depth._table_fits(640) and not depth._table_fits(641)
+    strides = {n: depth._walk_stride(n) for n in (500, 640, 641, 1000, 2000)}
+    assert strides == {500: 1, 640: 1, 641: 2, 1000: 4, 2000: 32}
+    for n, stride in strides.items():
+        assert table_bytes(n, stride) <= depth._WALK_TABLE
+        assert stride == 1 or table_bytes(n, stride // 2) > depth._WALK_TABLE
 
 
 def _oracle(queries, sample):
@@ -183,7 +234,7 @@ def test_counts_do_not_depend_on_threads(kernels, name):
         assert np.array_equal(batch_depth(queries, sample, threads=threads).counts, plain)
         assert np.array_equal(self_depth_field(big, threads=threads).counts, own)
         assert np.array_equal(loo_depth_against(queries, sample, threads=threads), loo)
-    assert set(kernels) == {"_walk_block"}
+    assert set(kernels) == {1}
 
 
 def test_query_rows_equal_to_sample_points_come_from_the_sample_matrix(monkeypatch):
@@ -208,7 +259,7 @@ def test_ddplot_groups_each_count_once(kernels, threads):
     g0, _ = make("sphere", 150, 1, seed=1)
     g1, _ = make("sphere", 140, 1, seed=2)
     records = depth_depth(g0, g1, threads=threads)
-    assert kernels == ["_walk_block"] * threads * 2     # one block per thread
+    assert kernels == [1] * threads * 2     # one block per thread
     own0 = self_depth_field(g0).values
     own1 = self_depth_field(g1).values
     other0 = _oracle(g0.points, g1) / (g1.n * (g1.n - 1) // 2)
@@ -217,26 +268,36 @@ def test_ddplot_groups_each_count_once(kernels, threads):
     assert [r.depth1 for r in records] == list(other0) + list(own1)
 
 
+def peak_beyond_the_query_matrix(rng, n, m):
+    """The tracemalloc peak of one sphere count of m queries against n
+    points, less the m x n query matrix; the sample matrix is built first."""
+    sample = Sample(random_unit_vectors(rng, n, 3), SphereSpace(3))
+    sample.distance_matrix
+    queries = random_unit_vectors(rng, m, 3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        batch_depth(queries, sample)
+        return tracemalloc.get_traced_memory()[1] - start - 8 * m * n
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_is_one_table_plus_the_query_rows():
-    """Beyond the distance matrices, a count allocates at most the table
-    it needs (none past the budget) and a few arrays of m x n words:
-    never a second table or one of n^3 bits."""
+    """Beyond the distance matrices, a count allocates one table and a few
+    arrays of m x n words: never a second table or one of n^3 bits.  Past
+    stride 1 the table fills the budget; the sorted rows and their int32
+    order add 12 n^2 bytes, and filling one position per chunk of B at a
+    time a few arrays of n^2 / B words."""
     rng = np.random.default_rng(5)
-    for n, m in ((500, 1000), (700, 300)):
-        sample = Sample(random_unit_vectors(rng, n, 3), SphereSpace(3))
-        sample.distance_matrix
-        queries = random_unit_vectors(rng, m, 3)
-        walks = depth._table_fits(n)
-        assert walks == (n == 500)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            batch_depth(queries, sample)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        table = table_bytes(n) if walks else 0
-        assert peak - 8 * m * n <= table + 3 * 8 * m * n, (n, m, peak)
+    n, m = 500, 1000
+    assert peak_beyond_the_query_matrix(rng, n, m) <= table_bytes(n) + 3 * 8 * m * n
+    for n, m in ((1000, 500), (2000, 200)):
+        stride = depth._walk_stride(n)
+        assert stride > 1
+        peak = peak_beyond_the_query_matrix(rng, n, m)
+        fill = 4 * 8 * n * n // stride
+        assert peak <= depth._WALK_TABLE + 12 * n * n + fill + 3 * 8 * m * n, (n, m, peak)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -276,8 +337,8 @@ def test_pooled_matrix_equals_pairwise(name):
 def test_pooled_counts_equal_batch_depth(kernels, monkeypatch, name, small_table):
     """The counts read off strided blocks of the pooled matrix equal those
     of `batch_depth` on the pooled points, at any thread count; with the
-    table budget between the two sample sizes, the walk counts one sample
-    and `_count_block` the other."""
+    table budget between the two sample sizes, the walk keeps every
+    suffix of one sample and every second suffix of the other."""
     sx, pts = make(name, 70, 65)
     sy = Sample(pts, sx.space)
     pooled = np.concatenate([sx.points, sy.points])
@@ -290,4 +351,4 @@ def test_pooled_counts_equal_batch_depth(kernels, monkeypatch, name, small_table
         assert [f.n for f in fields] == [sx.n, sy.n]
         for field, counts in zip(fields, want):
             assert np.array_equal(field.counts, counts)
-    assert set(kernels) == ({"_walk_block", "_count_block"} if small_table else {"_walk_block"})
+    assert set(kernels) == ({1, 2} if small_table else {1})
