@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import treespace
+from . import depth, treespace
 from .depth import (
     DepthError,
     Sample,
@@ -71,7 +71,7 @@ def make_sampler(spec: dict) -> Sampler:
     if dist == "normal":
         mu = _field(spec, "mu", float, 0.0)
         sigma = _field(spec, "sigma", float, 1.0)
-        dim = _field(spec, "dim", int, 1)
+        dim = _field(spec, "dim", _integer(1), 1)
         _reject_extra(dist, spec)
         if sigma <= 0:
             raise ExperimentError("normal sampler needs sigma > 0")
@@ -132,7 +132,14 @@ def make_sampler(spec: dict) -> Sampler:
         mu = _field(spec, "mu", _float_array)
         kappa = _field(spec, "kappa", float)
         _reject_extra(dist, spec)
-        mu = mu / np.linalg.norm(mu)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(mu)
+        if mu.ndim != 1 or len(mu) < 2 or not 0 < norm < math.inf:
+            raise ExperimentError(f"sphere_vmf sampler needs a vector 'mu' of length >= 2 "
+                                  f"and finite nonzero norm, got {mu.tolist()}")
+        if kappa <= 0:
+            raise ExperimentError(f"sphere_vmf sampler needs 'kappa' > 0, got {kappa}")
+        mu = mu / norm
         space = SphereSpace(len(mu))
         from scipy.stats import vonmises_fisher
 
@@ -182,6 +189,17 @@ def _field(spec: dict, key: str, convert, *default):
     if isinstance(out, (float, np.ndarray)) and not np.all(np.isfinite(out)):
         raise ExperimentError(f"config field {key!r} has a non-finite value {value!r}")
     return out
+
+
+def _integer(least=None):
+    """A converter to an int, at least `least` if given, refusing what
+    int() would truncate or reinterpret: a fraction, a bool, a string."""
+    def convert(value):
+        whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        if isinstance(value, bool) or not whole or least is not None and value < least:
+            raise ValueError(value)
+        return int(value)
+    return convert
 
 
 def _float_array(value) -> np.ndarray:
@@ -417,9 +435,7 @@ def _replicate(cfg: ExperimentConfig, sampler: Sampler, n_schedule, statistic) -
 
     # On the line each count is a sort and two binary searches, numpy calls
     # too short to release the GIL for long, so a second thread only waits.
-    space = sampler.space
-    on_line = isinstance(space, EuclideanSpace) and space.dim == 1
-    out = np.array(thread_map(job, jobs, 1 if on_line else cfg.threads))
+    out = np.array(thread_map(job, jobs, 1 if depth._on_line(sampler.space) else cfg.threads))
     return out.reshape((len(n_schedule), cfg.replications) + out.shape[1:])
 
 
@@ -443,8 +459,7 @@ def _stat_block(per_n: list[np.ndarray], n_schedule) -> dict:
 def _population_depth_on(points, sampler: Sampler, pairs: int, seed: int):
     if sampler.cdf is not None:
         return np.asarray(population_ld_1d(points[:, 0], sampler.cdf))
-    return np.array([population_ld_mc(p, sampler, pairs, seed=seed)
-                     for p in points])
+    return population_ld_mc(points, sampler, pairs, seed=seed)
 
 
 def supnorm_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
@@ -625,15 +640,15 @@ def run_config(config: dict) -> dict:
     lam = _field(config, "lambda", float, None)
     cfg = ExperimentConfig(
         sampler=_field(config, "sampler", dict),
-        n_schedule=_field(config, "n_schedule", lambda ns: tuple(int(n) for n in ns)),
-        replications=_field(config, "replications", int),
-        seed=_field(config, "seed", int, 0),
+        n_schedule=_field(config, "n_schedule", lambda ns: tuple(map(_integer(2), ns))),
+        replications=_field(config, "replications", _integer(1)),
+        seed=_field(config, "seed", _integer(0), 0),
         grid=_field(config, "grid", lambda g: tuple(tuple(map(float, axis)) for axis in g),
                     None),
         points=_field(config, "points",
                       lambda ps: tuple(tuple(np.atleast_1d(p).tolist()) for p in ps), ()),
-        pairs=_field(config, "pairs", int, 1_000_000),
-        threads=_field(config, "threads", int, 1),
+        pairs=_field(config, "pairs", _integer(1), 1_000_000),
+        threads=_field(config, "threads", _integer(), 1),
     )
     if config:
         raise ExperimentError(f"unknown config fields: {sorted(config)}")

@@ -27,7 +27,7 @@ of three paths:
 - Elsewhere the sample matrix is built, then the query matrix; a query
   equal by value to a sample point reads its row from the sample
   matrix.  `_walk_block` counts each query in depth order against every
-  B-th suffix bitset of the sorted sample rows (`_walk_table`, built
+  B-th suffix bitset of the sample rows' sort orders (`_walk_table`, built
   once per count, B the smallest power of two that fits it in
   `_WALK_TABLE`), plus one rank comparison per position in front of a
   stored suffix.  `_matrix_counts` runs it on one contiguous block of
@@ -37,6 +37,10 @@ of three paths:
 A `DepthField` carries the lattice it was counted on, if any, and the
 distances among its points when the count built them; only the third
 path builds them, so a field on the line never carries a matrix.
+
+`population_ld_mc` counts every point of a set against one set of random
+pairs, one indicator row at a time; `p2_matrix` reads its pair moments
+off the same indicators (`_coverage_batches`).
 
 `thread_map` is the package's one thread pool.
 """
@@ -155,9 +159,17 @@ def empirical_lens_depth(x, sample: Sample, exclude: int | None = None) -> float
 
 # Bytes one walk table may take (see `_walk_stride`).
 _WALK_TABLE = 1 << 25
-# Table words gathered per block of the walk, and query entries per block
-# of its leftover positions; bounds their temporaries per thread.
-_WALK_BLOCK = 1 << 16
+# Entries per block of `_row_blocks`: bounds the temporaries of the walk per
+# thread, of the Hausdorff distance and of nearest indices.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(count: int, width: int):
+    """Consecutive slices of `count` rows, each small enough that its
+    rows of `width` entries hold about _BLOCK_ENTRIES entries (one row at
+    least)."""
+    size = max(1, _BLOCK_ENTRIES // max(width, 1))
+    return (slice(lo, lo + size) for lo in range(0, count, size))
 
 
 def _bits(ids: np.ndarray) -> np.ndarray:
@@ -175,8 +187,8 @@ def _walk_stride(n: int) -> int:
 
 
 def _walk_table(dmat: np.ndarray):
-    """The rows of the sample matrix sorted ascending, the int32 order
-    that sorts them, the walk's table and its stride B.  With c =
+    """The int32 order that sorts each row of the sample matrix
+    ascending, the walk's table and its stride B.  With c =
     ceil(n/B), table row q * (c + 1) + t is the bitset, in ceil(n/64)
     words, of the sample indices at sorted positions (c - t) * B on in
     row q: every B-th suffix and the empty one.  A running sum of the
@@ -184,18 +196,16 @@ def _walk_table(dmat: np.ndarray):
     """
     n, stride = len(dmat), _walk_stride(len(dmat))
     chunks = -(-n // stride)
-    order = np.argsort(dmat, axis=1)
-    rows = np.take_along_axis(dmat, order, axis=1)
-    order = order.astype(np.int32)
+    order = np.argsort(dmat, axis=1).astype(np.int32)
     table = np.zeros((n, chunks + 1, -(-n // 64)), dtype=np.uint64)
     for j in range(stride):           # one position per chunk at a time
         ids = order[:, j::stride]
         table[np.arange(n)[:, None], chunks - np.arange(ids.shape[1]), ids >> 6] |= _bits(ids)
     np.cumsum(table, axis=1, out=table)
-    return rows, order, table.reshape(n * (chunks + 1), -1), stride
+    return order, table.reshape(n * (chunks + 1), -1), stride
 
 
-def _walk_block(dq: np.ndarray, rows: np.ndarray, order: np.ndarray, table: np.ndarray,
+def _walk_block(dq: np.ndarray, dmat: np.ndarray, order: np.ndarray, table: np.ndarray,
                 stride: int) -> np.ndarray:
     """Covering-pair counts of the query rows `dq` by a walk in depth
     order over `_walk_table(dmat)`, equal to the float test on every pair.
@@ -219,24 +229,23 @@ def _walk_block(dq: np.ndarray, rows: np.ndarray, order: np.ndarray, table: np.n
     for q in range(n):
         col = dq[:, q]
         keys = np.argsort(col)          # sorted keys keep the searches' branches predictable
-        start[keys, q] = np.searchsorted(rows[q], col[keys], "left")
+        start[keys, q] = np.searchsorted(dmat[q, order[q]], col[keys], "left")
     onehot = np.zeros((n, table.shape[1]), dtype=np.uint64)
     onehot[ids, ids >> 6] = _bits(ids)
     counts = np.empty(m, dtype=np.int64)
-    step, block = max(1, _WALK_BLOCK // onehot.size), max(1, _WALK_BLOCK // n)
-    for lo in range(0, m, block):
-        rank = np.argsort(dq[lo:lo + block], axis=1)
-        out, s = counts[lo:lo + block], start[lo:lo + block]
+    for rows in _row_blocks(m, n):
+        rank = np.argsort(dq[rows], axis=1)
+        out, s = counts[rows], start[rows]
         first = -(-s // stride)         # the first stored suffix inside the true one
         stored = last - first
-        for a in range(0, len(rank), step):
-            r = rank[a:a + step]
+        for a in _row_blocks(len(rank), onehot.size):
+            r = rank[a]
             bit = np.take(onehot, r, axis=0)
             before = np.cumsum(bit, axis=1)
             before -= bit               # the points ranked before each one
-            shared = np.take(table, np.take_along_axis(stored[a:a + step], r, axis=1), axis=0)
+            shared = np.take(table, np.take_along_axis(stored[a], r, axis=1), axis=0)
             shared &= before
-            out[a:a + step] = np.bitwise_count(shared).sum(axis=(1, 2), dtype=np.int64)
+            out[a] = np.bitwise_count(shared).sum(axis=(1, 2), dtype=np.int64)
         if stride > 1:                  # the positions in front of the stored suffix
             end = np.minimum(first * stride, n)
             place = np.empty_like(rank)             # each sample point's place in the sort
@@ -487,7 +496,7 @@ def _matrix_counts(dq: np.ndarray, dmat: np.ndarray, threads: int) -> np.ndarray
     # One table per count, built before the threads start; they only read it.
     walk = _walk_table(dmat)
     blocks = np.array_split(dq, min(max(threads, 1), len(dq)))
-    return np.concatenate(thread_map(lambda block: _walk_block(block, *walk), blocks, threads))
+    return np.concatenate(thread_map(lambda dq: _walk_block(dq, dmat, *walk), blocks, threads))
 
 
 def _query_matrix(queries, sample: Sample) -> np.ndarray:
@@ -642,14 +651,15 @@ def population_level_interval_1d(lam: float, ppf) -> tuple[float, float]:
 
 
 # Random pairs drawn per Monte Carlo batch; bounds the temporaries at a few
-# arrays of this length per covered point.
+# arrays of this length, and one per query point in `p2_matrix`.
 _MC_BATCH = 200_000
 
 
 def _coverage_batches(points, sampler, pairs: int, rng: np.random.Generator):
     """Draw `pairs` independent pairs from `sampler` in batches of
-    _MC_BATCH and yield, per batch, the (len(points), batch) indicators
-    that each pair's lens covers each point."""
+    _MC_BATCH and yield, per batch, an iterator over `points` of the
+    indicators that each pair's lens covers the point, built as it is
+    consumed, which must happen before the next batch is drawn."""
     space = sampler.space
     done = 0
     while done < pairs:
@@ -657,27 +667,26 @@ def _coverage_batches(points, sampler, pairs: int, rng: np.random.Generator):
         y1 = sampler.draw(rng, m)
         y2 = sampler.draw(rng, m)
         r = space.paired_distances(y1, y2)
-        ind = np.empty((len(points), m), dtype=bool)
-        for i in range(len(points)):
-            d1 = space.dists_to(y1, points[i])
-            d2 = space.dists_to(y2, points[i])
-            ind[i] = (d1 <= r) & (d2 <= r)
-        yield ind
+        yield ((space.dists_to(y1, p) <= r) & (space.dists_to(y2, p) <= r) for p in points)
         done += m
 
 
-def population_ld_mc(x, sampler, pairs: int, seed: int = 0) -> float:
-    """Monte Carlo population depth: the fraction of independent sample
-    pairs whose lens contains `x`.
+def population_ld_mc(points, sampler, pairs: int, seed: int = 0) -> np.ndarray:
+    """Monte Carlo population depth of every point of a point set: the
+    fraction of independent sample pairs whose lens contains it.
 
-    `sampler` provides `.space` and `.draw(rng, k)`; the estimate is
-    deterministic given `seed` with standard error <= (4*pairs)^{-1/2}.
+    `sampler` provides `.space` and `.draw(rng, k)`.  One generator seeded
+    by `seed` draws the pairs once, and every point is counted against
+    them, so each value is deterministic given `seed` and independent of
+    the other points, with standard error <= (4*pairs)^{-1/2}.
     """
     if pairs < 1:
         raise DepthError(f"need at least one pair, got {pairs}")
-    x = sampler.space.coerce_point(x)
+    points = sampler.space.coerce_points(points)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    hits = sum(int(ind.sum()) for ind in _coverage_batches([x], sampler, pairs, rng))
+    hits = np.zeros(len(points), dtype=np.int64)
+    for rows in _coverage_batches(points, sampler, pairs, rng):
+        hits += [np.count_nonzero(row) for row in rows]
     return hits / pairs
 
 
@@ -694,9 +703,9 @@ def p2_matrix(points, sampler, pairs: int, seed: int = 0):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(2,)))
     hits = np.zeros((k, k), dtype=np.int64)
-    for ind in _coverage_batches(points, sampler, pairs, rng):
+    for rows in _coverage_batches(points, sampler, pairs, rng):
         # A float64 product of the 0/1 indicators is exact in any summation
         # order: every sum is an integer of at most _MC_BATCH < 2^53.
-        ind = ind.astype(np.float64)
+        ind = np.array(list(rows), dtype=np.float64)
         hits += (ind @ ind.T).astype(np.int64)
     return np.diag(hits) / pairs, hits / pairs

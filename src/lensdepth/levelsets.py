@@ -18,13 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import depth
 from .depth import DepthField, Sample
 from .metrics import MetricSpace
-
-
-# Cross-matrix entries per block of `_row_blocks`: bounds the temporaries
-# of the Hausdorff distance and of nearest indices.
-_BLOCK_ENTRIES = 1 << 16
 
 
 class LevelSetError(ValueError):
@@ -57,14 +53,6 @@ def level_set(field: DepthField, lam: float) -> LevelSet:
     return LevelSet(float(lam), members, field)
 
 
-def _row_blocks(count: int, width: int):
-    """Consecutive slices of `count` rows, each small enough that its
-    cross matrix against `width` columns holds about _BLOCK_ENTRIES
-    entries (one row at least)."""
-    size = max(1, _BLOCK_ENTRIES // max(width, 1))
-    return (slice(lo, lo + size) for lo in range(0, count, size))
-
-
 def hausdorff(a, b, space: MetricSpace) -> float:
     """Hausdorff distance between two nonempty finite point sets:
     the larger of the two directed farthest-nearest distances."""
@@ -73,7 +61,7 @@ def hausdorff(a, b, space: MetricSpace) -> float:
     # min and max are exact, so the value does not depend on the blocking.
     a_to_b = 0.0
     b_to_a = np.full(len(b), np.inf)
-    for rows in _row_blocks(len(a), len(b)):
+    for rows in depth._row_blocks(len(a), len(b)):
         cross = space.cross_matrix(a[rows], b)
         a_to_b = max(a_to_b, float(cross.min(axis=1).max()))
         np.minimum(b_to_a, cross.min(axis=0), out=b_to_a)
@@ -82,9 +70,9 @@ def hausdorff(a, b, space: MetricSpace) -> float:
 
 def nearest_indices(points, targets, space: MetricSpace) -> np.ndarray:
     """Index of the nearest point of `targets` for each of `points`
-    (ties resolved to the lowest index), over `_row_blocks`."""
+    (ties resolved to the lowest index), over `depth._row_blocks`."""
     out = np.empty(len(points), dtype=np.int64)
-    for rows in _row_blocks(len(points), len(targets)):
+    for rows in depth._row_blocks(len(points), len(targets)):
         out[rows] = space.cross_matrix(points[rows], targets).argmin(axis=1)
     return out
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from lensdepth.depth import _coverage_batches
+from lensdepth.depth import _MC_BATCH, DepthError, _coverage_batches
 from lensdepth.dispersion import DispersionError
 from lensdepth.levelsets import LatticeGrid, LevelSetError
 from lensdepth.metrics import BHVSpace, EuclideanSpace, MetricSpace, SphereSpace, StiefelSpace
@@ -618,10 +618,37 @@ def former_p2_counts(points, sampler, pairs: int, seed: int = 0):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
     hit_single = np.zeros(k, dtype=np.int64)
     hit_joint = np.zeros((k, k), dtype=np.int64)
-    for ind in _coverage_batches(points, sampler, pairs, rng):
+    for rows in _coverage_batches(points, sampler, pairs, rng):
+        ind = np.array(list(rows))
         hit_single += ind.sum(axis=1)
         hit_joint += ind.astype(np.int64) @ ind.T
     return hit_single, hit_joint
+
+
+# ---------------------------------------------------------------------------
+# The Monte Carlo population depth of one point, which draws its own pairs:
+# the oracle of `depth.population_ld_mc`, which counts a whole point set
+# against one set of draws.
+
+
+def former_population_ld_mc(x, sampler, pairs: int, seed: int = 0) -> float:
+    """The fraction of `pairs` independent pairs from `sampler` whose lens
+    contains `x`, drawn in batches of _MC_BATCH from a generator seeded by
+    `seed`."""
+    if pairs < 1:
+        raise DepthError(f"need at least one pair, got {pairs}")
+    space = sampler.space
+    x = space.coerce_point(x)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    hits = done = 0
+    while done < pairs:
+        m = min(_MC_BATCH, pairs - done)
+        y1 = sampler.draw(rng, m)
+        y2 = sampler.draw(rng, m)
+        r = space.paired_distances(y1, y2)
+        hits += int(((space.dists_to(y1, x) <= r) & (space.dists_to(y2, x) <= r)).sum())
+        done += m
+    return hits / pairs
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,40 @@ def test_sampler_rejects_non_finite_fields(spec, field):
         make_sampler(spec)
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"dist": "normal", "dim": 0}, "'dim'"),
+    ({"dist": "normal", "dim": True}, "'dim'"),
+    ({"dist": "sphere_vmf", "mu": [1.0], "kappa": 5.0}, "'mu'"),
+    ({"dist": "sphere_vmf", "mu": [[0.0, 1.0]], "kappa": 5.0}, "'mu'"),
+    ({"dist": "sphere_vmf", "mu": [1e308, 1e308], "kappa": 5.0}, "'mu'"),
+    ({"dist": "sphere_vmf", "mu": [0.0, 1.0], "kappa": 0.0}, "'kappa'"),
+])
+def test_sampler_rejects_values_off_its_range(spec, field):
+    with pytest.raises(ExperimentError, match=field):
+        make_sampler(spec)
+
+
+# `simulate` sets threads from --threads, so only the API reads it from a config.
+@pytest.mark.parametrize("field, value", [
+    ("threads", 2.5), ("threads", True), ("threads", "2"), ("seed", 1.5), ("pairs", 0),
+    ("n_schedule", [1]), ("n_schedule", 10), ("replications", 0),
+])
+def test_config_refuses_bad_integer_fields(field, value):
+    config = {"experiment": "supnorm", "sampler": {"dist": "normal", "dim": 2},
+              "n_schedule": [10], "replications": 1, "grid": [[-1.0, 1.0, 0.5]] * 2}
+    with pytest.raises(ExperimentError, match=f"'{field}' has a bad value"):
+        run_config(dict(config, **{field: value}))
+
+
+def test_config_takes_integral_floats():
+    config = {"experiment": "supnorm", "sampler": {"dist": "normal", "dim": 2.0},
+              "n_schedule": [10.0], "replications": 1.0, "seed": 3.0, "pairs": 100.0,
+              "threads": 2.0, "grid": [[-1.0, 1.0, 0.5]] * 2}
+    want = dict(config, sampler={"dist": "normal", "dim": 2}, n_schedule=[10],
+                replications=1, seed=3, pairs=100, threads=2)
+    assert run_config(config) == run_config(want)
+
+
 def test_normal_sampler_cdf_matches_scipy():
     sampler = make_sampler({"dist": "normal", "mu": 2.0, "sigma": 3.0})
     xs = np.array([-1.0, 2.0, 4.0])

@@ -302,6 +302,9 @@ _SIDE_OUTPUTS = {"levelset": ["--boundary-out", "bd.csv"],
                  "diam-by-group": ["--svg", "plot.svg"]}
 _NORMAL_1D = {"experiment": "supnorm", "sampler": {"dist": "normal"},
               "n_schedule": [10], "replications": 1, "grid": [[-1.0, 1.0, 0.5]]}
+_VMF = {"dist": "sphere_vmf", "mu": [0, 0, 1], "kappa": 4.0}
+_SPHERE_CLT = {"experiment": "clt", "sampler": _VMF, "n_schedule": [10],
+               "replications": 500, "pairs": 100, "points": [[0, 0, 1]]}
 
 # Bad values arriving from the command line or a config file; each row
 # must fail at its parse or validation site, before any output is written.
@@ -336,6 +339,16 @@ HOSTILE = {
     "config-sigma-nan": dict(_NORMAL_1D, sampler={"dist": "normal", "sigma": float("nan")}),
     "config-v-nan": dict(_NORMAL_1D, sampler={"dist": "student_t", "v": float("nan")}),
     "config-lambda-nan": dict(_NORMAL_1D, experiment="levelset", **{"lambda": float("nan")}),
+    "config-seed-negative": dict(_NORMAL_1D, seed=-3),
+    "config-n-schedule-negative": dict(_NORMAL_1D, n_schedule=[-5]),
+    "config-vmf-mu-zero": dict(_SPHERE_CLT, sampler=dict(_VMF, mu=[0, 0, 0])),
+    "config-vmf-kappa-negative": dict(_SPHERE_CLT, sampler=dict(_VMF, kappa=-1)),
+    # Values int() would truncate or read as a number.
+    "config-pairs-fraction": dict(_NORMAL_1D, pairs=2.5),
+    "config-replications-fraction": dict(_NORMAL_1D, replications=1.5),
+    "config-replications-true": dict(_NORMAL_1D, replications=True),
+    "config-dim-fraction": dict(_NORMAL_1D, sampler={"dist": "normal", "dim": 2.5}),
+    "config-n-schedule-fraction": dict(_NORMAL_1D, n_schedule=[10.5]),
     # Sizes numpy refuses before allocating anything.
     "grid-too-many-points": [*_LEVELSET, "--grid=0:1:1e-30"],
     "grid-out-of-memory": [*_LEVELSET, "--grid=0:1:1e-15"],
@@ -351,7 +364,12 @@ HOSTILE = {
 
 # Rows whose one error line must name the field they break.
 HOSTILE_FIELD = {"config-sigma-nan": "'sigma'", "config-v-nan": "'v'",
-                 "config-lambda-nan": "'lambda'"}
+                 "config-lambda-nan": "'lambda'", "config-seed-negative": "'seed'",
+                 "config-n-schedule-negative": "'n_schedule'", "config-vmf-mu-zero": "'mu'",
+                 "config-vmf-kappa-negative": "'kappa'", "config-pairs-fraction": "'pairs'",
+                 "config-replications-fraction": "'replications'",
+                 "config-replications-true": "'replications'", "config-dim-fraction": "'dim'",
+                 "config-n-schedule-fraction": "'n_schedule'"}
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.stats import norm
 
 from lensdepth import depth
 from lensdepth.depth import (
+    _MC_BATCH,
     DepthError,
     Sample,
     batch_depth,
@@ -19,7 +21,12 @@ from lensdepth.analysis import loo_depth_against
 from lensdepth.asymptotics import make_sampler, run_config
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
 
-from conftest import random_tree, random_unit_vectors, space_with_points
+from conftest import (
+    former_population_ld_mc,
+    random_tree,
+    random_unit_vectors,
+    space_with_points,
+)
 
 E1 = EuclideanSpace(1)
 E2 = EuclideanSpace(2)
@@ -288,20 +295,62 @@ def test_population_level_interval():
 
 def test_population_mc_point_mass():
     sampler = make_sampler({"dist": "point_mass", "value": [4.0]})
-    assert population_ld_mc(np.array([4.0]), sampler, 1000, seed=1) == 1.0
-    assert population_ld_mc(np.array([5.0]), sampler, 1000, seed=1) == 0.0
+    assert population_ld_mc(np.array([4.0]), sampler, 1000, seed=1).tolist() == [1.0]
+    assert population_ld_mc(np.array([5.0]), sampler, 1000, seed=1).tolist() == [0.0]
 
 
 def test_population_mc_far_from_support():
     sampler = make_sampler({"dist": "uniform", "lo": 0.0, "hi": 1.0})
     # support diameter is 1; a point 3 away can never be in a lens
-    assert population_ld_mc(np.array([4.0]), sampler, 5000, seed=2) == 0.0
+    assert population_ld_mc(np.array([4.0]), sampler, 5000, seed=2).tolist() == [0.0]
 
 
 def test_population_mc_matches_closed_form():
     sampler = make_sampler({"dist": "normal"})
-    got = population_ld_mc(np.array([0.0]), sampler, 1_000_000, seed=3)
+    (got,) = population_ld_mc(np.array([0.0]), sampler, 1_000_000, seed=3)
     assert got == pytest.approx(0.5, abs=0.002)
+
+
+# Ties, a point every lens covers under the point mass, and one none does.
+MC_PLANE_POINTS = np.array([[0.0, 0.0], [0.0, 0.0], [0.3, -0.2], [-1.2, 0.7], [40.0, 0.0]])
+
+
+@pytest.mark.parametrize("pairs", [_MC_BATCH - 1, _MC_BATCH, _MC_BATCH + 3])
+@pytest.mark.parametrize("sampler", [{"dist": "normal", "dim": 2},
+                                     {"dist": "point_mass", "value": [0.0, 0.0]}],
+                         ids=["normal", "point-mass"])
+def test_population_mc_equals_one_draw_per_point(sampler, pairs):
+    sampler = make_sampler(sampler)
+    want = [former_population_ld_mc(x, sampler, pairs, seed=4) for x in MC_PLANE_POINTS]
+    assert population_ld_mc(MC_PLANE_POINTS, sampler, pairs, seed=4).tolist() == want
+
+
+def test_population_mc_equals_one_draw_per_point_off_euclidean_space(rng):
+    vmf = make_sampler({"dist": "sphere_vmf", "mu": [0, 0, 1], "kappa": 4.0})
+    points = np.vstack([[[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], random_unit_vectors(rng, 4, 3)])
+    want = [former_population_ld_mc(x, vmf, 3000, seed=5) for x in points]
+    assert population_ld_mc(points, vmf, 3000, seed=5).tolist() == want
+    labels = ("A", "B", "C", "D", "E")
+    base = random_tree(labels, rng)
+    trees = make_sampler({"dist": "bhv_noise", "base_tree": base, "scale": 0.5})
+    points = [base, base] + [random_tree(labels, rng) for _ in range(3)]
+    want = [former_population_ld_mc(t, trees, 40, seed=6) for t in points]
+    assert population_ld_mc(points, trees, 40, seed=6).tolist() == want
+
+
+def test_population_mc_holds_one_indicator_row_at_a_time(rng):
+    # An (N, pairs) bool indicator of these points would take 20 MB.  One
+    # batch's draws, radii and one point's distances and indicator take
+    # about ten arrays of 8 * pairs bytes (1.7 MB measured); the bound allows 25.
+    sampler = make_sampler({"dist": "normal", "dim": 2})
+    points = rng.standard_normal((1000, 2))
+    tracemalloc.start()
+    try:
+        population_ld_mc(points, sampler, 20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from lensdepth import levelsets
+from lensdepth import depth
 from lensdepth.analysis import loo_depth_against
 from lensdepth.depth import DepthField, Sample, batch_depth
 from lensdepth.levelsets import (
@@ -111,7 +111,7 @@ def test_hausdorff_is_a_metric(rng):
 
 @pytest.mark.parametrize("block", [1, 7, 40, 1 << 20])
 def test_hausdorff_blocks_match_full_matrix(rng, monkeypatch, block):
-    monkeypatch.setattr(levelsets, "_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(depth, "_BLOCK_ENTRIES", block)
     a = rng.integers(-4, 5, size=(23, 2)).astype(float)
     b = rng.standard_normal((9, 2)) * 3
     for x, y in ((a, b), (b, a), (a, a[:1])):
@@ -255,7 +255,7 @@ def test_tree_points_as_list_or_object_array_agree(rng):
 
 @pytest.mark.parametrize("block", [1, 300, 700, 1 << 20])
 def test_nearest_index_blocks_match_full_argmin(rng, monkeypatch, block):
-    monkeypatch.setattr(levelsets, "_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(depth, "_BLOCK_ENTRIES", block)
     lattice = LatticeGrid(((-2.0, 2.0, 0.5), (-2.0, 2.0, 0.5)))
     # Duplicate targets and quarter-step references make ties everywhere;
     # they go to the lowest index.

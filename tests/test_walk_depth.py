@@ -125,8 +125,8 @@ def test_walk_equals_the_pair_kernel(kernels, monkeypatch, name, n):
     walk = _walk_table(dmat)
     dq = sample.space.cross_matrix(queries, sample.points)
     want, own = _count_block(dq, dmat), _count_block(dmat, dmat)
-    assert np.array_equal(_walk_block(dq, *walk), want)
-    assert np.array_equal(_walk_block(dmat, *walk), own)
+    assert np.array_equal(_walk_block(dq, dmat, *walk), want)
+    assert np.array_equal(_walk_block(dmat, dmat, *walk), own)
     for stride in (s for s in (2, 4, 64) if s < 2 * n):
         monkeypatch.setattr(depth, "_WALK_TABLE", table_bytes(n, stride))
         kernels.clear()
@@ -134,6 +134,20 @@ def test_walk_equals_the_pair_kernel(kernels, monkeypatch, name, n):
             assert np.array_equal(depth._matrix_counts(dq, dmat, threads), want)
             assert np.array_equal(depth._matrix_counts(dmat, dmat, threads), own)
         assert set(kernels) == {stride}
+
+
+@pytest.mark.parametrize("block", [1, 300, 1 << 20])
+def test_walk_blocks_do_not_change_counts(monkeypatch, block):
+    """Blocks of one query row, of a few, and one block for all of them,
+    at strides 1 and 4."""
+    monkeypatch.setattr(depth, "_BLOCK_ENTRIES", block)
+    sample, queries = make("normal", 65, 40)
+    dmat = sample.distance_matrix
+    dq = sample.space.cross_matrix(queries, sample.points)
+    want = _count_block(dq, dmat)
+    assert np.array_equal(depth._matrix_counts(dq, dmat, 1), want)
+    monkeypatch.setattr(depth, "_WALK_TABLE", table_bytes(65, 4))
+    assert np.array_equal(depth._matrix_counts(dq, dmat, 2), want)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
