@@ -13,7 +13,7 @@ contends for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -374,26 +374,40 @@ def _ndtri_one(y: float) -> float:
     return x if upper else -x
 
 
+_CONFIG_FIELDS = {
+    "sampler": dict,
+    "n_schedule": lambda ns: tuple(map(_integer(2), ns)),
+    "replications": _integer(1),
+    "seed": _integer(0),
+    "grid": lambda g: None if g is None else tuple(tuple(map(float, axis)) for axis in g),
+    "points": lambda ps: tuple(tuple(np.atleast_1d(p).tolist()) for p in ps),
+    "pairs": _integer(1),
+    "threads": _integer(),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared configuration of the Monte Carlo experiments."""
+    """Shared configuration of the Monte Carlo experiments.  Construction
+    converts and checks every field, from Python as from a JSON config: a
+    bad value is an ExperimentError that names the field."""
 
     sampler: dict
     n_schedule: tuple[int, ...]
     replications: int
-    seed: int
+    seed: int = 0
     grid: tuple[tuple[float, float, float], ...] | None = None
     points: tuple = ()
     pairs: int = 1_000_000
     threads: int = 1
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in self.n_schedule)
+        values = dict(vars(self))
+        for name, convert in _CONFIG_FIELDS.items():
+            object.__setattr__(self, name, _field(values, name, convert))
+        ns = self.n_schedule
         if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ExperimentError("n schedule must be nonempty and strictly increasing")
-        object.__setattr__(self, "n_schedule", ns)
-        if self.replications < 1:
-            raise ExperimentError("need at least one replication")
 
 
 @dataclass(frozen=True)
@@ -407,13 +421,7 @@ class ConvergenceReport:
     stats: dict
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_schedule": list(self.n_schedule),
-            "replications": self.replications,
-            "seed": self.seed,
-            "stats": self.stats,
-        }
+        return asdict(self)
 
 
 def _rng_for(seed: int, n_index: int, replication: int) -> np.random.Generator:
@@ -631,27 +639,19 @@ def clt_experiment(cfg: ExperimentConfig) -> CltReport:
 def run_config(config: dict) -> dict:
     """Run the experiment described by a JSON config dict.
 
-    Required keys: experiment (supnorm | levelset | clt), sampler,
-    n_schedule, replications, seed; levelset additionally takes lambda,
-    supnorm/levelset a grid, clt a points list.
+    Keys: experiment (supnorm | levelset | clt), lambda for levelset, and
+    the ExperimentConfig fields; supnorm and levelset need a grid, clt points.
     """
     config = dict(config)
     kind = config.pop("experiment", None)
     lam = _field(config, "lambda", float, None)
-    cfg = ExperimentConfig(
-        sampler=_field(config, "sampler", dict),
-        n_schedule=_field(config, "n_schedule", lambda ns: tuple(map(_integer(2), ns))),
-        replications=_field(config, "replications", _integer(1)),
-        seed=_field(config, "seed", _integer(0), 0),
-        grid=_field(config, "grid", lambda g: tuple(tuple(map(float, axis)) for axis in g),
-                    None),
-        points=_field(config, "points",
-                      lambda ps: tuple(tuple(np.atleast_1d(p).tolist()) for p in ps), ()),
-        pairs=_field(config, "pairs", _integer(1), 1_000_000),
-        threads=_field(config, "threads", _integer(), 1),
-    )
-    if config:
-        raise ExperimentError(f"unknown config fields: {sorted(config)}")
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in config:
+            raise ExperimentError(f"missing config field {f.name!r}")
+    unknown = sorted(set(config) - set(_CONFIG_FIELDS))
+    if unknown:
+        raise ExperimentError(f"unknown config fields: {unknown}")
+    cfg = ExperimentConfig(**config)
     if kind == "supnorm":
         return supnorm_experiment(cfg).to_dict()
     if kind == "levelset":

@@ -96,6 +96,16 @@ def test_config_refuses_bad_integer_fields(field, value):
         run_config(dict(config, **{field: value}))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_schedule", (10.5, 20)), ("seed", -1), ("seed", True), ("pairs", 2.5),
+    ("replications", 1.5), ("threads", "2"), ("sampler", "normal"),
+])
+def test_config_built_in_python_refuses_bad_fields(field, value):
+    fields = dict(sampler={"dist": "normal"}, n_schedule=(10, 20), replications=1)
+    with pytest.raises(ExperimentError, match=f"'{field}' has a bad value"):
+        ExperimentConfig(**dict(fields, **{field: value}))
+
+
 def test_config_takes_integral_floats():
     config = {"experiment": "supnorm", "sampler": {"dist": "normal", "dim": 2.0},
               "n_schedule": [10.0], "replications": 1.0, "seed": 3.0, "pairs": 100.0,
