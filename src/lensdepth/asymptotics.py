@@ -448,17 +448,31 @@ def _replicate(cfg: ExperimentConfig, sampler: Sampler, n_schedule, statistic) -
 
 
 def _summaries(values: np.ndarray) -> dict:
-    q1, med, q3 = np.percentile(values, [25, 50, 75])
-    return {"median": float(med), "q1": float(q1), "q3": float(q3)}
+    """Quartiles and median by np.percentile, with +inf (an empty level
+    set's distance) above every distance: a percentile that gives +inf
+    nonzero weight is +inf, where numpy's inf - inf would make it NaN."""
+    qs = np.array([25.0, 50.0, 75.0])
+    finite = np.isfinite(values)
+    # The largest distance stands in for +inf, which keeps numpy's value
+    # wherever +inf has zero weight; the others are +inf.
+    out = np.percentile(np.where(finite, values, values[finite].max(initial=0.0)), qs)
+    out[qs / 100 * (len(values) - 1) > finite.sum() - 1] = np.inf
+    q1, med, q3 = map(_json_float, out)
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def _json_float(x) -> float | None:
+    """x as a float, or None (JSON null) where it is infinite."""
+    return float(x) if math.isfinite(x) else None
 
 
 def _stat_block(per_n: list[np.ndarray], n_schedule) -> dict:
     medians = [float(np.median(v)) for v in per_n]
     return {
-        "per_n": {str(n): [float(x) for x in v]
+        "per_n": {str(n): [_json_float(x) for x in v]
                   for n, v in zip(n_schedule, per_n)},
         "summary": {str(n): _summaries(v) for n, v in zip(n_schedule, per_n)},
-        "medians": medians,
+        "medians": [_json_float(m) for m in medians],
         "monotone_nonincreasing": all(b <= a for a, b in zip(medians, medians[1:])),
         "monotone_strict": all(b < a for a, b in zip(medians, medians[1:])),
     }
@@ -492,7 +506,12 @@ def supnorm_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
 
 def levelset_experiment(cfg: ExperimentConfig, lam: float) -> ConvergenceReport:
     """Hausdorff distance between empirical and population level sets on
-    the grid, and between their inner lattice boundaries, per sample size."""
+    the grid, and between their inner lattice boundaries, per sample size.
+
+    An empty empirical level set is +inf from the population's: its two
+    distances, and the quartiles and medians that reach them, are None
+    (null in the JSON report), as is an infinite end of `true_interval`.
+    """
     sampler = make_sampler(cfg.sampler)
     if cfg.grid is None:
         raise ExperimentError("level-set experiment needs an evaluation grid")
@@ -527,7 +546,7 @@ def levelset_experiment(cfg: ExperimentConfig, lam: float) -> ConvergenceReport:
     blocks = {name: _stat_block(results[..., pick], cfg.n_schedule)
               for name, pick in (("set_hausdorff", 0), ("boundary_hausdorff", 1))}
     blocks["level"] = lam
-    blocks["true_interval"] = [lo, hi]
+    blocks["true_interval"] = [_json_float(lo), _json_float(hi)]
     return ConvergenceReport("levelset", cfg.n_schedule, cfg.replications,
                              cfg.seed, blocks)
 

@@ -445,7 +445,8 @@ def cmd_simulate(args) -> int:
     config["threads"] = args.threads
     report = run_config(config)
     prov = _provenance(args)
-    dataio.write_json(args.out, report, prov)
+    # Reports are strict JSON: they write an infinite distance as null.
+    dataio.write_json(args.out, report, prov, allow_nan=False)
     return 0
 
 

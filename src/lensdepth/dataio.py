@@ -75,10 +75,14 @@ def write_table(path: str, header: list[str], rows, prov: dict) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_json(path: str, payload: dict, prov: dict) -> None:
+def write_json(path: str, payload: dict, prov: dict, allow_nan: bool = True) -> None:
+    """Write `payload` under its provenance.  With `allow_nan` False a
+    non-finite float is a ValueError rather than an Infinity or NaN token,
+    which strict JSON parsers refuse."""
     body = {"provenance": prov}
     body.update(payload)
-    atomic_write_text(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(body, indent=2, sort_keys=True, allow_nan=allow_nan)
+    atomic_write_text(path, text + "\n")
 
 
 def read_table_rows(path: str):

@@ -271,6 +271,7 @@ def test_levelset_experiment_zero_lambda_full_grid():
                            grid=((-2.0, 2.0, 0.25),))
     rep = levelset_experiment(cfg, 0.0)
     assert rep.stats["set_hausdorff"]["medians"] == [0.0, 0.0]
+    assert rep.stats["true_interval"] == [None, None]     # the whole line
 
 
 def test_levelset_experiment_true_interval_endpoints():

@@ -296,6 +296,27 @@ def test_simulate_smoke(workdir):
     assert body["provenance"]["seed"] == 0
 
 
+def test_simulate_writes_an_empty_level_set_as_null(workdir):
+    """Cauchy samples of two or three points often leave no grid point at
+    depth 0.3; the report then holds null, never Infinity or NaN."""
+    config = {"experiment": "levelset", "lambda": 0.3, "sampler": {"dist": "student_t", "v": 1},
+              "n_schedule": [2, 3], "replications": 20, "grid": [[-0.1, 0.1, 0.01]]}
+    (workdir / "exp.json").write_text(json.dumps(config))
+    assert run(["simulate", "--config", "exp.json", "--out", "rep.json",
+                "--no-timestamp"]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    stats = json.loads((workdir / "rep.json").read_text(), parse_constant=refuse)["stats"]
+    sets, bounds = stats["set_hausdorff"], stats["boundary_hausdorff"]
+    empty = [x is None for x in sets["per_n"]["2"]]
+    assert any(empty) and not all(empty)
+    assert empty == [x is None for x in bounds["per_n"]["2"]]
+    assert sets["summary"]["2"] == {"median": None, "q1": 0.0, "q3": None}
+    assert sets["medians"] == [None, 0.0]
+
+
 _SAMPLE = ["--sample", "s.csv"]
 _LEVELSET = ["levelset", *_SAMPLE, "--lambda", "0.1"]
 _SIDE_OUTPUTS = {"levelset": ["--boundary-out", "bd.csv"],
