@@ -443,7 +443,7 @@ def _replicate(cfg: ExperimentConfig, sampler: Sampler, n_schedule, statistic) -
 
     # On the line each count is a sort and two binary searches, numpy calls
     # too short to release the GIL for long, so a second thread only waits.
-    out = np.array(thread_map(job, jobs, 1 if depth._on_line(sampler.space) else cfg.threads))
+    out = np.array(thread_map(job, jobs, 1 if depth.on_line(sampler.space) else cfg.threads))
     return out.reshape((len(n_schedule), cfg.replications) + out.shape[1:])
 
 

@@ -42,7 +42,8 @@ path builds them, so a field on the line never carries a matrix.
 pairs, one indicator row at a time; `p2_matrix` reads its pair moments
 off the same indicators (`_coverage_batches`).
 
-`thread_map` is the package's one thread pool.
+`thread_map` is the package's one thread pool and `row_blocks` its one
+row-block helper.
 """
 
 from __future__ import annotations
@@ -159,12 +160,12 @@ def empirical_lens_depth(x, sample: Sample, exclude: int | None = None) -> float
 
 # Bytes one walk table may take (see `_walk_stride`).
 _WALK_TABLE = 1 << 25
-# Entries per block of `_row_blocks`: bounds the temporaries of the walk per
+# Entries per block of `row_blocks`: bounds the temporaries of the walk per
 # thread, of the Hausdorff distance and of nearest indices.
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _row_blocks(count: int, width: int):
+def row_blocks(count: int, width: int):
     """Consecutive slices of `count` rows, each small enough that its
     rows of `width` entries hold about _BLOCK_ENTRIES entries (one row at
     least)."""
@@ -233,12 +234,12 @@ def _walk_block(dq: np.ndarray, dmat: np.ndarray, order: np.ndarray, table: np.n
     onehot = np.zeros((n, table.shape[1]), dtype=np.uint64)
     onehot[ids, ids >> 6] = _bits(ids)
     counts = np.empty(m, dtype=np.int64)
-    for rows in _row_blocks(m, n):
+    for rows in row_blocks(m, n):
         rank = np.argsort(dq[rows], axis=1)
         out, s = counts[rows], start[rows]
         first = -(-s // stride)         # the first stored suffix inside the true one
         stored = last - first
-        for a in _row_blocks(len(rank), onehot.size):
+        for a in row_blocks(len(rank), onehot.size):
             r = rank[a]
             bit = np.take(onehot, r, axis=0)
             before = np.cumsum(bit, axis=1)
@@ -284,7 +285,8 @@ _GUARD_TINY = 2.0 ** -500
 _GUARD_HUGE = 2.0 ** 500
 
 
-def _on_line(space: MetricSpace) -> bool:
+def on_line(space: MetricSpace) -> bool:
+    """Whether `space` is the line, R^1, where counts take the sort path."""
     return isinstance(space, EuclideanSpace) and space.dim == 1
 
 
@@ -363,7 +365,7 @@ def _lattice_counts(grid, sample: Sample, threads: int):
     pts = sample.points
     n = len(pts)
     dmat = sample.distance_matrix
-    values, shape = grid._axis_values, grid.shape
+    values, shape = grid.axis_values, grid.shape
     axis = len(shape) - 1 - int(np.argmax(shape[::-1]))
     line, m, step = values[axis], shape[axis], grid.axes[axis][2]
     others = [k for k in range(len(shape)) if k != axis]
@@ -540,7 +542,7 @@ def batch_depth(queries, sample: Sample, threads: int = 1) -> DepthField:
         queries = space.coerce_points(queries)
         if len(queries) == 0:
             raise DepthError("empty query set")
-    if _on_line(space):
+    if on_line(space):
         x = queries[:, 0]
         counts, rows = _line_counts(x, sample)
         if rows.size:
@@ -571,7 +573,7 @@ def pooled_depth(sample_x: Sample, sample_y: Sample, threads: int = 1):
             raise DepthError(f"need at least 2 sample points, have {sample.n}")
     space = sample_x.space
     pooled = Sample(np.concatenate([sample_x.points, space.coerce_points(sample_y.points)]), space)
-    if _on_line(space):
+    if on_line(space):
         return (batch_depth(pooled.points, sample_x, threads),
                 batch_depth(pooled.points, sample_y, threads))
     dmat = pooled.distance_matrix

@@ -61,7 +61,7 @@ def hausdorff(a, b, space: MetricSpace) -> float:
     # min and max are exact, so the value does not depend on the blocking.
     a_to_b = 0.0
     b_to_a = np.full(len(b), np.inf)
-    for rows in depth._row_blocks(len(a), len(b)):
+    for rows in depth.row_blocks(len(a), len(b)):
         cross = space.cross_matrix(a[rows], b)
         a_to_b = max(a_to_b, float(cross.min(axis=1).max()))
         np.minimum(b_to_a, cross.min(axis=0), out=b_to_a)
@@ -70,9 +70,9 @@ def hausdorff(a, b, space: MetricSpace) -> float:
 
 def nearest_indices(points, targets, space: MetricSpace) -> np.ndarray:
     """Index of the nearest point of `targets` for each of `points`
-    (ties resolved to the lowest index), over `depth._row_blocks`."""
+    (ties resolved to the lowest index), over `depth.row_blocks`."""
     out = np.empty(len(points), dtype=np.int64)
-    for rows in depth._row_blocks(len(points), len(targets)):
+    for rows in depth.row_blocks(len(points), len(targets)):
         out[rows] = space.cross_matrix(points[rows], targets).argmin(axis=1)
     return out
 
@@ -95,13 +95,14 @@ def expand_range(lo: float, hi: float, step: float, error=LevelSetError) -> np.n
 class LatticeGrid:
     """Axis-aligned lattice over a box, points in C order.
 
-    `axes` holds finite (lo, hi, step) per dimension.  Lattice positions
-    one step outside the box act as non-member virtual neighbors, so a
-    full-grid level set still has a boundary.
+    `axes` holds finite (lo, hi, step) per dimension, and `axis_values`
+    each axis's coordinates.  Lattice positions one step outside the box
+    act as non-member virtual neighbors, so a full-grid level set still
+    has a boundary.
     """
 
     axes: tuple[tuple[float, float, float], ...]
-    _axis_values: tuple = field(init=False, repr=False, compare=False, default=())
+    axis_values: tuple = field(init=False, repr=False, compare=False, default=())
     _points: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -110,7 +111,7 @@ class LatticeGrid:
             if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
                 raise LevelSetError(f"bad axis ({lo}, {hi}, {step})")
             values.append(expand_range(lo, hi, step))
-        object.__setattr__(self, "_axis_values", tuple(values))
+        object.__setattr__(self, "axis_values", tuple(values))
         mesh = np.meshgrid(*values, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         object.__setattr__(self, "_points", pts)
@@ -121,7 +122,7 @@ class LatticeGrid:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(v) for v in self._axis_values)
+        return tuple(len(v) for v in self.axis_values)
 
     def __len__(self):
         return len(self._points)
@@ -149,7 +150,7 @@ class LatticeGrid:
         nearest virtual exterior lattice point."""
         best = np.full(len(x), np.inf)
         for d, (lo, _, step) in enumerate(self.axes):
-            last = self._axis_values[d][-1]
+            last = self.axis_values[d][-1]
             best = np.minimum(best, x[:, d] - (lo - step))
             best = np.minimum(best, (last + step) - x[:, d])
         return best

@@ -342,4 +342,4 @@ class BHVSpace(MetricSpace):
     def distance(self, p, q) -> float:
         if p.sort_key() > q.sort_key():
             p, q = q, p
-        return treespace._geodesic(p, q)[0]
+        return treespace.geodesic(p, q)[0]

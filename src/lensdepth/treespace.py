@@ -562,7 +562,7 @@ def _min_weight_cover(apart, bpart, sq_a, sq_b, cross):
         sum([sq_b[j] / sb for j in ib if cb >> j & 1]) if cb else 0), ca, cb
 
 
-def _geodesic(t1: Tree, t2: Tree):
+def geodesic(t1: Tree, t2: Tree):
     """Geodesic length and support, as (A-mask, B-mask) position pairs:
     the one solver, whose length alone the distance matrices read."""
     common_sq, amask, bmask, cross = _decompose(t1, t2)
@@ -605,7 +605,7 @@ def bhv_distance(t1: Tree, t2: Tree) -> GeodesicResult:
 
     Equals the Euclidean edge-length distance when the topologies agree.
     """
-    distance, pairs = _geodesic(t1, t2)
+    distance, pairs = geodesic(t1, t2)
     return GeodesicResult(distance, tuple(
         (tuple(t1.interior[i] for i in _bits(am)), tuple(t2.interior[j] for j in _bits(bm)))
         for am, bm in pairs))

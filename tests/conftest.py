@@ -377,7 +377,7 @@ TREE_PAIRS = _tree_pairs()
 
 # ---------------------------------------------------------------------------
 # The geodesic solver `treespace` replaced, kept unchanged as the oracle of
-# `treespace._geodesic`: it takes the same augmentations over index masks
+# `treespace.geodesic`: it takes the same augmentations over index masks
 # of the incompatible splits, with dicts keyed by index and by index pair,
 # and builds each pair's crossing relation twice.
 

@@ -707,8 +707,8 @@ def test_tree_levelset_boundary_reuses_the_sample_geodesics(workdir, monkeypatch
         calls.append(1)
         return geodesic(t1, t2)
 
-    geodesic = treespace._geodesic        # the solver core the matrices call
-    monkeypatch.setattr(treespace, "_geodesic", counted)
+    geodesic = treespace.geodesic        # the solver core the matrices call
+    monkeypatch.setattr(treespace, "geodesic", counted)
     args = ["levelset", "--metric", "bhv", "--sample", "trees.nwk", "--lambda", "0.3",
             "--no-timestamp"]
     assert run(args + ["--out", "plain.csv"]) == 0
@@ -735,8 +735,8 @@ def test_tree_psi_reuses_the_sample_geodesics(workdir, monkeypatch, psi):
         calls.append(1)
         return geodesic(t1, t2)
 
-    geodesic = treespace._geodesic        # the solver core the matrices call
-    monkeypatch.setattr(treespace, "_geodesic", counted)
+    geodesic = treespace.geodesic        # the solver core the matrices call
+    monkeypatch.setattr(treespace, "geodesic", counted)
     assert run(["psi", "--metric", "bhv", "--sample", "trees.nwk", *psi,
                 "--out", "psi.csv", "--no-timestamp"]) == 0
     # The depth field's pairwise matrix serves the psi curve as well.
@@ -766,8 +766,8 @@ def test_tree_two_sample_curves_share_the_pooled_geodesics(workdir, monkeypatch,
         calls.append(1)
         return geodesic(t1, t2)
 
-    geodesic = treespace._geodesic        # the solver core the matrices call
-    monkeypatch.setattr(treespace, "_geodesic", counted)
+    geodesic = treespace.geodesic        # the solver core the matrices call
+    monkeypatch.setattr(treespace, "geodesic", counted)
     argv = [{"x": "x.nwk", "y": "y.nwk"}.get(a, a) for a in TWO_SAMPLE[command[0]]]
     assert run([*argv, "--metric", "bhv", "--out", "out.json", "--no-timestamp"]) == 0
     # Each pair of the 40 pooled trees once, for both samples' counts and

@@ -1,6 +1,6 @@
 """Every module of the package and of its tests uses each name it
 imports, no module of the package imports an underscore name from
-another of its modules, only the von Mises-Fisher sampler imports
+another of its modules or reads one off it, only the von Mises-Fisher sampler imports
 scipy.stats, only the Student-t sampler and the gamma-tn table import
 scipy.special, and every name the package exports is used by its
 modules or named in the README.
@@ -51,15 +51,28 @@ def test_test_module_uses_every_import(module):
 
 
 def private_imports(source: str) -> list[str]:
-    """Underscore names imported from the package (dunders such as
-    `__version__` are public)."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
+    """Underscore names imported from the package, then those read off
+    one of its modules (`depth._x` after `from . import depth`), by line.
+    Dunders such as `__version__` are public."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
                 node.level or (node.module or "").split(".")[0] == "lensdepth"):
             found += [f"line {node.lineno}: {alias.name}" for alias in node.names
-                      if alias.name.startswith("_") and not alias.name.endswith("__")]
-    return found
+                      if private(alias.name)]
+            if node.module in (None, "lensdepth"):
+                modules |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name.split(".")[0] == "lensdepth"}
+    reads = sorted((node.lineno, node.col_offset, ast.unparse(node)) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and private(node.attr)
+                   and ast.unparse(node.value) in modules)
+    return found + [f"line {line}: {text}" for line, _, text in reads]
 
 
 def test_checker_finds_private_imports():
@@ -67,6 +80,17 @@ def test_checker_finds_private_imports():
               "from lensdepth.metrics import _flat_rows\nfrom numpy import _globals\n")
     assert private_imports(source) == [
         "line 1: _x", "line 2: _counts", "line 3: _flat_rows"]
+
+
+def test_checker_finds_private_module_reads():
+    source = ("from . import depth, __version__\nimport lensdepth.metrics\n"
+              "import lensdepth.treespace as ts\nfrom lensdepth import levelsets\nimport numpy\n"
+              "depth._row_blocks(1, depth.row_blocks)\n__version__.__doc__\n"
+              "lensdepth.metrics._flat_rows\nts._decompose\nlevelsets._x.y\n"
+              "numpy._globals\ngrid._axis_values\n")
+    assert private_imports(source) == [
+        "line 6: depth._row_blocks", "line 8: lensdepth.metrics._flat_rows",
+        "line 9: ts._decompose", "line 10: levelsets._x"]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
