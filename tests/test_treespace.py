@@ -44,6 +44,10 @@ def test_parse_five_leaf_example():
     assert t.labels == LABELS5
     assert dict(t.interior) == {mask("CDE"): 0.5, mask("CD"): 0.5}
     assert t.pendant == (1.0,) * 5
+    # Internal labels (support values) are skipped, and an edge above
+    # the whole leaf set, a root with one child, splits nothing.
+    assert parse_newick("((A:1,B:1)95:0.5,(C:1,D:1)x:0.5,E:1)root;") == t
+    assert parse_newick("(((A:1,B:1):0.5,(C:1,D:1):0.5,E:1):0.25);") == t
 
 
 def test_parse_two_leaf():
@@ -404,6 +408,16 @@ def test_one_sided_incompatible_set_raises_tree_error(monkeypatch, rng):
 
 
 def test_geodesic_matches_exhaustive_oracle(rng):
+    def contracted(tree):
+        """`tree` with each interior edge contracted with probability 1/2,
+        and `tree` with those edges 1e-12 long: a binary tree within 3e-12
+        of the first."""
+        keep = rng.random(len(tree.interior)) < 0.5
+        kept = tuple(split for split, k in zip(tree.interior, keep) if k)
+        return (Tree(tree.labels, kept, tree.pendant),
+                tree.with_lengths([l if k else 1e-12 for (_, l), k in zip(tree.interior, keep)],
+                                  tree.pendant))
+
     for leaves in (5, 6, 7):
         labels = tuple("ABCDEFG"[:leaves])
         for _ in range(700):
@@ -411,6 +425,16 @@ def test_geodesic_matches_exhaustive_oracle(rng):
             b = random_tree(labels, rng)
             assert bhv_distance(a, b).distance == pytest.approx(
                 bhv_distance_exhaustive(a, b), abs=1e-9)
+        # Partly resolved trees: a split of one tree compatible with every
+        # split of the other, as a resolution against a polytomy, is a
+        # shared coordinate from length 0.  The oracle shares that step,
+        # so the nearby binary trees, which never take it, check it too.
+        for _ in range(100):
+            (a, a_binary), (b, b_binary) = (contracted(random_tree(labels, rng))
+                                            for _ in range(2))
+            got = bhv_distance(a, b).distance
+            assert got == pytest.approx(bhv_distance_exhaustive(a, b), abs=1e-9)
+            assert got == pytest.approx(bhv_distance_exhaustive(a_binary, b_binary), abs=1e-9)
 
 
 def test_support_sequence_properties(rng):
