@@ -36,7 +36,6 @@ from .depth import (
     empirical_lens_depth,
     population_ld_1d,
     population_ld_mc,
-    population_level_interval_1d,
     self_depth_field,
 )
 from .levelsets import (

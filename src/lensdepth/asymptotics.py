@@ -19,13 +19,11 @@ import numpy as np
 
 from . import depth, treespace
 from .depth import (
-    DepthError,
     Sample,
     batch_depth,
     p2_matrix,
     population_ld_1d,
     population_ld_mc,
-    population_level_interval_1d,
     thread_map,
 )
 from .levelsets import LatticeGrid, boundary_points, hausdorff, inner_boundary, level_set
@@ -44,28 +42,28 @@ class DegenerateExperimentError(ExperimentError):
 class Sampler:
     """A seeded point-generating distribution over a metric space.
 
-    `cdf`/`ppf` are present for one-dimensional distributions with a
-    closed-form population depth, and take scalars or arrays:
+    `cdf` is present for the one-dimensional laws, whose population depth
+    has the closed form 2 F (1 - F); the others get theirs by Monte Carlo.
+    It takes scalars or arrays:
 
     - normal and student_t: `cdf` maps -inf to 0, +inf to 1 and NaN to
-      NaN; `ppf` maps q = 0 to -inf, q = 1 to +inf, and q outside [0, 1]
-      or NaN to NaN.  Both equal scipy.stats' norm and t bit for bit.
-    - uniform: `cdf` clips to [0, 1]; `ppf` is the affine map of q and
-      is not clipped.
+      NaN, and equals scipy.stats' norm and t bit for bit.
+    - uniform: `cdf` clips to [0, 1].
     """
 
     space: object
     draw: object                 # draw(rng, k) -> points container
     cdf: object = None
-    ppf: object = None
 
 
 def make_sampler(spec: dict) -> Sampler:
     """Build a sampler from its JSON spec, e.g. {"dist": "normal",
-    "mu": 0, "sigma": 1}."""
+    "mu": 0, "sigma": 1}.  The 1-d normal, student_t and uniform laws
+    carry a `cdf`; normal at `dim` > 1, point_mass, sphere_vmf and
+    bhv_noise do not."""
     # scipy is imported only by the branch that needs it: student_t
     # loads scipy.special and sphere_vmf scipy.stats.  The 1-d normal law
-    # loads neither; its cdf and ppf are the Cephes ports below.
+    # loads neither; its cdf is the Cephes port below.
     spec = dict(spec)
     dist = spec.pop("dist", None)
     if dist == "normal":
@@ -83,8 +81,7 @@ def make_sampler(spec: dict) -> Sampler:
         if dim > 1:
             return Sampler(space, draw)
         return Sampler(space, draw,
-                       cdf=lambda x: _ndtr((np.asarray(x, dtype=float) - mu) / sigma),
-                       ppf=lambda q: _ndtri(q) * sigma + mu)
+                       cdf=lambda x: _ndtr((np.asarray(x, dtype=float) - mu) / sigma))
     if dist == "student_t":
         v = _field(spec, "v", float)
         _reject_extra(dist, spec)
@@ -92,17 +89,12 @@ def make_sampler(spec: dict) -> Sampler:
             raise ExperimentError("student_t sampler needs v >= 1")
         space = EuclideanSpace(1)
 
-        from scipy.special import stdtr, stdtrit
+        from scipy.special import stdtr
 
         def draw(rng, k):
             return rng.standard_t(v, (k, 1))
 
-        def ppf(q):
-            # stdtrit gives +inf at q = 0; the quantile there is -inf.
-            q = np.asarray(q, dtype=float)
-            return np.where(q == 0, -np.inf, stdtrit(v, q))[()]
-
-        return Sampler(space, draw, cdf=lambda x: stdtr(v, x), ppf=ppf)
+        return Sampler(space, draw, cdf=lambda x: stdtr(v, x))
     if dist == "uniform":
         lo = _field(spec, "lo", float, 0.0)
         hi = _field(spec, "hi", float, 1.0)
@@ -114,11 +106,9 @@ def make_sampler(spec: dict) -> Sampler:
         def draw(rng, k):
             return rng.uniform(lo, hi, (k, 1))
 
-        width = hi - lo
         return Sampler(space, draw,
                        cdf=lambda x: np.clip((np.asarray(x, dtype=float) - lo)
-                                             / width, 0.0, 1.0),
-                       ppf=lambda q: lo + width * np.asarray(q, dtype=float))
+                                             / (hi - lo), 0.0, 1.0))
     if dist == "point_mass":
         value = np.atleast_1d(_field(spec, "value", _float_array))
         _reject_extra(dist, spec)
@@ -212,12 +202,10 @@ def _reject_extra(dist, spec):
 
 
 # ---------------------------------------------------------------------------
-# The standard normal CDF and quantile, without scipy
+# The standard normal CDF, without scipy
 
 _SQRT1_2 = 7.07106781186547524401e-1
 _MAXLOG = 7.09782712893383996843e2           # log(2**1024)
-_EXP_M2 = 0.13533528323661269189              # exp(-2)
-_S2PI = 2.50662827463100050242                # sqrt(2 pi)
 
 # erfc on 1 <= x < 8 (P/Q) and x >= 8 (R/S); erf on |x| <= 1 (T/U).
 # Denominators carry their implied leading 1.
@@ -243,62 +231,24 @@ _ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
           4.59432382970980127987e3, 2.26290000613890934246e4,
           4.92673942608635921086e4)
 
-# ndtri on |y - 1/2| <= 1/2 - exp(-2) (P0/Q0), and in the tails on
-# sqrt(-2 log y) < 8 (P1/Q1) and >= 8 (P2/Q2).
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
-             -5.66762857469070293439e1, 1.39312609387279679503e1,
-             -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
-             8.63602421390890590575e1, -2.25462687854119370527e2,
-             2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
-             5.71628192246421288162e1, 4.40805073893200834700e1,
-             1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-             -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
-             4.13172038254672030440e1, 1.50425385692907503408e1,
-             2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
-             3.93881025292474443415e0, 1.33303460815807542389e0,
-             2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6,
-             6.23974539184983293730e-9)
-_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
-             1.37702099489081330271e0, 2.16236993594496635890e-1,
-             1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
 
 def _ndtr(x):
     """Standard normal CDF, elementwise, as scipy.special.ndtr: an
     ndarray for an array and an np.float64 for a scalar.
 
-    `_ndtr` (with its own erf and erfc) and `_ndtri` are ports of Cephes'
-    ndtr.c and ndtri.c as scipy.special ships them (S. L. Moshier,
-    "Methods and Programs for Mathematical Functions", 1989), and equal
-    scipy's ndtr and ndtri bit for bit.  That rests on IEEE doubles, on
-    Python's `*` and `+` never being fused into one rounding, and on
-    math.exp, math.log and math.sqrt calling the C library that scipy
+    `_ndtr` (with its own erf and erfc) is a port of Cephes' ndtr.c as
+    scipy.special ships it (S. L. Moshier, "Methods and Programs for
+    Mathematical Functions", 1989), and equals scipy's ndtr bit for bit.
+    That rests on IEEE doubles, on Python's `*` and `+` never being fused
+    into one rounding, and on math.exp calling the C library that scipy
     calls; numpy's SIMD ufuncs make no such promise.
     tests/test_normal_law.py guards the identity.
     """
-    return _elementwise(_ndtr_one, x)
-
-
-def _ndtri(q):
-    """Standard normal quantile, elementwise, as scipy.special.ndtri:
-    -inf at 0, +inf at 1, NaN off [0, 1].  See `_ndtr`."""
-    return _elementwise(_ndtri_one, q)
-
-
-def _elementwise(f, x):
     # The inputs are grids of at most a few hundred points, so a Python
     # loop costs less than importing scipy.special.
     x = np.asarray(x, dtype=float)
-    return np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)[()]
+    return np.array([_ndtr_one(v) for v in x.ravel().tolist()],
+                    dtype=float).reshape(x.shape)[()]
 
 
 def _polevl(x: float, coef) -> float:
@@ -348,32 +298,6 @@ def _erfc(a: float) -> float:
     return y
 
 
-def _ndtri_one(y: float) -> float:
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    if not 0.0 < y < 1.0:             # outside [0, 1], or NaN
-        return math.nan
-    upper = y > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
-        return x * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:                       # y > exp(-32)
-        x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
-    else:
-        x1 = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2)
-    x = x0 - x1
-    return x if upper else -x
-
-
 _CONFIG_FIELDS = {
     "sampler": dict,
     "n_schedule": lambda ns: tuple(map(_integer(2), ns)),
@@ -382,7 +306,7 @@ _CONFIG_FIELDS = {
     "grid": lambda g: None if g is None else tuple(tuple(map(float, axis)) for axis in g),
     "points": lambda ps: tuple(tuple(np.atleast_1d(p).tolist()) for p in ps),
     "pairs": _integer(1),
-    "threads": _integer(),
+    "threads": _integer(1),
 }
 
 
@@ -484,17 +408,25 @@ def _population_depth_on(points, sampler: Sampler, pairs: int, seed: int):
     return population_ld_mc(points, sampler, pairs, seed=seed)
 
 
+def _lattice_truth(cfg: ExperimentConfig, sampler: Sampler, name: str):
+    """The evaluation lattice of a grid experiment and the population
+    depth at its points: the closed form on the line, elsewhere the
+    Monte Carlo estimate from cfg.pairs pairs drawn once from cfg.seed,
+    with standard error <= (4 * pairs)^(-1/2)."""
+    if cfg.grid is None:
+        raise ExperimentError(f"{name} experiment needs an evaluation grid")
+    if not isinstance(sampler.space, EuclideanSpace):
+        raise ExperimentError(f"{name} experiment needs a sampler in R^d, "
+                              "the space of its evaluation lattice")
+    grid = LatticeGrid(cfg.grid)
+    return grid, _population_depth_on(grid.points, sampler, cfg.pairs, cfg.seed)
+
+
 def supnorm_experiment(cfg: ExperimentConfig) -> ConvergenceReport:
     """Distribution of the largest depth error over the evaluation grid,
     per sample size."""
     sampler = make_sampler(cfg.sampler)
-    if cfg.grid is None:
-        raise ExperimentError("supnorm experiment needs an evaluation grid")
-    if not isinstance(sampler.space, EuclideanSpace):
-        raise ExperimentError("supnorm experiment needs a sampler in R^d, "
-                              "the space of its evaluation lattice")
-    grid = LatticeGrid(cfg.grid)
-    truth = _population_depth_on(grid.points, sampler, cfg.pairs, cfg.seed)
+    grid, truth = _lattice_truth(cfg, sampler, "supnorm")
 
     def sup_error(sample):
         return float(np.max(np.abs(batch_depth(grid, sample).values - truth)))
@@ -508,30 +440,23 @@ def levelset_experiment(cfg: ExperimentConfig, lam: float) -> ConvergenceReport:
     """Hausdorff distance between empirical and population level sets on
     the grid, and between their inner lattice boundaries, per sample size.
 
-    An empty empirical level set is +inf from the population's: its two
-    distances, and the quartiles and medians that reach them, are None
-    (null in the JSON report), as is an infinite end of `true_interval`.
+    The population level set is the lattice points whose population depth
+    (as in `supnorm_experiment`) is at least `lam`; off the line it carries
+    the Monte Carlo error of that depth.  An empty empirical level set is
+    +inf from the population's: its two distances, and the quartiles and
+    medians that reach them, are None (null in the JSON report).
     """
+    if not 0 <= lam < math.inf:
+        raise DegenerateExperimentError(f"level must be finite and nonnegative, got {lam}")
     sampler = make_sampler(cfg.sampler)
-    if cfg.grid is None:
-        raise ExperimentError("level-set experiment needs an evaluation grid")
-    if sampler.ppf is None:
-        raise ExperimentError("level-set experiment needs a 1-d closed-form sampler")
-    grid = LatticeGrid(cfg.grid)
+    grid, truth = _lattice_truth(cfg, sampler, "levelset")
     space = sampler.space
-    try:
-        lo, hi = population_level_interval_1d(lam, sampler.ppf)
-    except DepthError as exc:
-        raise DegenerateExperimentError(str(exc)) from None
-    true_members = np.flatnonzero((grid.points[:, 0] >= lo) & (grid.points[:, 0] <= hi))
-    if len(true_members) == 0:
+    true_mask = truth >= lam
+    if not true_mask.any():
         raise DegenerateExperimentError(
             f"population level set at {lam} misses the evaluation grid")
-    true_mask = np.zeros(len(grid), dtype=bool)
-    true_mask[true_members] = True
-    true_boundary = inner_boundary(true_mask, grid)
-    true_pts = grid.points[true_members]
-    true_bpts = grid.points[true_boundary]
+    true_pts = grid.points[true_mask]
+    true_bpts = grid.points[inner_boundary(true_mask, grid)]
 
     def distances(sample):
         ls = level_set(batch_depth(grid, sample), lam)
@@ -546,7 +471,6 @@ def levelset_experiment(cfg: ExperimentConfig, lam: float) -> ConvergenceReport:
     blocks = {name: _stat_block(results[..., pick], cfg.n_schedule)
               for name, pick in (("set_hausdorff", 0), ("boundary_hausdorff", 1))}
     blocks["level"] = lam
-    blocks["true_interval"] = [_json_float(lo), _json_float(hi)]
     return ConvergenceReport("levelset", cfg.n_schedule, cfg.replications,
                              cfg.seed, blocks)
 

@@ -36,9 +36,19 @@ class CliError(ValueError):
     """Bad CLI input that is not an argparse usage error."""
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="RNG seed recorded in outputs")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_thread_count, default=1,
                         help="worker thread cap, at most the core count "
                              "(never changes results)")
     parser.add_argument("--out", required=True, help="output path")
@@ -280,7 +290,7 @@ def _lambda_grid(args, *fields):
 
 def cmd_psi(args) -> int:
     sample = _load_sample(args.sample, args.metric, args.shape)
-    if args.grid:
+    if args.grid is not None:
         field = batch_depth(dataio.parse_grid_spec(args.grid), sample, threads=args.threads)
     else:
         field = self_depth_field(sample, threads=args.threads)

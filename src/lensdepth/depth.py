@@ -49,7 +49,6 @@ row-block helper.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -633,23 +632,6 @@ def population_ld_1d(x, cdf):
     """
     f = cdf(x)
     return 2.0 * f * (1.0 - f)
-
-
-def population_level_interval_1d(lam: float, ppf) -> tuple[float, float]:
-    """Endpoints of the population depth level set on the line.
-
-    The set of points with depth >= lam is the interval whose CDF values
-    span [(1 - sqrt(1-2*lam))/2, (1 + sqrt(1-2*lam))/2].
-    """
-    if not math.isfinite(lam):
-        raise DepthError(f"level must be finite, got {lam}")
-    if lam < 0:
-        raise DepthError(f"level must be nonnegative, got {lam}")
-    if lam > 0.5:
-        raise DepthError(
-            f"level {lam} exceeds the maximal 1-d population depth 0.5")
-    s = math.sqrt(1.0 - 2.0 * lam)
-    return float(ppf((1.0 - s) / 2.0)), float(ppf((1.0 + s) / 2.0))
 
 
 # Random pairs drawn per Monte Carlo batch; bounds the temporaries at a few

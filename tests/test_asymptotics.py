@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm, t as tdist
 
+from lensdepth import asymptotics
 from lensdepth.asymptotics import (
     DegenerateExperimentError,
     ExperimentConfig,
@@ -14,7 +17,8 @@ from lensdepth.asymptotics import (
     run_config,
     supnorm_experiment,
 )
-from lensdepth.depth import _MC_BATCH, population_level_interval_1d
+from lensdepth.depth import _MC_BATCH, population_ld_mc
+from lensdepth.levelsets import LatticeGrid
 from lensdepth.metrics import BHVSpace, EuclideanSpace, SphereSpace
 from lensdepth.treespace import parse_newick
 
@@ -87,7 +91,7 @@ def test_sampler_rejects_values_off_its_range(spec, field):
 # `simulate` sets threads from --threads, so only the API reads it from a config.
 @pytest.mark.parametrize("field, value", [
     ("threads", 2.5), ("threads", True), ("threads", "2"), ("seed", 1.5), ("pairs", 0),
-    ("n_schedule", [1]), ("n_schedule", 10), ("replications", 0),
+    ("n_schedule", [1]), ("n_schedule", 10), ("replications", 0), ("threads", 0),
 ])
 def test_config_refuses_bad_integer_fields(field, value):
     config = {"experiment": "supnorm", "sampler": {"dist": "normal", "dim": 2},
@@ -98,7 +102,8 @@ def test_config_refuses_bad_integer_fields(field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("n_schedule", (10.5, 20)), ("seed", -1), ("seed", True), ("pairs", 2.5),
-    ("replications", 1.5), ("threads", "2"), ("sampler", "normal"),
+    ("replications", 1.5), ("threads", "2"), ("threads", 0), ("threads", -3),
+    ("sampler", "normal"),
 ])
 def test_config_built_in_python_refuses_bad_fields(field, value):
     fields = dict(sampler={"dist": "normal"}, n_schedule=(10, 20), replications=1)
@@ -121,53 +126,27 @@ def test_normal_sampler_cdf_matches_scipy():
     assert np.array_equal(sampler.cdf(xs), norm.cdf(xs, loc=2, scale=3))
 
 
-# Dense grids plus the endpoints, signed zeros, NaN and values off [0, 1].
+# Dense grids plus the endpoints, signed zeros and NaN.
 XS = np.concatenate([np.linspace(-40.0, 40.0, 40_001),
                      [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e-300, -1e300]])
-QS = np.concatenate([np.linspace(0.0, 1.0, 40_001),
-                     [0.0, 1.0, -0.0, np.nan, -0.1, 1.1, 5e-324, 1.0 - 2.0 ** -53]])
 
 
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (0.3, 1.7), (-2.0, 0.05), (1e3, 30.0)])
 def test_normal_sampler_is_scipy_norm_bit_for_bit(mu, sigma):
     sampler = make_sampler({"dist": "normal", "mu": mu, "sigma": sigma})
     assert_same_bits(sampler.cdf(XS), norm.cdf(XS, loc=mu, scale=sigma))
-    assert_same_bits(sampler.ppf(QS), norm.ppf(QS, loc=mu, scale=sigma))
     for x in (-np.inf, np.inf, np.nan, mu):
         assert_same_bits(sampler.cdf(x), norm.cdf(x, loc=mu, scale=sigma))
-    for q in (0.0, 1.0, 0.5, np.nan):
-        assert_same_bits(sampler.ppf(q), norm.ppf(q, loc=mu, scale=sigma))
     assert sampler.cdf(-np.inf) == 0.0 and sampler.cdf(np.inf) == 1.0
-    assert sampler.ppf(0.0) == -np.inf and sampler.ppf(1.0) == np.inf
 
 
 @pytest.mark.parametrize("v", [1, 2, 3.5, 10, 30])
 def test_student_t_sampler_is_scipy_t_bit_for_bit(v):
     sampler = make_sampler({"dist": "student_t", "v": v})
     assert_same_bits(sampler.cdf(XS), tdist.cdf(XS, v))
-    assert_same_bits(sampler.ppf(QS), tdist.ppf(QS, v))
     for x in (-np.inf, np.inf, np.nan, 0.0):
         assert_same_bits(sampler.cdf(x), tdist.cdf(x, v))
-    for q in (0.0, -0.0, 1.0, 0.5, np.nan):
-        assert_same_bits(sampler.ppf(q), tdist.ppf(q, v))
     assert sampler.cdf(-np.inf) == 0.0 and sampler.cdf(np.inf) == 1.0
-    assert sampler.ppf(0.0) == -np.inf and sampler.ppf(1.0) == np.inf
-
-
-@pytest.mark.parametrize("spec,ppf", [
-    ({"dist": "normal", "mu": 0.3, "sigma": 1.7}, lambda q: norm.ppf(q, loc=0.3, scale=1.7)),
-    ({"dist": "student_t", "v": 3}, lambda q: tdist.ppf(q, 3)),
-], ids=["normal", "student_t"])
-def test_population_level_interval_at_extreme_levels(spec, ppf):
-    sampler = make_sampler(spec)
-    # lambda = 0 reaches the q = 0 and q = 1 endpoints: the whole line
-    assert population_level_interval_1d(0.0, sampler.ppf) == (-np.inf, np.inf)
-    # lambda = 1/2 is the deepest level: both ends at the median
-    lo, hi = population_level_interval_1d(0.5, sampler.ppf)
-    assert lo == hi == float(ppf(0.5))
-    for lam in (0.0, 0.1, 0.3, 0.5):
-        assert population_level_interval_1d(lam, sampler.ppf) \
-            == population_level_interval_1d(lam, ppf)
 
 
 # ---------------------------------------------------------------------------
@@ -267,28 +246,98 @@ def test_supnorm_reproducible_across_threads():
 
 
 def test_levelset_experiment_zero_lambda_full_grid():
-    cfg = ExperimentConfig({"dist": "normal"}, (20, 40), 4, seed=3,
-                           grid=((-2.0, 2.0, 0.25),))
-    rep = levelset_experiment(cfg, 0.0)
-    assert rep.stats["set_hausdorff"]["medians"] == [0.0, 0.0]
-    assert rep.stats["true_interval"] == [None, None]     # the whole line
+    # Every depth is >= 0, so at level 0 both sets are the whole grid, also
+    # where it reaches past a bounded support.
+    for sampler in ({"dist": "normal"}, {"dist": "uniform", "lo": -1.0, "hi": 1.0}):
+        cfg = ExperimentConfig(sampler, (20, 40), 4, seed=3, grid=((-2.0, 2.0, 0.25),))
+        rep = levelset_experiment(cfg, 0.0)
+        assert rep.stats["set_hausdorff"]["medians"] == [0.0, 0.0]
+        assert rep.stats["boundary_hausdorff"]["medians"] == [0.0, 0.0]
 
 
-def test_levelset_experiment_true_interval_endpoints():
-    cfg = ExperimentConfig({"dist": "normal"}, (50,), 2, seed=3,
-                           grid=((-3.0, 3.0, 0.01),))
-    rep = levelset_experiment(cfg, 0.3)
-    lo, hi = rep.stats["true_interval"]
-    s = np.sqrt(1 - 0.6)
-    assert lo == pytest.approx(norm.ppf((1 - s) / 2), abs=1e-12)
-    assert hi == pytest.approx(norm.ppf((1 + s) / 2), abs=1e-12)
+def population_masks(monkeypatch):
+    """The masks `levelset_experiment` passes to `inner_boundary`, the
+    population level set's first, then each empirical one's."""
+    masks = []
+    inner_boundary = asymptotics.inner_boundary
+
+    def record(mask, grid):
+        masks.append(mask.copy())
+        return inner_boundary(mask, grid)
+
+    monkeypatch.setattr(asymptotics, "inner_boundary", record)
+    return masks
+
+
+# Each row: a sampler, and scipy's CDF and quantile of its law.
+CLOSED_FORM_LAWS = {
+    "normal": ({"dist": "normal", "mu": 0.3, "sigma": 1.7},
+               lambda x: norm.cdf(x, loc=0.3, scale=1.7),
+               lambda q: norm.ppf(q, loc=0.3, scale=1.7)),
+    "student_t": ({"dist": "student_t", "v": 3},
+                  lambda x: tdist.cdf(x, 3), lambda q: tdist.ppf(q, 3)),
+    "uniform": ({"dist": "uniform", "lo": -1.0, "hi": 3.0},
+                lambda x: np.clip((x + 1.0) / 4.0, 0.0, 1.0), lambda q: -1.0 + 4.0 * q),
+}
+# Medians on and off a lattice point, and lattices that cut the interval.
+CLOSED_FORM_GRIDS = [(-4.0, 4.0, 0.25), (-2.0, 2.5, 0.03), (0.0, 1.0, 0.01), (0.3, 6.0, 0.1)]
+
+
+@pytest.mark.parametrize("law", list(CLOSED_FORM_LAWS))
+def test_levelset_population_set_is_the_closed_form_interval(law, monkeypatch):
+    """On the line {x : D(x) >= lambda} is [F^-1((1 - s)/2), F^-1((1 + s)/2)]
+    with s = sqrt(1 - 2 lambda); a point whose depth is within rounding of
+    lambda may fall on either side."""
+    spec, cdf, ppf = CLOSED_FORM_LAWS[law]
+    masks = population_masks(monkeypatch)
+    for axis in CLOSED_FORM_GRIDS:
+        xs = LatticeGrid((axis,)).points[:, 0]
+        f = cdf(xs)
+        depth = 2.0 * f * (1.0 - f)
+        for lam in (0.1, 0.3, 0.45, 0.5):
+            s = math.sqrt(1.0 - 2.0 * lam)
+            want = (xs >= ppf((1.0 - s) / 2.0)) & (xs <= ppf((1.0 + s) / 2.0))
+            clear = np.abs(depth - lam) > 1e-12
+            cfg = ExperimentConfig(spec, (5,), 1, seed=1, grid=(axis,))
+            masks.clear()
+            try:
+                levelset_experiment(cfg, lam)
+            except DegenerateExperimentError:
+                assert not (want & clear).any(), (axis, lam)
+                continue
+            assert np.array_equal(masks[0][clear], want[clear]), (axis, lam)
+
+
+def test_plane_population_set_is_the_monte_carlo_depth_at_least_lambda(monkeypatch):
+    spec = {"dist": "normal", "dim": 2}
+    cfg = ExperimentConfig(spec, (20,), 1, seed=5, pairs=4000, grid=((-2.0, 2.0, 0.25),) * 2)
+    masks = population_masks(monkeypatch)
+    levelset_experiment(cfg, 0.2)
+    want = population_ld_mc(LatticeGrid(cfg.grid).points, make_sampler(spec), 4000,
+                            seed=5) >= 0.2
+    assert np.array_equal(masks[0], want)
+    assert 0 < want.sum() < len(want)
 
 
 def test_levelset_experiment_degenerate_level():
     cfg = ExperimentConfig({"dist": "normal"}, (50,), 2, seed=3,
                            grid=((-3.0, 3.0, 0.01),))
-    with pytest.raises(DegenerateExperimentError):
+    with pytest.raises(DegenerateExperimentError, match="misses the evaluation grid"):
         levelset_experiment(cfg, 0.7)
+
+
+def no_replications(*args, **kwargs):
+    raise AssertionError("a replication ran")
+
+
+@pytest.mark.parametrize("lam", [-0.1, math.nan, math.inf])
+def test_levelset_bad_level_is_refused_before_any_replication(lam, monkeypatch):
+    monkeypatch.setattr(asymptotics, "_replicate", no_replications)
+    monkeypatch.setattr(asymptotics, "population_ld_mc", no_replications)
+    cfg = ExperimentConfig({"dist": "normal", "dim": 2}, (10,), 2, seed=1,
+                           grid=((-1.0, 1.0, 0.5),) * 2)
+    with pytest.raises(DegenerateExperimentError, match="finite and nonnegative"):
+        levelset_experiment(cfg, lam)
 
 
 def test_clt_requires_replications():
@@ -302,9 +351,6 @@ TREE = "((A:1,B:1):0.5,(C:1,D:1):0.5,E:1);"
 
 
 def test_clt_on_trees_is_refused_before_any_replication(monkeypatch):
-    def no_replications(*args):
-        raise AssertionError("a replication ran")
-
     monkeypatch.setattr("lensdepth.asymptotics._replicate", no_replications)
     monkeypatch.setattr("lensdepth.asymptotics.p2_matrix", no_replications)
     sampler = {"dist": "bhv_noise", "base_tree": TREE, "scale": 0.1}
@@ -317,12 +363,17 @@ def test_clt_on_trees_is_refused_before_any_replication(monkeypatch):
                     "replications": 500, "points": [TREE]})
 
 
-def test_supnorm_off_euclidean_space_is_an_experiment_error():
+def test_supnorm_off_euclidean_space_is_an_experiment_error(monkeypatch):
+    # The level-set experiment refuses these samplers the same way.
+    monkeypatch.setattr(asymptotics, "_replicate", no_replications)
+    monkeypatch.setattr(asymptotics, "population_ld_mc", no_replications)
     for sampler in ({"dist": "sphere_vmf", "mu": [0, 0, 1], "kappa": 5.0},
                     {"dist": "bhv_noise", "base_tree": TREE}):
         cfg = ExperimentConfig(sampler, (10,), 2, seed=1, grid=((-1.0, 1.0, 0.5),) * 3)
         with pytest.raises(ExperimentError, match="supnorm experiment needs a sampler in R"):
             supnorm_experiment(cfg)
+        with pytest.raises(ExperimentError, match="levelset experiment needs a sampler in R"):
+            levelset_experiment(cfg, 0.1)
 
 
 def test_clt_empirical_matches_projection_form_away_from_center():

@@ -338,6 +338,7 @@ HOSTILE = {
     "lambdas-not-float": ["psi", *_SAMPLE, "--psi", "diam", "--lambdas=a:b:c"],
     "lambdas-infinite": ["psi", *_SAMPLE, "--psi", "diam", "--lambdas=0:inf:0.1"],
     "psi-levels-negative": ["psi", *_SAMPLE, "--psi", "diam", "--levels", "-1"],
+    "psi-grid-empty": ["psi", *_SAMPLE, "--psi", "diam", "--grid="],
     "groups-levels-negative": ["diam-by-group", "--groups", "groups", "--levels", "-2"],
     "grid-nan": [*_LEVELSET, "--grid=0:1:nan"],
     "grid-infinite": [*_LEVELSET, "--grid=0:inf:1,0:1:1"],
@@ -413,6 +414,25 @@ def test_hostile_input_is_one_error_line(workdir, capsys, case):
     assert "Traceback" not in err
     assert HOSTILE_FIELD.get(case, "") in err
     assert not any((workdir / name).exists() for name in ("out.csv", "bd.csv", "plot.svg"))
+
+
+# Values argparse refuses: a usage error, exit status 2, nothing written.
+USAGE_ERRORS = {
+    "threads-zero": ["depth", *_SAMPLE, "--queries", "s.csv", "--threads", "0"],
+    "threads-negative": ["simulate", "--config", "exp.json", "--threads", "-5"],
+    "threads-fraction": [*_LEVELSET, "--threads", "2.5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exits_2_without_output(workdir, capsys, case):
+    write_points(workdir / "s.csv", np.random.default_rng(3).standard_normal((12, 2)))
+    (workdir / "exp.json").write_text(json.dumps(_NORMAL_1D))
+    with pytest.raises(SystemExit) as err:
+        run(USAGE_ERRORS[case] + ["--out", "out.csv"])
+    assert err.value.code == 2
+    assert "error: argument --threads: " in capsys.readouterr().err
+    assert not (workdir / "out.csv").exists()
 
 
 @pytest.mark.parametrize("argv, blame", [

@@ -1,9 +1,7 @@
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from lensdepth import depth
 from lensdepth.depth import (
@@ -14,7 +12,6 @@ from lensdepth.depth import (
     empirical_lens_depth,
     population_ld_1d,
     population_ld_mc,
-    population_level_interval_1d,
     self_depth_field,
 )
 from lensdepth.analysis import loo_depth_against
@@ -223,6 +220,9 @@ REPLICATION_CONFIGS = {
     "plane-normal-supnorm": ({"experiment": "supnorm",
                               "sampler": {"dist": "normal", "dim": 2},
                               "grid": [[-1.0, 1.0, 0.5]] * 2}, True),
+    "plane-normal-levelset": ({"experiment": "levelset",
+                               "sampler": {"dist": "normal", "dim": 2},
+                               "grid": [[-1.0, 1.0, 0.5]] * 2, "lambda": 0.2}, True),
     "sphere-clt": ({"experiment": "clt",
                     "sampler": {"dist": "sphere_vmf", "mu": [0, 0, 1], "kappa": 4.0},
                     "replications": 500, "points": [[0, 0, 1], [0, 1, 0]]}, True),
@@ -282,15 +282,6 @@ def test_population_1d_closed_form_values():
     assert population_ld_1d(0.0, lambda x: 0.5) == 0.5
     assert population_ld_1d(0.0, lambda x: 0.0) == 0.0
     assert population_ld_1d(0.0, lambda x: 0.25) == pytest.approx(0.375)
-
-
-def test_population_level_interval():
-    lo, hi = population_level_interval_1d(0.375, norm.ppf)
-    assert lo == pytest.approx(norm.ppf(0.25))
-    assert hi == pytest.approx(norm.ppf(0.75))
-    for lam in (0.6, math.nan, math.inf, -math.inf):
-        with pytest.raises(DepthError):
-            population_level_interval_1d(lam, norm.ppf)
 
 
 def test_population_mc_point_mass():

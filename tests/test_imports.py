@@ -167,13 +167,13 @@ def test_scipy_stats_is_imported_only_for_vonmises_fisher():
 
 
 def test_scipy_special_is_imported_only_for_student_t_and_gamma_tn():
-    # The normal law's cdf and ppf are ports of Cephes (asymptotics._ndtr
-    # and _ndtri), so simulating it loads no scipy module.
+    # The normal law's cdf is a port of Cephes (asymptotics._ndtr), so
+    # simulating it loads no scipy module.
     found = {p.name: scipy_imports(p.read_text(), "special")
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: imports for name, imports in found.items() if imports} == {
         "asymptotics.py": [("def make_sampler / if dist == 'student_t'",
-                            "from scipy.special import stdtr, stdtrit")],
+                            "from scipy.special import stdtr")],
         "dispersion.py": [("def gamma_t_vs_normal_grid",
                            "from scipy.special import ndtri, stdtrit")]}
 
