@@ -418,6 +418,9 @@ def _lattice_truth(cfg: ExperimentConfig, sampler: Sampler, name: str):
     if not isinstance(sampler.space, EuclideanSpace):
         raise ExperimentError(f"{name} experiment needs a sampler in R^d, "
                               "the space of its evaluation lattice")
+    if len(cfg.grid) != sampler.space.dim:
+        raise ExperimentError(f"config field 'grid' has {len(cfg.grid)} axes, but the "
+                              f"sampler draws points of R^{sampler.space.dim}")
     grid = LatticeGrid(cfg.grid)
     return grid, _population_depth_on(grid.points, sampler, cfg.pairs, cfg.seed)
 

@@ -21,9 +21,12 @@ of three paths:
   `threads` has nothing to split there.
 - On a `LatticeGrid` in R^d, d >= 2, `_lattice_counts` rasterizes each
   lens row by row along the lattice's longest axis: the points of a row
-  inside a lens form one index range, estimated from the chord and
-  confirmed (or recounted) by the float predicate, so no query matrix
-  is built.
+  inside a lens form one index range, estimated from the chord, so no
+  query matrix is built.  Only a range with an end within the rounding
+  band of `_chord_band` of a lattice index (about one incidence in
+  10^4 on normal samples; every one where squares could overflow or go
+  subnormal) is confirmed, or recounted, by the float predicate.  The
+  count runs on the calling thread at any `threads`.
 - Elsewhere the sample matrix is built, then the query matrix; a query
   equal by value to a sample point reads its row from the sample
   matrix.  `_walk_block` counts each query in depth order against every
@@ -42,8 +45,8 @@ path builds them, so a field on the line never carries a matrix.
 pairs, one indicator row at a time; `p2_matrix` reads its pair moments
 off the same indicators (`_coverage_batches`).
 
-`thread_map` is the package's one thread pool and `row_blocks` its one
-row-block helper.
+`thread_map` is the package's one thread pool, which the walk's query
+blocks use, and `row_blocks` its one row-block helper.
 """
 
 from __future__ import annotations
@@ -192,7 +195,9 @@ def _walk_table(dmat: np.ndarray):
     ceil(n/B), table row q * (c + 1) + t is the bitset, in ceil(n/64)
     words, of the sample indices at sorted positions (c - t) * B on in
     row q: every B-th suffix and the empty one.  A running sum of the
-    chunks of B positions is their union; it is taken in place.
+    chunks of B positions is their union; it is taken in place.  The
+    first position of each chunk is stored into zeros, each later one
+    or-ed in, so at B = 1 every bit is a plain store.
     """
     n, stride = len(dmat), _walk_stride(len(dmat))
     chunks = -(-n // stride)
@@ -200,7 +205,11 @@ def _walk_table(dmat: np.ndarray):
     table = np.zeros((n, chunks + 1, -(-n // 64)), dtype=np.uint64)
     for j in range(stride):           # one position per chunk at a time
         ids = order[:, j::stride]
-        table[np.arange(n)[:, None], chunks - np.arange(ids.shape[1]), ids >> 6] |= _bits(ids)
+        at = np.arange(n)[:, None], chunks - np.arange(ids.shape[1]), ids >> 6
+        if j:
+            table[at] |= _bits(ids)
+        else:
+            table[at] = _bits(ids)
     np.cumsum(table, axis=1, out=table)
     return order, table.reshape(n * (chunks + 1), -1), stride
 
@@ -312,8 +321,13 @@ def _line_counts(x: np.ndarray, sample: Sample):
 
 
 # Lens-row incidences handled per block of the lattice count; bounds its
-# temporaries at a few dozen arrays of this length per thread.
+# temporaries at a few dozen arrays of this length.
 _LATTICE_BLOCK = 1 << 14
+# The unit roundoff of doubles, their smallest subnormal, and the magnitude
+# inside which `_chord_band` holds.
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1074
+_SAFE = 2.0 ** 500
 
 
 def _axis_ranges(values: np.ndarray, coords: np.ndarray, dmat: np.ndarray):
@@ -336,7 +350,57 @@ def _axis_ranges(values: np.ndarray, coords: np.ndarray, dmat: np.ndarray):
     return lo, hi
 
 
-def _lattice_counts(grid, sample: Sample, threads: int):
+def _chord_band(d: int, largest: float, radius: float, step: float) -> float:
+    """Half-width, in units of the row's step, of the band around an
+    estimated chord end outside which the float lens test agrees with the
+    estimate, on a lattice in R^d where the lattice's and the sample's
+    coordinates are at most `largest` in magnitude and no ball's radius
+    exceeds `radius`; inf where the bound below does not hold.
+
+    Write u = 2^-53, M = largest, R = radius and h = step, and require
+    M, R, h, M/h, R/h <= 2^500 and h >= 2^-500: no square, sum or
+    quotient of the count then overflows, and one that goes subnormal is
+    off by at most 2^-1075.  Take a ball (a, r), r <= R, and a row whose
+    other axes' squared differences (exact, of the stored floats) sum to
+    S.  The row's values are x_t = fl(x_0 + fl(t h)) (`expand_range`).
+    In index units its exact ends are e = c +- H, with c = (a - x_0)/h
+    and H = sqrt(max(r^2 - S, 0))/h.  To first order in u:
+
+    1. |x_t - x_0 - t h| <= 3 u M, so |a - x_t|/h is within z = 3 u M/h
+       of |c - t|.
+    2. The float test sums d rounded squares of rounded differences, so
+       it is within (d + 2) u G + d 2^-1075 of the exact squared distance
+       G, and passes iff that sum is at most r^2 (1 + u)^2.  It can part
+       from G <= r^2 only where |G - r^2| <= p = (d + 6) u R^2 + d 2^-1074,
+       so where ||a - x_t| - h H| <= sqrt(p): at t within y = sqrt(p)/h + z
+       of an exact end.
+    3. `centre` is within 4 u M/h of c.  `reach` and `scaled` are within
+       3 u and (d + 3) u of r^2/h^2 and S/h^2, and their difference rounds
+       once more, so max(reach - scaled, 0) is within E = (d + 9) u (R/h)^2
+       + (d + 2) 2^-1075 max(1, h^-2) of H^2 (for S > r^2 too), and its root
+       within sqrt(E) of H.  `half` adds u R/h and each computed end
+       A = fl(centre +- half) 2 u M/h + u R/h: A is within
+       x = 6 u M/h + 2 u R/h + sqrt(E) of its exact end.
+
+    So the estimate, the exact test and the float test agree at every
+    integer farther than max(x, y) from both exact ends, hence at every
+    integer farther than 2x + y from both computed ends.  The band is
+    twice that bound, for the terms of second order in u:
+
+        32 u M/h + (6.2 sqrt((d + 9) u) + 10 u) R/h
+            + 6 sqrt((d + 2) 2^-1074) max(1, 1/h).
+
+    A - rint(A) is exact, so an end with |A - rint(A)| > band is
+    trusted; an inf band trusts none, nor does an end that is inf or nan.
+    """
+    if not (largest <= _SAFE and radius <= _SAFE and 1 / _SAFE <= step <= _SAFE
+            and max(largest, radius) / step <= _SAFE):
+        return np.inf
+    return ((32 * _U * largest + (6.2 * np.sqrt((d + 9) * _U) + 10 * _U) * radius) / step
+            + 6 * np.sqrt((d + 2) * _TINY) * max(1.0, 1 / step))
+
+
+def _lattice_counts(grid, sample: Sample):
     """Covering-pair counts of every point of the lattice `grid` against a
     sample in R^d, d >= 2, and the number of (ball, row) ranges the guard
     recounted.
@@ -349,17 +413,26 @@ def _lattice_counts(grid, sample: Sample, threads: int):
     point's coordinate; so the points of a row inside the ball (a, r)
     form one index range, and so do those inside a lens.  Each range is
     estimated from the chord c +- sqrt(r^2 - S), S the other axes'
-    terms, and then checked by the float predicate at its ends and just
-    outside them (at the two points nearest the centre when it is
-    empty).  A range that fails the check is recounted by the float
-    predicate along the whole row.  Each lens range adds +1 and -1 to a
-    per-row difference array whose cumulative sum is the count, so every
-    count equals the pairwise float test's on the full query matrix, in
-    O(n^2 N / n_row) time with no N x n matrix.  Rows a lens cannot meet
-    are skipped by `_axis_ranges`.
+    terms, and a lens range from the tighter of its balls' ends on each
+    side.  The float test parts from a ball's estimate only at integers
+    within `_chord_band` of one of the ball's ends, and such an integer
+    can change the lens range only if it lies within the band of one of
+    the lens's own ends.  So a lens whose two ends both lie farther than
+    the band from every integer takes its estimate as it is.  The others,
+    rare outside ties, have both balls' ranges checked by the float
+    predicate at their ends and just outside them (at the two points
+    nearest the centre when the range is empty), and a range that fails
+    the check is recounted by the float predicate along the whole row.
+    Each lens range adds +1 and -1 to a per-row difference array whose
+    cumulative sum is the count, so every count equals the pairwise float
+    test's on the full query matrix, in O(n^2 N / n_row) time with no
+    N x n matrix.  Rows a lens cannot meet
+    are skipped by `_axis_ranges`.  The count runs on the calling
+    thread: its numpy calls are too short for a second thread to gain
+    more than it loses to the interpreter lock.
 
-    Squares may overflow to inf, as in `cross_matrix`; the estimates may
-    then be inf or nan, which only sends their ranges to the recount.
+    Squares may overflow to inf, as in `cross_matrix`; the band is then
+    inf, and the estimates, which may be inf or nan, are all checked.
     """
     pts = sample.points
     n = len(pts)
@@ -372,6 +445,8 @@ def _lattice_counts(grid, sample: Sample, threads: int):
     row_index = np.indices(row_shape).reshape(len(others), -1)
     i, j = np.triu_indices(n, 1)
     r = dmat[i, j]
+    largest = max(float(np.abs(pts).max()), *(float(np.abs(v).max()) for v in values))
+    band = _chord_band(len(shape), largest, float(r.max()), step)
     with np.errstate(all="ignore"):
         # The other axes' terms for every row and sample point: their sum
         # from the left up to the row's axis, and each one after it.
@@ -400,12 +475,18 @@ def _lattice_counts(grid, sample: Sample, threads: int):
     span = np.prod(sizes, axis=0)
     width = row_index.shape[1] * (m + 1)
 
-    def ball_ranges(pair, row, centre_idx):
-        at = row * n + centre_idx
-        half = np.sqrt(np.fmax(reach[pair] - scaled[at], 0.0))
+    def chord(pair, at, centre_idx):
+        """The estimated ends of each ball's range on its row, in index
+        units; `at` is the row's index times n."""
+        half = np.sqrt(np.fmax(reach[pair] - scaled[at + centre_idx], 0.0))
         c = centre[centre_idx]
-        lo = np.fmin(np.fmax(np.ceil(c - half), 0.0), m).astype(np.intp)
-        hi = np.fmin(np.fmax(np.floor(c + half) + 1.0, 0.0), m).astype(np.intp)
+        return c - half, c + half
+
+    def ball_ranges(pair, row, centre_idx):
+        low, high = chord(pair, row * n, centre_idx)
+        at = row * n + centre_idx
+        lo = np.fmin(np.fmax(np.ceil(low), 0.0), m).astype(np.intp)       # nan to 0
+        hi = np.fmin(np.fmax(np.floor(high) + 1.0, 0.0), m).astype(np.intp)
         radius = r[pair]
         s_before = before[at]
         s_after = [t[at] for t in after]
@@ -432,43 +513,65 @@ def _lattice_counts(grid, sample: Sample, threads: int):
             hi[bad] = lo[bad] + hits.sum(axis=1)
         return lo, hi, bad.size
 
-    def block(first, stop):
-        pairs = np.arange(first, stop)
-        counts = span[pairs]
-        pair = np.repeat(pairs, counts)
-        local = np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts)
-        row = np.zeros(len(pair), dtype=np.intp)
-        for k in reversed(range(len(others))):
-            size = sizes[k][pair]
-            row += (starts[k][pair] + local % size) * strides[k]
-            local //= size
+    def lens_ranges(pair, row):
+        """The checked range of each lens on its row."""
         with np.errstate(all="ignore"):
             lo_a, hi_a, bad_a = ball_ranges(pair, row, i[pair])
             lo_b, hi_b, bad_b = ball_ranges(pair, row, j[pair])
         lo = np.maximum(lo_a, lo_b)
-        hi = np.maximum(np.minimum(hi_a, hi_b), lo)
+        return lo, np.maximum(np.minimum(hi_a, hi_b), lo), bad_a + bad_b
+
+    def estimate(first, stop):
+        """Each incidence of the pairs first, ..., stop - 1 and a row, the
+        estimated range of its lens and whether both ends of that range
+        lie outside the band."""
+        pairs = np.arange(first, stop)
+        counts = span[pairs]
+        pair = np.repeat(pairs, counts)
+        local = np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts)
+        row = 0
+        for k in reversed(range(1, len(others))):
+            local, at = np.divmod(local, sizes[k][pair])
+            row = row + (starts[k][pair] + at) * strides[k]
+        row = row + (starts[0][pair] + local) * strides[0]
+        at = row * n
+        with np.errstate(all="ignore"):
+            # The tighter chord end on each side; nan stays nan.
+            low, high = chord(pair, at, i[pair])
+            low_b, high_b = chord(pair, at, j[pair])
+            np.maximum(low, low_b, out=low)
+            np.minimum(high, high_b, out=high)
+            sure = np.abs(low - np.rint(low)) > band
+            sure &= np.abs(high - np.rint(high)) > band
+            lo = np.clip(np.ceil(low), 0.0, m).astype(np.intp)
+            hi = np.clip(np.floor(high) + 1.0, lo, m).astype(np.intp)
+        return pair, row, lo, hi, sure
+
+    def tally(row, lo, hi):
         offset = row * (m + 1)
-        diff = (np.bincount(offset + lo, minlength=width)
+        return (np.bincount(offset + lo, minlength=width)
                 - np.bincount(offset + hi, minlength=width))
-        return diff, bad_a + bad_b
 
-    def run(bounds):
-        diff, recounted = np.zeros(width, dtype=np.int64), 0
-        for first, stop in bounds:
-            part, bad = block(first, stop)
-            diff += part
-            recounted += bad
-        return diff, recounted
-
-    # Blocks of pairs with about _LATTICE_BLOCK incidences each, one
-    # contiguous run of blocks per thread, each summed into one array.
+    # Blocks of pairs with about _LATTICE_BLOCK incidences each, summed
+    # into one difference array.  Doubtful lenses are held back and
+    # checked together once about as many have gathered.
     ends = np.searchsorted(np.cumsum(span), np.arange(_LATTICE_BLOCK, span.sum(), _LATTICE_BLOCK))
-    bounds = [(a, b) for a, b in zip(np.r_[0, ends], np.r_[ends, len(r)]) if b > a]
-    runs = np.array_split(np.array(bounds), min(max(threads, 1), len(bounds)))
-    parts = thread_map(run, runs, threads)
-    diff = sum(p[0] for p in parts).reshape(-1, m + 1)
-    counts = np.cumsum(diff, axis=1)[:, :m].reshape(row_shape + (m,))
-    return np.moveaxis(counts, -1, axis).ravel(), sum(p[1] for p in parts)
+    blocks = [(a, b) for a, b in zip(np.r_[0, ends], np.r_[ends, len(r)]) if b > a]
+    diff, recounted, held, waiting = np.zeros(width, dtype=np.int64), 0, [], 0
+    for k, (first, stop) in enumerate(blocks):
+        pair, row, lo, hi, sure = estimate(first, stop)
+        doubt = np.flatnonzero(~sure)
+        lo[doubt] = hi[doubt] = 0                   # an empty range, for now
+        diff += tally(row, lo, hi)
+        held.append((pair[doubt], row[doubt]))
+        waiting += doubt.size
+        if waiting >= _LATTICE_BLOCK or k == len(blocks) - 1:
+            pair, row = (np.concatenate(part) for part in zip(*held))
+            lo, hi, bad = lens_ranges(pair, row)
+            diff += tally(row, lo, hi)
+            recounted, held, waiting = recounted + bad, [], 0
+    counts = np.cumsum(diff.reshape(-1, m + 1), axis=1)[:, :m].reshape(row_shape + (m,))
+    return np.moveaxis(counts, -1, axis).ravel(), recounted
 
 
 def _distinct_row_counts(x: np.ndarray, sample: Sample) -> np.ndarray:
@@ -536,7 +639,7 @@ def batch_depth(queries, sample: Sample, threads: int = 1) -> DepthField:
             raise DepthError(f"{grid.describe()} is a point set of R^{len(grid.axes)}, "
                              f"not of {space!r}")
         if space.dim >= 2:
-            return _field(queries, _lattice_counts(grid, sample, threads)[0], sample, grid)
+            return _field(queries, _lattice_counts(grid, sample)[0], sample, grid)
     if not own:
         queries = space.coerce_points(queries)
         if len(queries) == 0:

@@ -176,7 +176,34 @@ def integers(n, dim, lo, hi, seed):
     return np.random.default_rng(seed).integers(lo, hi + 1, (n, dim)).astype(float)
 
 
+def near_lattice(axes, pairs, seed, tangent=False):
+    """Pairs of points whose lens meets a lattice row 1e-12 to 1e-6 steps
+    from a lattice index: at an end of the first point's chord or, with
+    `tangent`, where the row touches its ball (r^2 - S within a few ulps
+    of 0).  A row runs along the longest axis (the last of equally long
+    ones)."""
+    rng = np.random.default_rng(seed)
+    grid = LatticeGrid(tuple(axes))
+    axis = len(grid.shape) - 1 - int(np.argmax(grid.shape[::-1]))
+    steps = np.array([step for _, _, step in axes])
+    out = []
+    for _ in range(pairs):
+        at = grid.points[rng.integers(len(grid))]
+        miss = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -6) * steps[axis]
+        p = at + rng.uniform(-2.0, 2.0, len(axes)) * steps
+        p[axis] = at[axis] + (miss if tangent else rng.uniform(-4.0, 4.0) * steps[axis])
+        gap = at - p             # to the touching point, the ball's radius
+        gap[axis] = 0.0 if tangent else at[axis] + miss - p[axis]
+        radius = np.sqrt(np.sum(gap * gap))
+        # The partner lies near the touching point, which the lens then holds.
+        u = gap / radius + 0.3 * rng.standard_normal(len(axes))
+        out += [p, p + radius * u / np.linalg.norm(u)]
+    return np.array(out)
+
+
 BIG, SMALL = 2.0 ** 500, 2.0 ** -500
+NEAR_2D = [(-3.0, 3.0, 0.1), (-3.5, 3.5, 0.1)]
+NEAR_3D = [(-1.0, 1.0, 0.1), (-0.5, 0.5, 0.1), (-0.5, 0.5, 0.1)]
 
 # name -> (sample, lattice axes, whether the guard must fire).  Tie-heavy
 # cases put lattice points exactly on lens boundaries, where the chord
@@ -219,6 +246,14 @@ CASES = {
                          [(-0.6, 0.6, 0.05), (-0.3, 0.3, 0.1), (-0.2, 0.2, 0.1)], True),
     "3d-longest-middle": (0.1 * integers(30, 3, -3, 3, 16),
                           [(-0.3, 0.3, 0.1), (-0.6, 0.6, 0.05), (-0.2, 0.2, 0.1)], True),
+    # Chord ends and tangent rows 1e-12 to 1e-6 steps from a lattice
+    # index, inside the band of `depth._chord_band`, where only the check
+    # decides; in 3-d the rows run along the first axis, so the other two
+    # axes' terms are added after the row's own.
+    "near-chord-ends": (near_lattice(NEAR_2D, 20, 17), NEAR_2D, False),
+    "near-tangent-rows": (near_lattice(NEAR_2D, 20, 18, tangent=True), NEAR_2D, True),
+    "3d-near-chord-ends": (near_lattice(NEAR_3D, 15, 19), NEAR_3D, False),
+    "3d-near-tangent-rows": (near_lattice(NEAR_3D, 15, 20, tangent=True), NEAR_3D, True),
 }
 
 

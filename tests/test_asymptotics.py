@@ -363,6 +363,25 @@ def test_clt_on_trees_is_refused_before_any_replication(monkeypatch):
                     "replications": 500, "points": [TREE]})
 
 
+@pytest.mark.parametrize("experiment", ["supnorm", "levelset"])
+@pytest.mark.parametrize("sampler, grid", [
+    ({"dist": "normal", "dim": 2}, [[-1.0, 1.0, 0.25]]),
+    ({"dist": "normal"}, [[-1.0, 1.0, 0.25]] * 2),
+    ({"dist": "point_mass", "value": [0.0, 0.0, 0.0]}, [[-1.0, 1.0, 0.5]] * 2),
+])
+def test_grid_of_another_dimension_is_refused_before_any_draw(experiment, sampler, grid,
+                                                              monkeypatch):
+    monkeypatch.setattr(asymptotics, "_replicate", no_replications)
+    monkeypatch.setattr(asymptotics, "population_ld_mc", no_replications)
+    config = {"experiment": experiment, "sampler": sampler, "n_schedule": [10],
+              "replications": 2, "grid": grid, "lambda": 0.1}
+    if experiment == "supnorm":
+        del config["lambda"]
+    with pytest.raises(ExperimentError, match=rf"^config field 'grid' has {len(grid)} axes, "
+                                              r"but the sampler draws points of R\^\d$"):
+        run_config(config)
+
+
 def test_supnorm_off_euclidean_space_is_an_experiment_error(monkeypatch):
     # The level-set experiment refuses these samplers the same way.
     monkeypatch.setattr(asymptotics, "_replicate", no_replications)

@@ -371,6 +371,10 @@ HOSTILE = {
     "config-replications-true": dict(_NORMAL_1D, replications=True),
     "config-dim-fraction": dict(_NORMAL_1D, sampler={"dist": "normal", "dim": 2.5}),
     "config-n-schedule-fraction": dict(_NORMAL_1D, n_schedule=[10.5]),
+    # A grid with fewer or more axes than the sampler's points have.
+    "config-grid-fewer-axes": dict(_NORMAL_1D, sampler={"dist": "normal", "dim": 2}),
+    "config-grid-more-axes": dict(_NORMAL_1D, experiment="levelset", **{"lambda": 0.1},
+                                  grid=[[-1.0, 1.0, 0.5]] * 2),
     # Sizes numpy refuses before allocating anything.
     "grid-too-many-points": [*_LEVELSET, "--grid=0:1:1e-30"],
     "grid-out-of-memory": [*_LEVELSET, "--grid=0:1:1e-15"],
@@ -391,7 +395,8 @@ HOSTILE_FIELD = {"config-sigma-nan": "'sigma'", "config-v-nan": "'v'",
                  "config-vmf-kappa-negative": "'kappa'", "config-pairs-fraction": "'pairs'",
                  "config-replications-fraction": "'replications'",
                  "config-replications-true": "'replications'", "config-dim-fraction": "'dim'",
-                 "config-n-schedule-fraction": "'n_schedule'"}
+                 "config-n-schedule-fraction": "'n_schedule'",
+                 "config-grid-fewer-axes": "'grid'", "config-grid-more-axes": "'grid'"}
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))

@@ -1,14 +1,17 @@
 """The exact count on Euclidean lattices: each lens is rasterized row by
-row, and a guard recounts every (ball, row) range whose estimated ends
-the float predicate does not confirm.  Every count must equal the
+row, and a guard checks every lens whose estimated ends lie within the
+rounding band of a lattice index, and recounts every (ball, row) range
+of it whose ends the float predicate does not confirm.  Every count must equal the
 pairwise kernel on the full query matrix, bit for bit, and the double
 loop on a subsample, without a RuntimeWarning of its own."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from lensdepth import depth
 from lensdepth.cli import run
 from lensdepth.dataio import fmt
 from lensdepth.depth import (
@@ -61,15 +64,53 @@ def test_lattice_values_equal_the_double_loop(name):
 @pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][2]))
 def test_tie_heavy_cases_need_the_guard(name):
     sample, grid = case(name)
-    counts, recounted = _lattice_counts(grid, sample, 1)
+    counts, recounted = _lattice_counts(grid, sample)
     assert recounted > 0
     assert counts.tolist() == kernel_counts(grid, sample).tolist()
 
 
+@pytest.mark.parametrize("name", sorted(n for n in CASES if "tangent" in n))
+def test_tangent_rows_need_the_band(name, monkeypatch):
+    """Trusting every estimate whose ends are not integers miscounts these
+    cases, so they show that the band is wide enough where it matters."""
+    sample, grid = case(name)
+    monkeypatch.setattr(depth, "_chord_band", lambda *args: 0.0)
+    assert _lattice_counts(grid, sample)[0].tolist() != kernel_counts(grid, sample).tolist()
+
+
+# Where squares may overflow or go subnormal the band's bound fails.
+NO_BAND = {"offset-2^500", "offset-2^-500", "squares-overflow", "squares-subnormal"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_band_is_inf_only_past_its_bound(name, monkeypatch):
+    bands, band = [], depth._chord_band
+
+    def recorded(*args):
+        bands.append(band(*args))
+        return bands[-1]
+
+    monkeypatch.setattr(depth, "_chord_band", recorded)
+    sample, grid = case(name)
+    _lattice_counts(grid, sample)
+    assert math.isinf(bands[0]) == (name in NO_BAND)
+    assert 0 < bands[0] < 1e-4 or name in NO_BAND
+
+
 def test_counts_do_not_depend_on_threads():
     sample, grid = case("integer-on-tenths")
-    runs = [_lattice_counts(grid, sample, threads) for threads in (1, 2, 3)]
-    assert all(c.tolist() == runs[0][0].tolist() and r == runs[0][1] for c, r in runs)
+    runs = [batch_depth(grid, sample, threads).counts.tolist() for threads in (1, 2, 3)]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_the_lattice_count_starts_no_thread(monkeypatch):
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a thread pool was asked for")
+
+    monkeypatch.setattr(depth, "thread_map", no_threads)
+    sample, grid = case("halton-normal")
+    assert batch_depth(grid, sample, threads=4).counts.tolist() == \
+        kernel_counts(grid, sample).tolist()
 
 
 def test_the_line_takes_the_grid_points():
