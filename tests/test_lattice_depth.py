@@ -1,9 +1,9 @@
 """The exact count on Euclidean lattices: each lens is rasterized row by
 row, and a guard checks every lens whose estimated ends lie within the
 rounding band of a lattice index, and recounts every (ball, row) range
-of it whose ends the float predicate does not confirm.  Every count must equal the
-pairwise kernel on the full query matrix, bit for bit, and the double
-loop on a subsample, without a RuntimeWarning of its own."""
+of it whose ends the float predicate does not confirm.  Every count must
+equal the pairwise kernel on the full query matrix, bit for bit, and the
+double loop on a subsample, without a RuntimeWarning of its own."""
 
 import json
 import math
@@ -93,8 +93,7 @@ def test_the_band_is_inf_only_past_its_bound(name, monkeypatch):
     monkeypatch.setattr(depth, "_chord_band", recorded)
     sample, grid = case(name)
     _lattice_counts(grid, sample)
-    assert math.isinf(bands[0]) == (name in NO_BAND)
-    assert 0 < bands[0] < 1e-4 or name in NO_BAND
+    assert math.isinf(bands[0]) if name in NO_BAND else 0 < bands[0] < 1e-4
 
 
 def test_counts_do_not_depend_on_threads():
