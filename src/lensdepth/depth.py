@@ -378,9 +378,9 @@ def _chord_band(d: int, largest: float, radius: float, step: float) -> float:
        3 u and (d + 3) u of r^2/h^2 and S/h^2, and their difference rounds
        once more, so max(reach - scaled, 0) is within E = (d + 9) u (R/h)^2
        + (d + 2) 2^-1075 max(1, h^-2) of H^2 (for S > r^2 too), and its root
-       within sqrt(E) of H.  `half` adds u R/h and each computed end
-       A = fl(centre +- half) 2 u M/h + u R/h: A is within
-       x = 6 u M/h + 2 u R/h + sqrt(E) of its exact end.
+       within sqrt(E) of H.  Rounding adds u R/h to `half` and
+       2 u M/h + u R/h to each computed end A = fl(centre +- half), so A
+       is within x = 6 u M/h + 2 u R/h + sqrt(E) of its exact end.
 
     So the estimate, the exact test and the float test agree at every
     integer farther than max(x, y) from both exact ends, hence at every
