@@ -381,22 +381,16 @@ def _summaries(values: np.ndarray) -> dict:
     # wherever +inf has zero weight; the others are +inf.
     out = np.percentile(np.where(finite, values, values[finite].max(initial=0.0)), qs)
     out[qs / 100 * (len(values) - 1) > finite.sum() - 1] = np.inf
-    q1, med, q3 = map(_json_float, out)
+    q1, med, q3 = out.tolist()
     return {"median": med, "q1": q1, "q3": q3}
-
-
-def _json_float(x) -> float | None:
-    """x as a float, or None (JSON null) where it is infinite."""
-    return float(x) if math.isfinite(x) else None
 
 
 def _stat_block(per_n: list[np.ndarray], n_schedule) -> dict:
     medians = [float(np.median(v)) for v in per_n]
     return {
-        "per_n": {str(n): [_json_float(x) for x in v]
-                  for n, v in zip(n_schedule, per_n)},
+        "per_n": {str(n): v.tolist() for n, v in zip(n_schedule, per_n)},
         "summary": {str(n): _summaries(v) for n, v in zip(n_schedule, per_n)},
-        "medians": [_json_float(m) for m in medians],
+        "medians": medians,
         "monotone_nonincreasing": all(b <= a for a, b in zip(medians, medians[1:])),
         "monotone_strict": all(b < a for a, b in zip(medians, medians[1:])),
     }
@@ -447,7 +441,7 @@ def levelset_experiment(cfg: ExperimentConfig, lam: float) -> ConvergenceReport:
     (as in `supnorm_experiment`) is at least `lam`; off the line it carries
     the Monte Carlo error of that depth.  An empty empirical level set is
     +inf from the population's: its two distances, and the quartiles and
-    medians that reach them, are None (null in the JSON report).
+    medians that reach them, are +inf (null in the JSON report).
     """
     if not 0 <= lam < math.inf:
         raise DegenerateExperimentError(f"level must be finite and nonnegative, got {lam}")

@@ -455,8 +455,7 @@ def cmd_simulate(args) -> int:
     config["threads"] = args.threads
     report = run_config(config)
     prov = _provenance(args)
-    # Reports are strict JSON: they write an infinite distance as null.
-    dataio.write_json(args.out, report, prov, allow_nan=False)
+    dataio.write_json(args.out, report, prov)
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -75,13 +76,29 @@ def write_table(path: str, header: list[str], rows, prov: dict) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_json(path: str, payload: dict, prov: dict, allow_nan: bool = True) -> None:
-    """Write `payload` under its provenance.  With `allow_nan` False a
-    non-finite float is a ValueError rather than an Infinity or NaN token,
+def _json_float(x) -> float | None:
+    """x as a float, or None (JSON null) where it is not finite."""
+    return float(x) if math.isfinite(x) else None
+
+
+def _json_values(value):
+    """`value` with `_json_float` applied to every float in its dicts and
+    lists."""
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, dict):
+        return {key: _json_values(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_values(v) for v in value]
+    return value
+
+
+def write_json(path: str, payload: dict, prov: dict) -> None:
+    """Write `payload` under its provenance as strict JSON: a float that
+    is not finite is written as null, not as an Infinity or NaN token,
     which strict JSON parsers refuse."""
-    body = {"provenance": prov}
-    body.update(payload)
-    text = json.dumps(body, indent=2, sort_keys=True, allow_nan=allow_nan)
+    body = _json_values({"provenance": prov, **payload})
+    text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
     atomic_write_text(path, text + "\n")
 
 

@@ -22,11 +22,12 @@ of three paths:
 - On a `LatticeGrid` in R^d, d >= 2, `_lattice_counts` rasterizes each
   lens row by row along the lattice's longest axis: the points of a row
   inside a lens form one index range, estimated from the chord, so no
-  query matrix is built.  Only a range with an end within the rounding
-  band of `_chord_band` of a lattice index (about one incidence in
-  10^4 on normal samples; every one where squares could overflow or go
-  subnormal) is confirmed, or recounted, by the float predicate.  The
-  count runs on the calling thread at any `threads`.
+  query matrix is built.  An end within the rounding band of
+  `_chord_band` of a lattice index (about one incidence in 10^4 on
+  normal samples) is settled by one float lens test at that index; where
+  the band reaches 1/2 (where squares could overflow or go subnormal)
+  the float test runs along the whole row.  The count runs on the
+  calling thread at any `threads`.
 - Elsewhere the sample matrix is built, then the query matrix; a query
   equal by value to a sample point reads its row from the sample
   matrix.  `_walk_block` counts each query in depth order against every
@@ -402,37 +403,32 @@ def _chord_band(d: int, largest: float, radius: float, step: float) -> float:
 
 def _lattice_counts(grid, sample: Sample):
     """Covering-pair counts of every point of the lattice `grid` against a
-    sample in R^d, d >= 2, and the number of (ball, row) ranges the guard
-    recounted.
+    sample in R^d, d >= 2, and the number of (lens, row) incidences the
+    float test settled.
 
     A row is one line of the lattice along its longest axis (the last of
     equally long ones).  `_root_sum_sq` adds the squared coordinate
     differences from the left, each addition monotone in the running
     sum, and along a row only the term of the row's axis changes, which
     falls and then rises as the sorted axis values pass the sample
-    point's coordinate; so the points of a row inside the ball (a, r)
-    form one index range, and so do those inside a lens.  Each range is
-    estimated from the chord c +- sqrt(r^2 - S), S the other axes'
-    terms, and a lens range from the tighter of its balls' ends on each
-    side.  The float test parts from a ball's estimate only at integers
-    within `_chord_band` of one of the ball's ends, and such an integer
-    can change the lens range only if it lies within the band of one of
-    the lens's own ends.  So a lens whose two ends both lie farther than
-    the band from every integer takes its estimate as it is.  The others,
-    rare outside ties, have both balls' ranges checked by the float
-    predicate at their ends and just outside them (at the two points
-    nearest the centre when the range is empty), and a range that fails
-    the check is recounted by the float predicate along the whole row.
+    point's coordinate; so the points of a row inside a lens form one
+    index range.  It is estimated from the tighter of the balls' chord
+    ends c +- sqrt(r^2 - S) on each side, S the other axes' terms, and
+    the float lens test parts from the estimate only at integers within
+    the band delta of `_chord_band` of an end.  Below delta = 1/2 the only
+    such integer of an end E is k = rint(E), and one float lens test at k
+    settles E: the range starts at k if k is inside, else at k + 1, and
+    stops after k if k is inside, else at k.  A finite band bounds M/h
+    and R/h by 2^500, so every end is finite.  From delta = 1/2 on, which
+    includes the inf band where squares may overflow or go subnormal and
+    ends may be inf or nan, the float test runs along the whole row.
     Each lens range adds +1 and -1 to a per-row difference array whose
     cumulative sum is the count, so every count equals the pairwise float
     test's on the full query matrix, in O(n^2 N / n_row) time with no
-    N x n matrix.  Rows a lens cannot meet
-    are skipped by `_axis_ranges`.  The count runs on the calling
-    thread: its numpy calls are too short for a second thread to gain
-    more than it loses to the interpreter lock.
-
-    Squares may overflow to inf, as in `cross_matrix`; the band is then
-    inf, and the estimates, which may be inf or nan, are all checked.
+    N x n matrix.  Rows a lens cannot meet are skipped by `_axis_ranges`.
+    The count runs on the calling thread: its numpy calls are too short
+    for a second thread to gain more than it loses to the interpreter
+    lock.
     """
     pts = sample.points
     n = len(pts)
@@ -456,10 +452,7 @@ def _lattice_counts(grid, sample: Sample):
         for term in terms[:axis]:
             before = before + term
         after = terms[axis:]
-        # The row's axis terms, padded by +inf so indices -1 and m are outside.
-        tail = np.full((n, m + 2), np.inf)
-        tail[:, 1:-1] = np.square(pts[:, axis, None] - line)
-        tail_flat = tail.ravel()
+        tail = np.square(pts[:, axis, None] - line)     # the row's axis terms
         # Per pair and other axis, the rows its lens can meet: a box.
         starts, sizes = [], []
         for k in others:
@@ -470,7 +463,6 @@ def _lattice_counts(grid, sample: Sample):
         centre = (pts[:, axis] - line[0]) / step
         reach = r * r / (step * step)
         scaled = sum(after, before) / (step * step)
-    nearest = np.searchsorted(line, pts[:, axis])
     strides = np.cumprod((1,) + row_shape[:0:-1])[::-1]
     span = np.prod(sizes, axis=0)
     width = row_index.shape[1] * (m + 1)
@@ -482,49 +474,40 @@ def _lattice_counts(grid, sample: Sample):
         c = centre[centre_idx]
         return c - half, c + half
 
-    def ball_ranges(pair, row, centre_idx):
-        low, high = chord(pair, row * n, centre_idx)
-        at = row * n + centre_idx
-        lo = np.fmin(np.fmax(np.ceil(low), 0.0), m).astype(np.intp)       # nan to 0
-        hi = np.fmin(np.fmax(np.floor(high) + 1.0, 0.0), m).astype(np.intp)
-        radius = r[pair]
-        s_before = before[at]
-        s_after = [t[at] for t in after]
-        base = centre_idx * (m + 2) + 1
+    def covered(pair, row, cols):
+        """The float lens test of each incidence at the indices `cols` of
+        its row, one row of them per incidence or one for all."""
+        inside = True
+        for c in (i[pair], j[pair]):
+            at = row * n + c
+            s = before[at, None] + tail[c[:, None], cols]
+            for t in after:
+                s = s + t[at, None]
+            inside = inside & (np.sqrt(s) <= r[pair, None])
+        return inside
 
-        def within(terms, pick=slice(None)):
-            s = s_before[pick] + terms
-            for t in s_after:
-                s = s + t[pick]
-            return np.sqrt(s) <= radius[pick]
-
-        def inside(k):
-            return within(tail_flat[base + k])
-
-        empty = lo >= hi
-        lo_out = np.where(empty, nearest[centre_idx], lo) - 1
-        hi_out = np.where(empty, nearest[centre_idx], hi)
-        bad = inside(lo_out) | inside(hi_out) | ~(empty | inside(lo) & inside(hi - 1))
-        bad = np.flatnonzero(bad)
-        if bad.size:
-            pick = (bad, None)
-            hits = within(tail[centre_idx[bad], 1:-1], pick)
-            lo[bad] = hits.argmax(axis=1)
-            hi[bad] = lo[bad] + hits.sum(axis=1)
-        return lo, hi, bad.size
-
-    def lens_ranges(pair, row):
-        """The checked range of each lens on its row."""
+    def settle(pair, row, low, high):
+        """The range of each doubtful lens on its row by the float test."""
         with np.errstate(all="ignore"):
-            lo_a, hi_a, bad_a = ball_ranges(pair, row, i[pair])
-            lo_b, hi_b, bad_b = ball_ranges(pair, row, j[pair])
-        lo = np.maximum(lo_a, lo_b)
-        return lo, np.maximum(np.minimum(hi_a, hi_b), lo), bad_a + bad_b
+            if band < 0.5:
+                # An index off the row is held at -1 or m and tested at the
+                # row's nearest index: its clipped end is the same either way.
+                k = np.clip(np.rint(np.stack([low, high], axis=1)), -1, m).astype(np.intp)
+                hit = covered(pair, row, np.clip(k, 0, m - 1))
+                lo, hi = k[:, 0] + ~hit[:, 0], k[:, 1] + hit[:, 1]
+            else:
+                lo, hi = np.empty((2, len(pair)), dtype=np.intp)
+                for rows in row_blocks(len(pair), m):
+                    hit = covered(pair[rows], row[rows], np.arange(m))
+                    lo[rows] = hit.argmax(axis=1)
+                    hi[rows] = lo[rows] + hit.sum(axis=1)
+        lo = np.clip(lo, 0, m)
+        return lo, np.clip(hi, lo, m)
 
     def estimate(first, stop):
         """Each incidence of the pairs first, ..., stop - 1 and a row, the
-        estimated range of its lens and whether both ends of that range
-        lie outside the band."""
+        tighter chord end of its lens on each side, the estimated range
+        and whether both ends lie outside the band."""
         pairs = np.arange(first, stop)
         counts = span[pairs]
         pair = np.repeat(pairs, counts)
@@ -545,7 +528,7 @@ def _lattice_counts(grid, sample: Sample):
             sure &= np.abs(high - np.rint(high)) > band
             lo = np.clip(np.ceil(low), 0.0, m).astype(np.intp)
             hi = np.clip(np.floor(high) + 1.0, lo, m).astype(np.intp)
-        return pair, row, lo, hi, sure
+        return pair, row, low, high, lo, hi, sure
 
     def tally(row, lo, hi):
         offset = row * (m + 1)
@@ -554,24 +537,23 @@ def _lattice_counts(grid, sample: Sample):
 
     # Blocks of pairs with about _LATTICE_BLOCK incidences each, summed
     # into one difference array.  Doubtful lenses are held back and
-    # checked together once about as many have gathered.
+    # settled together once about as many have gathered.
     ends = np.searchsorted(np.cumsum(span), np.arange(_LATTICE_BLOCK, span.sum(), _LATTICE_BLOCK))
     blocks = [(a, b) for a, b in zip(np.r_[0, ends], np.r_[ends, len(r)]) if b > a]
-    diff, recounted, held, waiting = np.zeros(width, dtype=np.int64), 0, [], 0
+    diff, settled, held, waiting = np.zeros(width, dtype=np.int64), 0, [], 0
     for k, (first, stop) in enumerate(blocks):
-        pair, row, lo, hi, sure = estimate(first, stop)
+        pair, row, low, high, lo, hi, sure = estimate(first, stop)
         doubt = np.flatnonzero(~sure)
         lo[doubt] = hi[doubt] = 0                   # an empty range, for now
         diff += tally(row, lo, hi)
-        held.append((pair[doubt], row[doubt]))
+        held.append((pair[doubt], row[doubt], low[doubt], high[doubt]))
         waiting += doubt.size
         if waiting >= _LATTICE_BLOCK or k == len(blocks) - 1:
-            pair, row = (np.concatenate(part) for part in zip(*held))
-            lo, hi, bad = lens_ranges(pair, row)
-            diff += tally(row, lo, hi)
-            recounted, held, waiting = recounted + bad, [], 0
+            pair, row, low, high = (np.concatenate(part) for part in zip(*held))
+            diff += tally(row, *settle(pair, row, low, high))
+            settled, held, waiting = settled + len(pair), [], 0
     counts = np.cumsum(diff.reshape(-1, m + 1), axis=1)[:, :m].reshape(row_shape + (m,))
-    return np.moveaxis(counts, -1, axis).ravel(), recounted
+    return np.moveaxis(counts, -1, axis).ravel(), settled
 
 
 def _distinct_row_counts(x: np.ndarray, sample: Sample) -> np.ndarray:

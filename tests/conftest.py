@@ -205,9 +205,9 @@ BIG, SMALL = 2.0 ** 500, 2.0 ** -500
 NEAR_2D = [(-3.0, 3.0, 0.1), (-3.5, 3.5, 0.1)]
 NEAR_3D = [(-1.0, 1.0, 0.1), (-0.5, 0.5, 0.1), (-0.5, 0.5, 0.1)]
 
-# name -> (sample, lattice axes, whether the guard must fire).  Tie-heavy
-# cases put lattice points exactly on lens boundaries, where the chord
-# estimate and the float predicate part.
+# name -> (sample, lattice axes, whether the float test must settle some
+# lens).  Tie-heavy cases put lattice points exactly on lens boundaries,
+# where the chord estimate and the float predicate part.
 CASES = {
     "halton-normal": (halton_normal(120, 2, 3), [(-4.0, 4.0, 0.1)] * 2, False),
     "integer-on-integers": (integers(40, 2, -3, 3, 1), [(-4.0, 4.0, 1.0)] * 2, True),
@@ -254,6 +254,14 @@ CASES = {
     "near-tangent-rows": (near_lattice(NEAR_2D, 20, 18, tangent=True), NEAR_2D, True),
     "3d-near-chord-ends": (near_lattice(NEAR_3D, 15, 19), NEAR_3D, False),
     "3d-near-tangent-rows": (near_lattice(NEAR_3D, 15, 20, tangent=True), NEAR_3D, True),
+    # Normal data recorded to a fixed precision: the precision, or the
+    # lattice's step, is a multiple of the other, so lens ends fall on
+    # lattice indices.
+    "rounded-tenths-on-twentieths": (np.round(halton_normal(40, 2, 21), 1),
+                                     [(-1.5, 1.5, 0.05)] * 2, True),
+    "rounded-to-the-step": (0.25 * np.round(halton_normal(40, 2, 22) / 0.25),
+                            [(-3.0, 3.0, 0.25)] * 2, True),
+    "3d-rounded-tenths": (np.round(halton_normal(20, 3, 23), 1), [(-0.7, 0.7, 0.1)] * 3, True),
 }
 
 

@@ -637,6 +637,8 @@ FAR_OUTPUTS = {
         "48880059444a9beac6ff54173aca156a5c4b7b767a2f2d850a1e4d4d795a7a40")),
     "gamma": (["--x", "big.csv", "--y", "big.csv", "--psi", "diam"], "gamma.json",
               (None, None)),
+    "psi-json": (["--sample", "big.csv", "--psi", "diam", "--format", "json"],
+                 "psi.json", (None, None)),
 }
 
 
@@ -647,16 +649,24 @@ def test_distances_past_the_double_range_write_nothing_to_stderr(workdir, comman
     for sample, digest in zip((FAR_SAMPLE, HUGE_SAMPLE), digests):
         (workdir / "big.csv").write_text(sample)
         proc = subprocess.run(
-            [sys.executable, "-m", "lensdepth.cli", command, *args, "--out", out,
+            [sys.executable, "-m", "lensdepth.cli", command.split("-")[0], *args, "--out", out,
              "--no-timestamp"], capture_output=True, text=True, env=cli_env(), timeout=300)
         assert (proc.returncode, proc.stderr) == (0, "")
         if digest is not None:
             assert hashlib.sha256((workdir / out).read_bytes()).hexdigest() == digest
-        else:
+            continue
+        # JSON is strict: an infinite psi is null, never an Infinity token.
+        result = json.loads((workdir / out).read_text(), parse_constant=strict_json)
+        if command == "gamma":
             # identical curves, infinite at the lowest levels, give exactly 1
-            result = json.loads((workdir / out).read_text())
-            assert result["psi_x"] == result["psi_y"] and result["psi_x"][0] == np.inf
+            assert result["psi_x"] == result["psi_y"] and result["psi_x"][0] is None
             assert result["gamma"] == 1.0
+        else:
+            assert result["rows"][0]["psi"] is None
+
+
+def strict_json(constant):
+    raise AssertionError(f"{constant} is not JSON")
 
 
 def write_twelve_leaf_trees(path, count):

@@ -1,10 +1,12 @@
 """The exact count on Euclidean lattices: each lens is rasterized row by
-row, and a guard checks every lens whose estimated ends lie within the
-rounding band of a lattice index, and recounts every (ball, row) range
-of it whose ends the float predicate does not confirm.  Every count must
-equal the pairwise kernel on the full query matrix, bit for bit, and the
+row from its chord estimate, and every lens with an end within the
+rounding band of a lattice index is settled by the float predicate: one
+test at that index while the band is below 1/2, the whole row from 1/2
+on.  Every count must equal the pairwise kernel on the full query matrix,
+bit for bit, at the band the count derives and at wider ones, and the
 double loop on a subsample, without a RuntimeWarning of its own."""
 
+import functools
 import json
 import math
 
@@ -42,12 +44,19 @@ def kernel_counts(grid, sample):
     return _count_block(dq, sample.distance_matrix)
 
 
+@functools.cache
+def case_kernel_counts(name):
+    """The kernel's counts on a `CASES` entry, computed once per run."""
+    sample, grid = case(name)
+    return kernel_counts(grid, sample).tolist()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_lattice_counts_equal_the_kernel(name):
     sample, grid = case(name)
     field = batch_depth(grid, sample, threads=2)
     assert field.points is grid.points
-    assert field.counts.tolist() == kernel_counts(grid, sample).tolist()
+    assert field.counts.tolist() == case_kernel_counts(name)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -64,9 +73,9 @@ def test_lattice_values_equal_the_double_loop(name):
 @pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][2]))
 def test_tie_heavy_cases_need_the_guard(name):
     sample, grid = case(name)
-    counts, recounted = _lattice_counts(grid, sample)
-    assert recounted > 0
-    assert counts.tolist() == kernel_counts(grid, sample).tolist()
+    counts, settled = _lattice_counts(grid, sample)
+    assert settled > 0
+    assert counts.tolist() == case_kernel_counts(name)
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES if "tangent" in n))
@@ -76,6 +85,18 @@ def test_tangent_rows_need_the_band(name, monkeypatch):
     sample, grid = case(name)
     monkeypatch.setattr(depth, "_chord_band", lambda *args: 0.0)
     assert _lattice_counts(grid, sample)[0].tolist() != kernel_counts(grid, sample).tolist()
+
+
+@pytest.mark.parametrize("band", [0.25, 0.49, 0.5, math.inf])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_wider_bands_keep_the_counts(name, band, monkeypatch):
+    """Below 1/2 a wider band settles more ends than need it, each by one
+    test at its nearest index; from 1/2 on every lens is tested along its
+    whole row.  Where the band is inf it stays inf."""
+    sample, grid = case(name)
+    derived = depth._chord_band
+    monkeypatch.setattr(depth, "_chord_band", lambda *args: max(derived(*args), band))
+    assert _lattice_counts(grid, sample)[0].tolist() == case_kernel_counts(name)
 
 
 # Where squares may overflow or go subnormal the band's bound fails.
