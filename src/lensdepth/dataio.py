@@ -76,16 +76,11 @@ def write_table(path: str, header: list[str], rows, prov: dict) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _json_float(x) -> float | None:
-    """x as a float, or None (JSON null) where it is not finite."""
-    return float(x) if math.isfinite(x) else None
-
-
 def _json_values(value):
-    """`value` with `_json_float` applied to every float in its dicts and
-    lists."""
+    """`value` with every float in its dicts and lists that is not finite
+    replaced by None (JSON null)."""
     if isinstance(value, float):
-        return _json_float(value)
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, dict):
         return {key: _json_values(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):

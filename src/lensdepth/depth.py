@@ -25,9 +25,9 @@ of three paths:
   query matrix is built.  An end within the rounding band of
   `_chord_band` of a lattice index (about one incidence in 10^4 on
   normal samples) is settled by one float lens test at that index; where
-  the band reaches 1/2 (where squares could overflow or go subnormal)
-  the float test runs along the whole row.  The count runs on the
-  calling thread at any `threads`.
+  a lens's own band reaches 1/2 (see `_lattice_counts`) the float test
+  runs along the whole row.  The count runs on the calling thread at any
+  `threads`.
 - Elsewhere the sample matrix is built, then the query matrix; a query
   equal by value to a sample point reads its row from the sample
   matrix.  `_walk_block` counts each query in depth order against every
@@ -351,12 +351,13 @@ def _axis_ranges(values: np.ndarray, coords: np.ndarray, dmat: np.ndarray):
     return lo, hi
 
 
-def _chord_band(d: int, largest: float, radius: float, step: float) -> float:
+def _chord_band(d: int, largest: float, radius: float, step: float, root=0.0):
     """Half-width, in units of the row's step, of the band around an
     estimated chord end outside which the float lens test agrees with the
     estimate, on a lattice in R^d where the lattice's and the sample's
     coordinates are at most `largest` in magnitude and no ball's radius
-    exceeds `radius`; inf where the bound below does not hold.
+    exceeds `radius`, for chords of computed half length `root` (an array
+    or a number); inf where the bound below does not hold.
 
     Write u = 2^-53, M = largest, R = radius and h = step, and require
     M, R, h, M/h, R/h <= 2^500 and h >= 2^-500: no square, sum or
@@ -373,32 +374,40 @@ def _chord_band(d: int, largest: float, radius: float, step: float) -> float:
        it is within (d + 2) u G + d 2^-1075 of the exact squared distance
        G, and passes iff that sum is at most r^2 (1 + u)^2.  It can part
        from G <= r^2 only where |G - r^2| <= p = (d + 6) u R^2 + d 2^-1074,
-       so where ||a - x_t| - h H| <= sqrt(p): at t within y = sqrt(p)/h + z
-       of an exact end.
+       and G - r^2 = (|a - x_t| - h H)(|a - x_t| + h H) (above |a - x_t|^2
+       where S > r^2): at t within y = min(sqrt(P), P/H) + z of an exact
+       end, P = p/h^2.
     3. `centre` is within 4 u M/h of c.  `reach` and `scaled` are within
        3 u and (d + 3) u of r^2/h^2 and S/h^2, and their difference rounds
-       once more, so max(reach - scaled, 0) is within E = (d + 9) u (R/h)^2
-       + (d + 2) 2^-1075 max(1, h^-2) of H^2 (for S > r^2 too), and its root
-       within sqrt(E) of H.  Rounding adds u R/h to `half` and
+       once more, so w = max(reach - scaled, 0) is within E = (d + 9) u
+       (R/h)^2 + (d + 2) 2^-1074 max(1, h^-2) of H^2 (for S > r^2 too):
+       H^2 >= w - E, and sqrt(w) is within |w - H^2|/(sqrt(w) + H) <=
+       min(sqrt(E), E/sqrt(w)) of H.  Rounding adds u R/h to `half` and
        2 u M/h + u R/h to each computed end A = fl(centre +- half), so A
-       is within x = 6 u M/h + 2 u R/h + sqrt(E) of its exact end.
+       is within x = 6 u M/h + 2 u R/h + min(sqrt(E), E/sqrt(w)) of its
+       exact end.
 
     So the estimate, the exact test and the float test agree at every
     integer farther than max(x, y) from both exact ends, hence at every
-    integer farther than 2x + y from both computed ends.  The band is
-    twice that bound, for the terms of second order in u:
+    integer farther than 2x + y from both computed ends.  The band is a
+    little over twice that bound, for the terms of second order in u:
 
-        32 u M/h + (6.2 sqrt((d + 9) u) + 10 u) R/h
-            + 6 sqrt((d + 2) 2^-1074) max(1, 1/h).
+        (32 u M + 10 u R)/h + 2.1 (2 min(sqrt(E), E/root)
+            + min(sqrt(P), P/sqrt(max(root^2 - E, 0)))),
 
-    A - rint(A) is exact, so an end with |A - rint(A)| > band is
-    trusted; an inf band trusts none, nor does an end that is inf or nan.
+    which falls as `root` grows; at root = 0 it holds for every chord.
+    A - rint(A) is exact, so an end with |A - rint(A)| > band is trusted;
+    an inf band trusts none, nor does an end that is inf or nan.
     """
     if not (largest <= _SAFE and radius <= _SAFE and 1 / _SAFE <= step <= _SAFE
             and max(largest, radius) / step <= _SAFE):
         return np.inf
-    return ((32 * _U * largest + (6.2 * np.sqrt((d + 9) * _U) + 10 * _U) * radius) / step
-            + 6 * np.sqrt((d + 2) * _TINY) * max(1.0, 1 / step))
+    E = (d + 9) * _U * (radius / step) ** 2 + (d + 2) * _TINY * max(1.0, step ** -2)
+    P = (d + 6) * _U * (radius / step) ** 2 + d * _TINY / step ** 2
+    with np.errstate(divide="ignore"):
+        chord = np.minimum(np.sqrt(E), np.divide(E, root))
+        square = np.minimum(np.sqrt(P), P / np.sqrt(np.fmax(root * root - E, 0.0)))
+    return (32 * _U * largest + 10 * _U * radius) / step + 2.1 * (2 * chord + square)
 
 
 def _lattice_counts(grid, sample: Sample):
@@ -406,29 +415,28 @@ def _lattice_counts(grid, sample: Sample):
     sample in R^d, d >= 2, and the number of (lens, row) incidences the
     float test settled.
 
-    A row is one line of the lattice along its longest axis (the last of
-    equally long ones).  `_root_sum_sq` adds the squared coordinate
-    differences from the left, each addition monotone in the running
-    sum, and along a row only the term of the row's axis changes, which
-    falls and then rises as the sorted axis values pass the sample
-    point's coordinate; so the points of a row inside a lens form one
-    index range.  It is estimated from the tighter of the balls' chord
-    ends c +- sqrt(r^2 - S) on each side, S the other axes' terms, and
-    the float lens test parts from the estimate only at integers within
-    the band delta of `_chord_band` of an end.  Below delta = 1/2 the only
-    such integer of an end E is k = rint(E), and one float lens test at k
-    settles E: the range starts at k if k is inside, else at k + 1, and
-    stops after k if k is inside, else at k.  A finite band bounds M/h
-    and R/h by 2^500, so every end is finite.  From delta = 1/2 on, which
-    includes the inf band where squares may overflow or go subnormal and
-    ends may be inf or nan, the float test runs along the whole row.
-    Each lens range adds +1 and -1 to a per-row difference array whose
-    cumulative sum is the count, so every count equals the pairwise float
-    test's on the full query matrix, in O(n^2 N / n_row) time with no
-    N x n matrix.  Rows a lens cannot meet are skipped by `_axis_ranges`.
-    The count runs on the calling thread: its numpy calls are too short
-    for a second thread to gain more than it loses to the interpreter
-    lock.
+    A row is a line of the lattice along its longest axis (the last of
+    equally long ones).  `_root_sum_sq` sums squared coordinate
+    differences from the left, monotone in each, and along a row only the
+    row axis's term changes, falling and then rising; so a lens meets a
+    row in one index range.  It is estimated from the tighter of the
+    balls' chord ends c +- sqrt(r^2 - S) on each side (S the other axes'
+    terms), from which the float test parts only at integers within the
+    band delta of `_chord_band` of an end: the lattice's band holds a lens
+    back, and its shorter chord's band then decides.  Below delta = 1/2
+    only k = rint(E) can be wrong for an end E, and one float test at k
+    settles it: the range starts at k if k is inside, else at k + 1, and
+    stops after k if k is inside, else at k.  A finite band bounds M/h and
+    R/h by 2^500, so every end is finite.  From delta = 1/2 on (an inf
+    band, where squares may overflow or go subnormal and ends be nan; or,
+    in 2-d, R/h past 2.4 10^6 and a chord under about 1.5 10^-14 (R/h)^2
+    steps) the float test runs along the whole row.  Each range adds +1
+    and -1 to a per-row difference array whose cumulative sum is the
+    count, equal to the pairwise float test's on the full query matrix, in
+    O(n^2 N / n_row) time outside whole-row tests and with no N x n
+    matrix.  `_axis_ranges` skips rows a lens cannot meet.  The count runs
+    on the calling thread: its numpy calls are too short for a second
+    thread to gain more than it loses to the interpreter lock.
     """
     pts = sample.points
     n = len(pts)
@@ -442,7 +450,8 @@ def _lattice_counts(grid, sample: Sample):
     i, j = np.triu_indices(n, 1)
     r = dmat[i, j]
     largest = max(float(np.abs(pts).max()), *(float(np.abs(v).max()) for v in values))
-    band = _chord_band(len(shape), largest, float(r.max()), step)
+    radius = float(r.max())
+    band = _chord_band(len(shape), largest, radius, step)
     with np.errstate(all="ignore"):
         # The other axes' terms for every row and sample point: their sum
         # from the left up to the row's axis, and each one after it.
@@ -468,11 +477,11 @@ def _lattice_counts(grid, sample: Sample):
     width = row_index.shape[1] * (m + 1)
 
     def chord(pair, at, centre_idx):
-        """The estimated ends of each ball's range on its row, in index
-        units; `at` is the row's index times n."""
+        """The estimated ends of each ball's range on its row and its half
+        length, in index units; `at` is the row's index times n."""
         half = np.sqrt(np.fmax(reach[pair] - scaled[at + centre_idx], 0.0))
         c = centre[centre_idx]
-        return c - half, c + half
+        return c - half, c + half, half
 
     def covered(pair, row, cols):
         """The float lens test of each incidence at the indices `cols` of
@@ -486,28 +495,28 @@ def _lattice_counts(grid, sample: Sample):
             inside = inside & (np.sqrt(s) <= r[pair, None])
         return inside
 
-    def settle(pair, row, low, high):
-        """The range of each doubtful lens on its row by the float test."""
-        with np.errstate(all="ignore"):
-            if band < 0.5:
-                # An index off the row is held at -1 or m and tested at the
-                # row's nearest index: its clipped end is the same either way.
-                k = np.clip(np.rint(np.stack([low, high], axis=1)), -1, m).astype(np.intp)
-                hit = covered(pair, row, np.clip(k, 0, m - 1))
-                lo, hi = k[:, 0] + ~hit[:, 0], k[:, 1] + hit[:, 1]
-            else:
-                lo, hi = np.empty((2, len(pair)), dtype=np.intp)
-                for rows in row_blocks(len(pair), m):
-                    hit = covered(pair[rows], row[rows], np.arange(m))
-                    lo[rows] = hit.argmax(axis=1)
-                    hi[rows] = lo[rows] + hit.sum(axis=1)
+    def settle(pair, row, low, high, delta):
+        """The tally of the held lenses' ranges by the float test: one test
+        per end where a lens's band is below 1/2, else the whole row."""
+        lo, hi = np.empty((2, len(pair)), dtype=np.intp)
+        near, far = np.flatnonzero(delta < 0.5), np.flatnonzero(~(delta < 0.5))
+        # An index off the row is held at -1 or m and tested at the row's
+        # nearest index: its clipped end is the same either way.
+        k = np.clip(np.rint(np.stack([low[near], high[near]], axis=1)), -1, m).astype(np.intp)
+        hit = covered(pair[near], row[near], np.clip(k, 0, m - 1))
+        lo[near], hi[near] = k[:, 0] + ~hit[:, 0], k[:, 1] + hit[:, 1]
+        for rows in (far[rows] for rows in row_blocks(len(far), m)):
+            with np.errstate(all="ignore"):
+                hit = covered(pair[rows], row[rows], np.arange(m))
+            lo[rows] = hit.argmax(axis=1)
+            hi[rows] = lo[rows] + hit.sum(axis=1)
         lo = np.clip(lo, 0, m)
-        return lo, np.clip(hi, lo, m)
+        return tally(row, lo, np.clip(hi, lo, m))
 
     def estimate(first, stop):
         """Each incidence of the pairs first, ..., stop - 1 and a row, the
-        tighter chord end of its lens on each side, the estimated range
-        and whether both ends lie outside the band."""
+        tighter chord end of its lens on each side, the estimated range,
+        whether both ends lie outside the lens's band, and that band."""
         pairs = np.arange(first, stop)
         counts = span[pairs]
         pair = np.repeat(pairs, counts)
@@ -520,15 +529,18 @@ def _lattice_counts(grid, sample: Sample):
         at = row * n
         with np.errstate(all="ignore"):
             # The tighter chord end on each side; nan stays nan.
-            low, high = chord(pair, at, i[pair])
-            low_b, high_b = chord(pair, at, j[pair])
+            low, high, root = chord(pair, at, i[pair])
+            low_b, high_b, root_b = chord(pair, at, j[pair])
             np.maximum(low, low_b, out=low)
             np.minimum(high, high_b, out=high)
-            sure = np.abs(low - np.rint(low)) > band
-            sure &= np.abs(high - np.rint(high)) > band
+            # From a band of 1/2 on, each lens takes its shorter chord's.
+            delta = band if band < 0.5 else _chord_band(
+                len(shape), largest, radius, step, np.minimum(root, root_b))
+            sure = np.abs(low - np.rint(low)) > delta
+            sure &= np.abs(high - np.rint(high)) > delta
             lo = np.clip(np.ceil(low), 0.0, m).astype(np.intp)
             hi = np.clip(np.floor(high) + 1.0, lo, m).astype(np.intp)
-        return pair, row, low, high, lo, hi, sure
+        return pair, row, low, high, lo, hi, sure, np.broadcast_to(delta, low.shape)
 
     def tally(row, lo, hi):
         offset = row * (m + 1)
@@ -536,21 +548,21 @@ def _lattice_counts(grid, sample: Sample):
                 - np.bincount(offset + hi, minlength=width))
 
     # Blocks of pairs with about _LATTICE_BLOCK incidences each, summed
-    # into one difference array.  Doubtful lenses are held back and
+    # into one difference array.  Lenses within the band are held back and
     # settled together once about as many have gathered.
     ends = np.searchsorted(np.cumsum(span), np.arange(_LATTICE_BLOCK, span.sum(), _LATTICE_BLOCK))
     blocks = [(a, b) for a, b in zip(np.r_[0, ends], np.r_[ends, len(r)]) if b > a]
     diff, settled, held, waiting = np.zeros(width, dtype=np.int64), 0, [], 0
     for k, (first, stop) in enumerate(blocks):
-        pair, row, low, high, lo, hi, sure = estimate(first, stop)
+        pair, row, low, high, lo, hi, sure, delta = estimate(first, stop)
         doubt = np.flatnonzero(~sure)
         lo[doubt] = hi[doubt] = 0                   # an empty range, for now
         diff += tally(row, lo, hi)
-        held.append((pair[doubt], row[doubt], low[doubt], high[doubt]))
+        held.append((pair[doubt], row[doubt], low[doubt], high[doubt], delta[doubt]))
         waiting += doubt.size
         if waiting >= _LATTICE_BLOCK or k == len(blocks) - 1:
-            pair, row, low, high = (np.concatenate(part) for part in zip(*held))
-            diff += tally(row, *settle(pair, row, low, high))
+            pair, row, low, high, delta = (np.concatenate(part) for part in zip(*held))
+            diff += settle(pair, row, low, high, delta)
             settled, held, waiting = settled + len(pair), [], 0
     counts = np.cumsum(diff.reshape(-1, m + 1), axis=1)[:, :m].reshape(row_shape + (m,))
     return np.moveaxis(counts, -1, axis).ravel(), settled

@@ -201,13 +201,21 @@ def near_lattice(axes, pairs, seed, tangent=False):
     return np.array(out)
 
 
+def zoomed(centre, step, half):
+    """Lattice axes of 2 half + 1 points of `step` around `centre`."""
+    return [(c - half * step, c + half * step, step) for c in centre]
+
+
 BIG, SMALL = 2.0 ** 500, 2.0 ** -500
+ZOOM = halton_normal(30, 2, 24)
+TOUCH = ZOOM[0] + [1.2, 0.9]
 NEAR_2D = [(-3.0, 3.0, 0.1), (-3.5, 3.5, 0.1)]
 NEAR_3D = [(-1.0, 1.0, 0.1), (-0.5, 0.5, 0.1), (-0.5, 0.5, 0.1)]
 
-# name -> (sample, lattice axes, whether the float test must settle some
-# lens).  Tie-heavy cases put lattice points exactly on lens boundaries,
-# where the chord estimate and the float predicate part.
+# name -> (sample, lattice axes, whether the chord estimate alone
+# miscounts, so that the float test must correct some lens).  Tie-heavy
+# cases put lattice points exactly on lens boundaries, where the chord
+# estimate and the float predicate part.
 CASES = {
     "halton-normal": (halton_normal(120, 2, 3), [(-4.0, 4.0, 0.1)] * 2, False),
     "integer-on-integers": (integers(40, 2, -3, 3, 1), [(-4.0, 4.0, 1.0)] * 2, True),
@@ -262,6 +270,21 @@ CASES = {
     "rounded-to-the-step": (0.25 * np.round(halton_normal(40, 2, 22) / 0.25),
                             [(-3.0, 3.0, 0.25)] * 2, True),
     "3d-rounded-tenths": (np.round(halton_normal(20, 3, 23), 1), [(-0.7, 0.7, 0.1)] * 3, True),
+    # Lattices zoomed onto a sample point, which every lens of a pair
+    # containing it has on its boundary.  Steps of 1e-6, 1e-7 and 1e-9
+    # against radii of a few units put the band near 1, 10 and 1,000
+    # index units, but a lens's own band, tightened by its chord's length,
+    # far below 1/2.
+    "zoomed-1e-6": (ZOOM, zoomed(ZOOM[0], 1e-6, 60), True),
+    "zoomed-1e-7": (ZOOM, zoomed(ZOOM[0], 1e-7, 60), True),
+    "zoomed-1e-9": (ZOOM, zoomed(ZOOM[0], 1e-9, 10), True),
+    # Zoomed onto the point where rows (along the last axis) touch the
+    # ball about ZOOM[0] through TOUCH, a point inside the ball about
+    # TOUCH: there a chord is so short that its own band passes 1/2, and
+    # the lens is tested along whole rows.
+    "zoomed-short-chords": (np.vstack([ZOOM, TOUCH]),
+                            zoomed(ZOOM[0] + [np.hypot(*(TOUCH - ZOOM[0])), 0], 1e-9, 10),
+                            False),
 }
 
 

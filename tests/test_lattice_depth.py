@@ -1,10 +1,11 @@
 """The exact count on Euclidean lattices: each lens is rasterized row by
 row from its chord estimate, and every lens with an end within the
 rounding band of a lattice index is settled by the float predicate: one
-test at that index while the band is below 1/2, the whole row from 1/2
-on.  Every count must equal the pairwise kernel on the full query matrix,
-bit for bit, at the band the count derives and at wider ones, and the
-double loop on a subsample, without a RuntimeWarning of its own."""
+test at that index while the lens's own band, tightened by its chord's
+length, is below 1/2, the whole row from 1/2 on.  Every count must equal
+the pairwise kernel on the full query matrix, bit for bit, at the band
+the count derives and at wider ones, and the double loop on a subsample,
+without a RuntimeWarning of its own."""
 
 import functools
 import json
@@ -70,12 +71,24 @@ def test_lattice_values_equal_the_double_loop(name):
     assert field.values[picks].tolist() == naive
 
 
+# Where squares may overflow or go subnormal the band's bound fails.
+NO_BAND = {"offset-2^500", "offset-2^-500", "squares-overflow", "squares-subnormal"}
+# Zoomed lattices, whose steps put the band past 1/2.
+ZOOMED = {n for n in CASES if n.startswith("zoomed")}
+
+
 @pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][2]))
-def test_tie_heavy_cases_need_the_guard(name):
+def test_tie_heavy_cases_need_the_guard(name, monkeypatch):
+    """The float test settles some lens, and trusting every chord estimate
+    instead (a negative band) miscounts.  Where the band is inf no
+    estimate is trusted at all."""
     sample, grid = case(name)
     counts, settled = _lattice_counts(grid, sample)
     assert settled > 0
     assert counts.tolist() == case_kernel_counts(name)
+    if name not in NO_BAND:
+        monkeypatch.setattr(depth, "_chord_band", lambda *args: -1.0)
+        assert _lattice_counts(grid, sample)[0].tolist() != case_kernel_counts(name)
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES if "tangent" in n))
@@ -95,16 +108,12 @@ def test_wider_bands_keep_the_counts(name, band, monkeypatch):
     whole row.  Where the band is inf it stays inf."""
     sample, grid = case(name)
     derived = depth._chord_band
-    monkeypatch.setattr(depth, "_chord_band", lambda *args: max(derived(*args), band))
+    monkeypatch.setattr(depth, "_chord_band", lambda *args: np.maximum(derived(*args), band))
     assert _lattice_counts(grid, sample)[0].tolist() == case_kernel_counts(name)
 
 
-# Where squares may overflow or go subnormal the band's bound fails.
-NO_BAND = {"offset-2^500", "offset-2^-500", "squares-overflow", "squares-subnormal"}
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_the_band_is_inf_only_past_its_bound(name, monkeypatch):
+def recorded_bands(name, monkeypatch):
+    """The count's band and then each held batch's lens bands."""
     bands, band = [], depth._chord_band
 
     def recorded(*args):
@@ -114,7 +123,36 @@ def test_the_band_is_inf_only_past_its_bound(name, monkeypatch):
     monkeypatch.setattr(depth, "_chord_band", recorded)
     sample, grid = case(name)
     _lattice_counts(grid, sample)
-    assert math.isinf(bands[0]) if name in NO_BAND else 0 < bands[0] < 1e-4
+    return bands
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_band_is_inf_only_past_its_bound(name, monkeypatch):
+    band = recorded_bands(name, monkeypatch)[0]
+    if name in NO_BAND:
+        assert math.isinf(band)
+    else:
+        assert 0.5 <= band < math.inf if name in ZOOMED else 0 < band < 1e-4
+
+
+def test_a_lens_band_falls_with_its_chord():
+    """A chord of length 0 takes the count's band; a longer one's rounding
+    moves its ends less, down to the terms that do not depend on it."""
+    roots = np.array([0.0, 1.0, 1e3, 1e6, 1e9])
+    bands = depth._chord_band(2, 3.0, 5.0, 1e-8, roots)
+    assert bands[0] == depth._chord_band(2, 3.0, 5.0, 1e-8) > 0.5
+    assert np.all(np.diff(bands) <= 0) and bands[-1] < 1e-5
+
+
+@pytest.mark.parametrize("name", sorted(ZOOMED))
+def test_zoomed_lattices_settle_few_lenses(name, monkeypatch):
+    """Past a band of 1/2 every incidence is held, but its own band lets
+    all but the lenses with short chords or ends on an index through."""
+    sample, grid = case(name)
+    settled = _lattice_counts(grid, sample)[1]
+    lens_bands = np.concatenate([np.ravel(b) for b in recorded_bands(name, monkeypatch)[1:]])
+    assert 100 * settled < lens_bands.size
+    assert (np.count_nonzero(lens_bands >= 0.5) > 0) == ("short-chords" in name)
 
 
 def test_counts_do_not_depend_on_threads():
