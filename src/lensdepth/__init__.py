@@ -23,7 +23,6 @@ from .treespace import (
     Tree,
     TreeError,
     bhv_distance,
-    bhv_distance_exhaustive,
     compatible,
     parse_newick,
     to_newick,

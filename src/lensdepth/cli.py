@@ -16,7 +16,8 @@ import sys
 from . import __version__, analysis, dataio, dispersion, levelsets
 from .asymptotics import ExperimentError, run_config
 from .dataio import DataError
-from .depth import DepthError, Sample, batch_depth, pooled_depth, self_depth_field
+from .depth import (DepthError, Sample, batch_depth, loo_depth_against, pooled_depth,
+                    self_depth_field)
 from .levelsets import KnnGrid, LevelSetError
 from .metrics import (
     BHVSpace,
@@ -242,7 +243,7 @@ def cmd_depth(args) -> int:
     sample = _load_sample(args.sample, args.metric, args.shape)
     queries = _read_points(args.queries, args.metric, args.shape)[0]
     if args.leave_one_out:
-        values = analysis.loo_depth_against(queries, sample, threads=args.threads)
+        values = loo_depth_against(queries, sample, threads=args.threads)
     else:
         values = batch_depth(queries, sample, threads=args.threads).values
     _write_rows(args, ["index", "depth"],

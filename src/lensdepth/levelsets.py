@@ -8,7 +8,8 @@ symmetrized k-nearest-neighbor graph.  A lattice reads each point's
 lowest and highest neighbor value off one pass of shifted copies
 (`LatticeGrid.neighbor_extremes`): of a member mask for its inner
 boundary, of the depth-order ranks for the ψ walks of `dispersion`.
-The kNN graph walks each member's neighbor list.
+The kNN graph answers the same query off its k-nearest index table,
+so one inner-boundary rule serves both geometries.
 """
 
 from __future__ import annotations
@@ -166,40 +167,37 @@ class KnnGrid:
 
     sample: Sample
     k: int = 8
-    _adj: tuple = field(init=False, repr=False, compare=False, default=())
+    _nearest: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.k < 1:
             raise LevelSetError(f"kNN geometry needs k >= 1, got {self.k}")
-        n = self.sample.n
-        if n < 2:
+        if self.sample.n < 2:
             raise LevelSetError("kNN geometry needs at least 2 points")
-        k = min(self.k, n - 1)
         dist = self.sample.distance_matrix.copy()   # the cache stays untouched
         np.fill_diagonal(dist, np.inf)
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        adj = [set(map(int, row)) for row in order]
-        for i, row in enumerate(order):      # symmetrize: union of both directions
-            for j in row:
-                adj[int(j)].add(i)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(s)) for s in adj))
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :min(self.k, self.sample.n - 1)]
+        object.__setattr__(self, "_nearest", nearest)
 
     def __len__(self):
         return self.sample.n
 
-    def neighbor_indices(self, i: int):
-        return list(self._adj[i])
+    def neighbor_extremes(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Lowest and highest of `values` (one per point) over each
+        point's k nearest points and every point that lists it."""
+        values = np.asarray(values)
+        listed = values[self._nearest]
+        low, high = listed.min(axis=1), listed.max(axis=1)
+        np.minimum.at(low, self._nearest, values[:, None])
+        np.maximum.at(high, self._nearest, values[:, None])
+        return low, high
 
 
 def inner_boundary(mask: np.ndarray, grid) -> np.ndarray:
     """Ascending indices of the points in `mask` with at least one
     neighbor outside it (or outside the lattice)."""
-    if isinstance(grid, LatticeGrid):
-        low = grid.neighbor_extremes(mask.astype(np.int8))[0]
-        return np.flatnonzero(mask & (low < 1))
-    out = [int(i) for i in np.flatnonzero(mask)
-           if any(not mask[j] for j in grid.neighbor_indices(int(i)))]
-    return np.array(out, dtype=np.int64)
+    low = grid.neighbor_extremes(mask.astype(np.int8))[0]
+    return np.flatnonzero(mask & (low < 1))
 
 
 def boundary_points(ls: LevelSet) -> np.ndarray:

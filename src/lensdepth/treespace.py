@@ -8,9 +8,7 @@ Billera-Holmes-Vogtmann orthant complex, computed by successive support
 refinement: each support pair is split while its incompatibility graph
 admits a vertex cover of weight < 1 (`_min_weight_cover`).  Supports are
 pairs of masks over the two trees' split positions, and each split of
-the first tree gets one crossing row per tree pair.  An exhaustive
-support-sequence oracle for trees with at most 7 leaves cross-checks
-the solver in tests.
+the first tree gets one crossing row per tree pair.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from functools import cached_property
 
 ZERO_LENGTH_TOL = 1e-12
 _COVER_SLACK = 1e-12
-_EXHAUSTIVE_MAX_LEAVES = 7
 
 
 class TreeError(ValueError):
@@ -609,65 +606,3 @@ def bhv_distance(t1: Tree, t2: Tree) -> GeodesicResult:
     return GeodesicResult(distance, tuple(
         (tuple(t1.interior[i] for i in _bits(am)), tuple(t2.interior[j] for j in _bits(bm)))
         for am, bm in pairs))
-
-
-def _surjections(n, k):
-    """All maps {0..n-1} -> {0..k-1} hitting every block."""
-    for assignment in itertools.product(range(k), repeat=n):
-        if len(set(assignment)) == k:
-            yield assignment
-
-
-def bhv_distance_exhaustive(t1: Tree, t2: Tree) -> float:
-    """Exact geodesic length by enumerating every valid support sequence.
-
-    Feasible only for small trees (<= 7 leaves); intended as a test
-    oracle for `bhv_distance`.
-    """
-    if t1.n_leaves > _EXHAUSTIVE_MAX_LEAVES:
-        raise TreeError(
-            f"exhaustive search is limited to {_EXHAUSTIVE_MAX_LEAVES} leaves, "
-            f"got {t1.n_leaves}")
-    common_sq, amask, bmask, _ = _decompose(t1, t2)
-    if not amask and not bmask:
-        return math.sqrt(common_sq)
-    a_side = [t1.interior[i] for i in _bits(amask)]
-    b_side = [t2.interior[j] for j in _bits(bmask)]
-    umask = t1.universe_mask
-    na, nb = len(a_side), len(b_side)
-    compat = [[compatible(a[0], b[0], umask) for b in b_side] for a in a_side]
-    wa = [l * l for _, l in a_side]
-    wb = [l * l for _, l in b_side]
-
-    def seq_length_sq(fa, fb, k):
-        # Valid supports need blocks A_i compatible with B_j for i > j,
-        # and nondecreasing block norm ratios |A_i|/|B_i|; a sequence
-        # with an inverted ratio does not realize the closed-form length
-        # (its constrained optimum coincides with the merged sequence,
-        # which is also enumerated).
-        for ai in range(na):
-            for bj in range(nb):
-                if fa[ai] > fb[bj] and not compat[ai][bj]:
-                    return None
-        total = 0.0
-        prev_ratio = -1.0
-        for blk in range(k):
-            sa = sum(wa[i] for i in range(na) if fa[i] == blk)
-            sb = sum(wb[j] for j in range(nb) if fb[j] == blk)
-            ra, rb = math.sqrt(sa), math.sqrt(sb)
-            ratio = ra / rb
-            if ratio < prev_ratio:
-                return None
-            prev_ratio = ratio
-            term = ra + rb
-            total += term * term
-        return total
-
-    best = (math.sqrt(sum(wa)) + math.sqrt(sum(wb))) ** 2          # cone path, k = 1
-    for k in range(2, min(na, nb) + 1):
-        for fa in _surjections(na, k):
-            for fb in _surjections(nb, k):
-                val = seq_length_sq(fa, fb, k)
-                if val is not None and val < best:
-                    best = val
-    return math.sqrt(common_sq + best)

@@ -37,12 +37,17 @@ from lensdepth.metrics import (
 )
 from lensdepth.treespace import (
     bhv_distance,
-    bhv_distance_exhaustive,
     parse_newick,
     to_newick,
 )
 
-from conftest import gamma_t_vs_normal, random_frames, random_tree, random_unit_vectors
+from conftest import (
+    bhv_distance_exhaustive,
+    gamma_t_vs_normal,
+    random_frames,
+    random_tree,
+    random_unit_vectors,
+)
 
 
 def report(number, ok, detail=""):

@@ -16,7 +16,13 @@ from lensdepth.dispersion import gamma_t_vs_normal_grid, psi_curve
 from lensdepth.metrics import BHVSpace, EuclideanSpace
 from lensdepth.treespace import to_newick
 
-from conftest import nested_diameters, negate_zeros, random_tree, zero_rich_points
+from conftest import (
+    nested_diameters,
+    negate_zeros,
+    random_frames,
+    random_tree,
+    zero_rich_points,
+)
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -902,3 +908,33 @@ def test_loo_outputs_do_not_depend_on_threads_or_hash_seed(workdir):
         assert proc.returncode == 0, proc.stderr
         for out, blob in want.items():
             assert (workdir / out).read_bytes() == blob, (seed, out)
+
+
+@pytest.mark.parametrize("metric", ["sphere", "stiefel-procrustes", "bhv"])
+def test_knn_boundary_does_not_depend_on_threads_or_reruns(workdir, metric):
+    """`levelset --boundary-out` without `--grid` evaluates on the sample's
+    kNN graph; samples with duplicated points tie many graph distances."""
+    rng = np.random.default_rng(len(metric))
+    if metric == "stiefel-procrustes":
+        pts = random_frames(rng, 30, 3, 2)
+        metric_args = ["--shape", "3x2"]
+    else:
+        pts, metric_args = zero_rich_points(metric, rng, 30)[1], []
+    pts = np.concatenate([pts, pts[[0, 4, 4, 9, 17]]])
+    if metric == "bhv":
+        (workdir / "s.nwk").write_text("".join(to_newick(t) + "\n" for t in pts))
+        path = "s.nwk"
+    else:
+        write_points(workdir / "s.csv", pts.reshape(len(pts), -1))
+        path = "s.csv"
+    argv = ["levelset", "--metric", metric, *metric_args, "--sample", path, "--lambda", "0.3",
+            "--no-timestamp", "--out", "ls.csv", "--boundary-out", "bd.csv"]
+    blobs = set()
+    for threads in ("1", "2", "3", "1", "2", "3"):
+        assert run(argv + ["--threads", threads]) == 0
+        blobs.add(((workdir / "ls.csv").read_bytes(), (workdir / "bd.csv").read_bytes()))
+    assert len(blobs) == 1
+    members = {int(r.split(",")[0]) for r in data_lines(workdir / "ls.csv")[1:]
+               if r.endswith(",1")}
+    boundary = {int(r.split(",")[0]) for r in data_lines(workdir / "bd.csv")[1:]}
+    assert boundary and boundary <= members

@@ -5,8 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from lensdepth import depth
-from lensdepth.analysis import loo_depth_against
-from lensdepth.depth import DepthField, Sample, batch_depth
+from lensdepth.depth import DepthField, Sample, batch_depth, loo_depth_against, self_depth_field
 from lensdepth.levelsets import (
     KnnGrid,
     LatticeGrid,
@@ -184,12 +183,29 @@ def test_boundary_reads_the_fields_lattice(rng):
         boundary_points(level_set(batch_depth(g.points, sample), 0.2))
 
 
+def knn_adjacency(grid):
+    """Each point's ascending neighbor indices, read back from
+    `neighbor_extremes` of the one-hot vectors e_j: high[i] == 1 exactly
+    when j neighbors i, and low[i] == 1 exactly when j is i's only
+    neighbor."""
+    n = len(grid)
+    adj, sole = [[] for _ in range(n)], []
+    for j in range(n):
+        low, high = grid.neighbor_extremes(np.eye(n, dtype=np.int8)[j])
+        assert set(high.tolist()) <= {0, 1}
+        for i in np.flatnonzero(high == 1).tolist():
+            adj[i].append(j)
+        sole.append(np.flatnonzero(low == 1).tolist())
+    assert sole == [[i for i in range(n) if adj[i] == [j]] for j in range(n)]
+    return adj
+
+
 def test_knn_grid_symmetric_neighbors(rng):
     pts = rng.standard_normal((30, 2))
-    g = KnnGrid(Sample(pts, E2), k=4)
+    adj = knn_adjacency(KnnGrid(Sample(pts, E2), k=4))
     for i in range(30):
-        for j in g.neighbor_indices(i):
-            assert i in g.neighbor_indices(j)
+        for j in adj[i]:
+            assert i in adj[j]
 
 
 def cross_matrix_adjacency(points, space, k):
@@ -216,10 +232,19 @@ def test_knn_grid_reads_sample_matrix_like_cross_matrix(rng, kind):
         points = np.concatenate([points, points[[0, 5, 5]]])
     sample = Sample(points, space)
     cached = sample.distance_matrix.copy()
+    masks = [rng.random(sample.n) < p for p in (0.0, 0.3, 0.7, 1.0)]
+    masks.append(self_depth_field(sample).values >= 0.3)
+    values = rng.integers(-5, 6, sample.n)
     for k in (1, 3, 8, 40):
         g = KnnGrid(sample, k=k)
-        assert [g.neighbor_indices(i) for i in range(len(g))] == \
-            cross_matrix_adjacency(sample.points, space, min(k, sample.n - 1))
+        adj = cross_matrix_adjacency(sample.points, space, min(k, sample.n - 1))
+        assert knn_adjacency(g) == adj
+        low, high = g.neighbor_extremes(values)
+        assert low.tolist() == [min(values[a]) for a in adj]
+        assert high.tolist() == [max(values[a]) for a in adj]
+        for mask in masks:
+            assert inner_boundary(mask, g).tolist() == \
+                [i for i in range(sample.n) if mask[i] and not all(mask[adj[i]])]
     assert np.array_equal(sample.distance_matrix, cached)
     assert not np.diagonal(sample.distance_matrix).any()
 
@@ -242,8 +267,7 @@ def test_tree_points_as_list_or_object_array_agree(rng):
     by_list, by_array = Sample(trees, space), Sample(arr, space)
     assert by_list.points.dtype == object
     for k in (1, 4):
-        assert [KnnGrid(by_list, k).neighbor_indices(i) for i in range(17)] == \
-            [KnnGrid(by_array, k).neighbor_indices(i) for i in range(17)]
+        assert knn_adjacency(KnnGrid(by_list, k)) == knn_adjacency(KnnGrid(by_array, k))
     a, b = trees[:9], trees[9:]
     assert nearest_indices(a, b, space).tolist() == \
         nearest_indices(arr[:9], arr[9:], space).tolist()

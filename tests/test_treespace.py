@@ -12,7 +12,6 @@ from lensdepth.treespace import (
     Tree,
     TreeError,
     bhv_distance,
-    bhv_distance_exhaustive,
     canonical_split,
     compatible,
     parse_newick,
@@ -20,7 +19,7 @@ from lensdepth.treespace import (
     to_newick,
 )
 
-from conftest import _decompose, _norm, random_tree
+from conftest import _decompose, _norm, bhv_distance_exhaustive, random_tree
 
 LABELS5 = ("A", "B", "C", "D", "E")
 U5 = 0b11111
